@@ -1,8 +1,9 @@
-"""F3 — measured shared-memory parallel engines on this machine.
+"""F3 — measured shared-memory parallel engine on the machine running it.
 
-Compares the serial wavefront against the multiprocess and thread-pool
-engines at the same problem size; the speedup ratio is the figure's
-measured series.
+Compares the serial wavefront against the per-call block-tiled engine
+(``blocks``, a one-job pool) and a persistent :class:`WavefrontPool` at
+the same problem size; the speedup ratio is the figure's measured
+series.
 """
 
 import multiprocessing as mp
@@ -10,9 +11,8 @@ import multiprocessing as mp
 import pytest
 
 from repro.core.wavefront import score3_wavefront
+from repro.parallel.blocks import score3_blocks
 from repro.parallel.executor import WavefrontPool
-from repro.parallel.shared import score3_shared
-from repro.parallel.threads import score3_threads
 
 _CORES = mp.cpu_count()
 
@@ -29,12 +29,8 @@ def test_serial_baseline_n80(benchmark, dna_scheme, family80):
     benchmark(score3_wavefront, *family80, dna_scheme)
 
 
-def test_shared_workers_n80(benchmark, dna_scheme, family80):
-    benchmark(score3_shared, *family80, dna_scheme, workers=_CORES)
-
-
-def test_threads_workers_n80(benchmark, dna_scheme, family80):
-    benchmark(score3_threads, *family80, dna_scheme, workers=_CORES)
+def test_blocks_workers_n80(benchmark, dna_scheme, family80):
+    benchmark(score3_blocks, *family80, dna_scheme, workers=_CORES)
 
 
 def test_pool_workers_n80(benchmark, dna_scheme, family80, pool):

@@ -20,12 +20,16 @@ workloads that bracket the engine's regimes:
   pruned sweep all inside the timed side — asserting bit-identical
   scores. This is the ≥5x acceptance number for the pruned engine.
 * **scaling** — the synchronisation-regime curve: score-only sweeps of
-  one mid-size triple through the per-plane-barrier engine (``shared``)
-  and the block-tiled engine (``blocks``) at 1/2/4/8 workers, in the
-  same interleaved A/B harness as the kernel sections. Scores are
-  asserted bit-identical to the serial wavefront at every point. The
-  gate number is the best shared/blocks wall-time ratio at ≥ 4 workers
-  — the regime where the per-plane barrier wall dominates.
+  one mid-size triple through a per-plane-barrier reference sweep
+  (:func:`_barrier_score`, local to this benchmark) and the block-tiled
+  engine (``blocks``) at 1/2/4/8 workers, in the same interleaved A/B
+  harness as the kernel sections. Scores are asserted bit-identical to
+  the serial wavefront at every point. The gate number is the best
+  barrier/blocks wall-time ratio at ≥ 4 workers — the regime where the
+  per-plane barrier wall dominates. The section also records, with no
+  floor, the serial ``wavefront_sweep`` time with ``blocks``' speedup
+  and efficiency against it per worker count, and the w=2 speedup over
+  serial at a few larger n (where the parallel engine crosses over).
 * **long_anchored** — an n≈2000 high-identity triple through
   ``align3(method="anchored")`` (anchor discovery + cube-chain
   decomposition, ``repro.anchor``): end-to-end wall time, chain
@@ -105,6 +109,11 @@ def _ab_min(run_ref, run_new, repeats):
     return t_ref, t_new, ref_result, new_result
 
 BASELINE_NAME = "BENCH_kernel.json"
+
+#: Cube sizes at which the scaling section times ``blocks`` at two
+#: workers against the serial sweep: around where the parallel engine
+#: starts to pay on a 2-core host.
+CROSSOVER_NS = (96, 140, 180)
 SCHEMA = "bench-kernel/2"
 
 #: Default workload knobs. ``quick`` halves the repeats for the CI gate.
@@ -306,56 +315,155 @@ def _measure_high_similarity(config, scheme):
     }
 
 
-def _measure_scaling(config, scheme):
-    """Barrier-wall regime: per-plane ``shared`` vs block-tiled ``blocks``.
+def _barrier_score(sa, sb, sc, scheme, workers):
+    """Per-plane-barrier reference sweep for the scaling gate.
 
-    Both engines compute identical cells with the same kernel; the only
+    Each anti-diagonal plane's rows are re-sliced across ``workers``
+    forked processes with ``split_range``, everyone meets one barrier
+    per plane, and the planes rotate through a 4-deep window in shared
+    memory; the main process is worker 0. Workers beyond the widest
+    plane's row count would only ever get empty slices, so they are
+    never forked. Fault-free path only: a stuck barrier fails the run
+    after a timeout instead of recovering. Returns the optimal score.
+    """
+    import multiprocessing as mp
+    from multiprocessing import shared_memory
+
+    from repro.core.wavefront import plane_bounds
+    from repro.parallel.partition import split_range
+
+    dims = n1, n2, n3 = len(sa), len(sb), len(sc)
+    dmax = n1 + n2 + n3
+    active = min(workers, min(n1, n2 + n3) + 1)
+    if active == 1 or "fork" not in mp.get_all_start_methods():
+        return wavefront_sweep(sa, sb, sc, scheme, score_only=True).score
+    sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
+    g2 = 2.0 * scheme.gap
+    ctx = mp.get_context("fork")
+    shms = [
+        shared_memory.SharedMemory(create=True, size=(n1 + 2) * (n2 + 2) * 8)
+        for _ in range(4)
+    ]
+    planes = [
+        np.ndarray((n1 + 2, n2 + 2), dtype=np.float64, buffer=shm.buf)
+        for shm in shms
+    ]
+    for plane in planes:
+        plane.fill(NEG)
+    barrier = ctx.Barrier(active)
+
+    def sweep(w):
+        ws = PlaneWorkspace(dims)
+        for d in range(dmax + 1):
+            ilo, ihi, _jlo, _jhi = plane_bounds(d, n1, n2, n3)
+            lo, hi = split_range(ilo, ihi, active)[w]
+            if lo <= hi:
+                compute_plane_rows(
+                    d, lo, hi, planes[(d - 1) % 4], planes[(d - 2) % 4],
+                    planes[(d - 3) % 4], planes[d % 4], sab, sac, sbc, g2,
+                    dims, ws=ws,
+                )
+            barrier.wait(timeout=60)
+
+    procs = [
+        ctx.Process(target=sweep, args=(w,), daemon=True)
+        for w in range(1, active)
+    ]
+    try:
+        for proc in procs:
+            proc.start()
+        sweep(0)
+        for proc in procs:
+            proc.join()
+        return float(planes[dmax % 4][n1 + 1, n2 + 1])
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+        for shm in shms:
+            shm.close()
+            shm.unlink()
+
+
+def _measure_scaling(config, scheme):
+    """Barrier-wall regime: per-plane barrier vs block-tiled ``blocks``.
+
+    Both sides compute identical cells with the same kernel; the only
     difference is synchronisation — one barrier per plane versus a
     handful of counter waits per plane *band*. Their wall-time ratio at
     each worker count is therefore a direct measurement of the barrier
     wall, machine-neutral in the same way the kernel A/B ratios are
     (both sides fork the same number of processes on the same box).
 
-    The ``speedup`` gate number is the best shared/blocks ratio at
+    The ``speedup`` gate number is the best barrier/blocks ratio at
     ≥ 4 workers: with few workers both regimes are dispatch-dominated
     and the ratio hovers near 1.0; the barrier wall only opens up once
     the per-plane rendezvous has enough legs. On hosts without ``fork``
-    both engines fall back to the identical serial sweep, so the ratio
+    both sides fall back to the identical serial sweep, so the ratio
     degrades to ~1.0 rather than lying.
+
+    Every curve point also carries ``serial_speedup`` (the serial
+    ``wavefront_sweep`` time over ``blocks``' time) and ``efficiency``
+    (that speedup per worker); ``crossover`` holds the w=2 speedup over
+    serial at each of :data:`CROSSOVER_NS`. None of these has a floor: they
+    say where the parallel engine starts to pay on the host running it.
     """
     from repro.parallel.blocks import score3_blocks
-    from repro.parallel.shared import score3_shared
 
     n = config["scaling_n"]
     seqs = mutated_family(n, seed=config["seed"] + 5005)
     expect = wavefront_sweep(*seqs, scheme, score_only=True).score
     repeats = config["scaling_repeats"]
+    serial_s, _ = repeat_min(
+        lambda: wavefront_sweep(*seqs, scheme, score_only=True),
+        repeats=repeats,
+        warmup=1,
+    )
     curve = {}
     for w in config["scaling_workers"]:
-        t_shared, t_blocks, s_shared, s_blocks = _ab_min(
-            lambda: score3_shared(*seqs, scheme, workers=w),
+        t_barrier, t_blocks, s_barrier, s_blocks = _ab_min(
+            lambda: _barrier_score(*seqs, scheme, workers=w),
             lambda: score3_blocks(*seqs, scheme, workers=w),
             repeats,
         )
-        assert s_shared == expect and s_blocks == expect, (
+        assert s_barrier == expect and s_blocks == expect, (
             f"scaling score mismatch at workers={w}: "
-            f"shared={s_shared} blocks={s_blocks} serial={expect}"
+            f"barrier={s_barrier} blocks={s_blocks} serial={expect}"
         )
         curve[str(w)] = {
-            "shared_seconds": t_shared,
+            "barrier_seconds": t_barrier,
             "blocks_seconds": t_blocks,
-            "speedup": t_shared / t_blocks,
+            "speedup": t_barrier / t_blocks,
+            "serial_speedup": serial_s / t_blocks,
+            "efficiency": serial_s / t_blocks / w,
         }
     gate = [w for w in config["scaling_workers"] if w >= 4]
     if not gate:
         gate = [max(config["scaling_workers"])]
     gate_w = max(gate, key=lambda w: curve[str(w)]["speedup"])
+    crossover = {}
+    for cn in CROSSOVER_NS:
+        cseqs = mutated_family(cn, seed=config["seed"] + 5005)
+        t_serial, t_w2, s_serial, s_w2 = _ab_min(
+            lambda: wavefront_sweep(*cseqs, scheme, score_only=True).score,
+            lambda: score3_blocks(*cseqs, scheme, workers=2),
+            repeats,
+        )
+        assert s_serial == s_w2, f"crossover score mismatch at n={cn}"
+        crossover[str(cn)] = {
+            "serial_seconds": t_serial,
+            "blocks_seconds": t_w2,
+            "serial_speedup": t_serial / t_w2,
+        }
     return {
         "n": n,
         "workers": list(config["scaling_workers"]),
         "gate_workers": gate_w,
         "curve": curve,
         "speedup": curve[str(gate_w)]["speedup"],
+        "serial_seconds": serial_s,
+        "crossover": crossover,
         "score": expect,
     }
 
@@ -464,9 +572,25 @@ def summarise(doc: dict) -> str:
             for w in sc["workers"]
         )
         lines.append(
-            f"scaling        : n={sc['n']} blocks vs shared — {points} "
+            f"scaling        : n={sc['n']} blocks vs barrier — {points} "
             f"(gate {sc['speedup']:.2f}x at w={sc['gate_workers']})"
         )
+        if "serial_seconds" in sc:
+            vs_serial = " ".join(
+                f"w={w}:{sc['curve'][str(w)]['serial_speedup']:.2f}x"
+                f"/{sc['curve'][str(w)]['efficiency']:.0%}"
+                for w in sc["workers"]
+            )
+            lines.append(
+                f"vs serial      : n={sc['n']} serial "
+                f"{sc['serial_seconds'] * 1000:.1f} ms — blocks "
+                f"speedup/efficiency {vs_serial}"
+            )
+            cross = " ".join(
+                f"n={cn}:{pt['serial_speedup']:.2f}x"
+                for cn, pt in sc["crossover"].items()
+            )
+            lines.append(f"w=2 vs serial  : {cross}")
     la = doc.get("long_anchored")
     if la:
         lines.append(

@@ -3,7 +3,8 @@
 machine's kernel speed.
 
 1. Calibrates the per-cell compute time of the vectorised engine.
-2. Measures the real 2-core shared-memory speedup.
+2. Measures the real shared-memory speedup of the parallel engine
+   (``blocks``) against the serial sweep.
 3. Simulates the distributed block wavefront on three machine models
    (Fast Ethernet 2007, Gigabit 2007, modern) across processor counts.
 4. Sweeps the block size to expose the communication/pipeline tradeoff.
@@ -23,7 +24,8 @@ from repro.cluster import (
     simulate_wavefront,
 )
 from repro.cluster.metrics import block_sweep, speedup_series
-from repro.parallel.shared import score3_shared
+from repro.core.wavefront import score3_wavefront
+from repro.parallel.blocks import score3_blocks
 from repro.seqio.alphabet import DNA
 from repro.util.tables import format_series
 from repro.util.timing import repeat_min
@@ -39,10 +41,10 @@ def main() -> None:
     fam = mutated_family(100, seed=1)
     cores = mp.cpu_count()
     t_serial, _ = repeat_min(
-        lambda: score3_shared(*fam, scheme, workers=1), repeats=3
+        lambda: score3_wavefront(*fam, scheme), repeats=3
     )
     t_par, _ = repeat_min(
-        lambda: score3_shared(*fam, scheme, workers=cores), repeats=3, warmup=1
+        lambda: score3_blocks(*fam, scheme, workers=cores), repeats=3, warmup=1
     )
     print(f"Measured on this machine (n=100, {cores} cores): "
           f"serial {t_serial*1e3:.0f} ms, parallel {t_par*1e3:.0f} ms "

@@ -49,8 +49,6 @@ CHAIN_ENGINES = (
     "hirschberg",
     "pruned",
     "banded",
-    "shared",
-    "threads",
 )
 
 
@@ -61,9 +59,7 @@ def _solve_segment(
     scheme: ScoringScheme,
     engine: str,
     *,
-    auto_policy: str,
     cells_per_s_hint: float | None,
-    workers: int,
     workspace,
     budget: int,
     allow_degrade: bool,
@@ -73,8 +69,7 @@ def _solve_segment(
 
     if engine == "auto":
         engine, _sel = select_method(
-            sa, sb, sc, scheme, policy=auto_policy,
-            cells_per_s=cells_per_s_hint,
+            sa, sb, sc, scheme, cells_per_s=cells_per_s_hint
         )
     dims = (len(sa), len(sb), len(sc))
     if engine in _degrade.LADDER:
@@ -122,14 +117,6 @@ def _solve_segment(
         from repro.core.band import align3_banded
 
         return align3_banded(sa, sb, sc, scheme), engine
-    if engine == "shared":
-        from repro.parallel.shared import align3_shared
-
-        return align3_shared(sa, sb, sc, scheme, workers=workers), engine
-    if engine == "threads":
-        from repro.parallel.threads import align3_threads
-
-        return align3_threads(sa, sb, sc, scheme, workers=workers), engine
     raise ValueError(
         f"unknown chain engine {engine!r}; available: {CHAIN_ENGINES}"
     )
@@ -143,9 +130,7 @@ def align3_chain(
     anchors: Sequence[Any] | None = None,
     *,
     method: str = "auto",
-    auto_policy: str = "similarity",
     cells_per_s_hint: float | None = None,
-    workers: int = 2,
     allow_degrade: bool = True,
 ) -> Alignment3:
     """Optimal three-way alignment through an anchor chain.
@@ -213,9 +198,8 @@ def align3_chain(
             # to calling align3 without anchoring).
             aln, engine = _solve_segment(
                 sa, sb, sc, scheme, method,
-                auto_policy=auto_policy,
                 cells_per_s_hint=cells_per_s_hint,
-                workers=workers, workspace=None, budget=budget,
+                workspace=None, budget=budget,
                 allow_degrade=allow_degrade,
             )
             anchor_meta["fallback"] = engine
@@ -241,9 +225,8 @@ def align3_chain(
                 (i0, j0, k0), (i1, j1, k1) = seg.start, seg.end
                 sub, engine = _solve_segment(
                     sa[i0:i1], sb[j0:j1], sc[k0:k1], scheme, method,
-                    auto_policy=auto_policy,
                     cells_per_s_hint=cells_per_s_hint,
-                    workers=workers, workspace=workspace, budget=budget,
+                    workspace=workspace, budget=budget,
                     allow_degrade=allow_degrade,
                 )
                 engines[engine] = engines.get(engine, 0) + 1

@@ -8,8 +8,8 @@ serves it in stages, cheapest first:
    (:func:`repro.cache.request_key`, keyed on the *resolved* method's
    equivalence class, so ``auto`` and ``wavefront`` requests for the
    same triple form one group); each distinct request is looked up in
-   the :class:`~repro.cache.ResultCache` once (with a migration probe
-   of the legacy raw-method key), and duplicates share the answer.
+   the :class:`~repro.cache.ResultCache` once, and duplicates share the
+   answer.
 2. **Permutation reuse** — remaining groups are probed by the
    order-insensitive secondary key. A hit (from the cache, or from
    another group of this batch) is mapped onto the request's sequence
@@ -21,9 +21,10 @@ serves it in stages, cheapest first:
    batch (pool-eligible jobs: global mode, linear scheme, *resolved*
    wavefront-class method), so worker spawn is paid once per pool
    lifetime instead of once per request. Everything else — affine
-   schemes, explicit serial engines, local/semiglobal modes, and
-   requests the similarity cost model routes to ``pruned``/``banded``/
-   ``hirschberg`` — dispatches to the matching engine per request.
+   schemes, explicit engines, local/semiglobal modes, and requests the
+   similarity cost model routes to ``pruned``/``banded``/``hirschberg``
+   — dispatches per request to the engine ``auto`` resolved to when
+   the batch derived its keys (``select_method`` runs once per request).
    Results are cached under both keys for the next batch.
 
 The pool outlives ``run()``: a :class:`BatchScheduler` reuses its workers
@@ -50,7 +51,6 @@ from repro.cache import (
 from repro.cache.key import MODES, canonical_order
 from repro.core.api import (
     AVAILABLE_METHODS,
-    AUTO_POLICIES,
     align3,
     resolve_scheme,
     select_method,
@@ -62,11 +62,11 @@ from repro.obs import trace as _trace
 from repro.util.validation import check_sequences
 
 #: *Resolved* methods the long-lived pool serves (its workers run the
-#: shared wavefront kernel, which reproduces these bit-identically).
-#: ``auto`` is resolved before this check, so a request the cost model
-#: routes to ``pruned``/``banded``/``hirschberg`` dispatches to
-#: ``align3`` instead of losing its pruning to the pool.
-POOL_METHODS = ("wavefront", "shared", "threads")
+#: wavefront kernel, which reproduces these bit-identically). ``auto``
+#: is resolved before this check, so a request the cost model routes to
+#: ``pruned``/``banded``/``hirschberg`` dispatches to ``align3`` instead
+#: of losing its pruning to the pool.
+POOL_METHODS = ("wavefront",)
 
 #: Namespace prefix for order-insensitive secondary cache entries, kept
 #: disjoint from exact digests so a permutation-derived alignment can
@@ -186,10 +186,6 @@ class BatchScheduler:
     max_pool_cells:
         Cube-size ceiling for pool execution; larger jobs fall back to
         :func:`align3`, whose degradation ladder knows about memory.
-    auto_policy:
-        Forwarded to :func:`repro.core.api.select_method` when resolving
-        ``method="auto"`` requests: ``"similarity"`` (default) or the
-        legacy ``"cells"`` split.
 
     Use as a context manager, or call :meth:`close` to release the pool::
 
@@ -202,20 +198,13 @@ class BatchScheduler:
         cache: ResultCache | None = None,
         workers: int = 2,
         max_pool_cells: int = DEFAULT_MAX_POOL_CELLS,
-        auto_policy: str = "similarity",
         cells_per_s_hint: "float | Callable[[], float | None] | None" = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if auto_policy not in AUTO_POLICIES:
-            raise ValueError(
-                f"unknown auto_policy {auto_policy!r}; "
-                f"available: {AUTO_POLICIES}"
-            )
         self.cache = cache
         self.workers = int(workers)
         self.max_pool_cells = int(max_pool_cells)
-        self.auto_policy = auto_policy
         #: Observed plain-sweep throughput for admission-informed method
         #: selection: a number, or a zero-arg callable read per request
         #: (the serve tier binds the admission controller's live EWMA).
@@ -312,15 +301,17 @@ class BatchScheduler:
 
     def _resolve(
         self, req: AlignmentRequest, scheme: ScoringScheme
-    ) -> tuple[str, str]:
-        """``(resolved engine, cache-key method component)`` for a request.
+    ) -> tuple[str, str, dict | None]:
+        """``(resolved engine, cache-key method component, selection)``.
 
         Mirrors ``align3``'s resolution order: the key must be derived
-        from the method that will actually run, not the request string —
-        keying on the raw string stored the same bit-identical alignment
-        under ``auto`` and its resolved engine twice (the cache-aliasing
-        bug this PR fixes). Non-global modes have a single engine each,
-        so their raw ``auto`` keys are already canonical.
+        from the method that will actually run, not the request string,
+        so ``auto`` and its resolved engine share one entry. Non-global
+        modes have a single engine each, so their raw ``auto`` keys are
+        already canonical. ``selection`` is :func:`select_method`'s
+        record when it ran (else None); this is the request's only
+        engine selection — the compute stage runs the resolved engine
+        and reports the selection as ``meta["auto"]``.
 
         Chain-mode requests (constraints, or ``method="anchored"``)
         resolve to the sentinel engine ``"chain"`` — never pool-eligible,
@@ -330,21 +321,20 @@ class BatchScheduler:
         constraint digest; anchored results key as their own class.
         """
         if req.mode != "global":
-            return req.method, req.method
+            return req.method, req.method, None
         if req.constraints:
-            return "chain", "exact"
+            return "chain", "exact", None
         if req.method == "anchored":
-            return "chain", "anchored"
-        method = req.method
+            return "chain", "anchored", None
+        method, selection = req.method, None
         if method == "auto":
             if scheme.is_affine:
                 method = "affine"
             else:
-                method, _sel = select_method(
-                    *req.seqs, scheme, policy=self.auto_policy,
-                    cells_per_s=self._hint(),
+                method, selection = select_method(
+                    *req.seqs, scheme, cells_per_s=self._hint()
                 )
-        return method, method_key_class(method)
+        return method, method_key_class(method), selection
 
     def _pool_eligible(
         self, req: AlignmentRequest, scheme: ScoringScheme, resolved: str
@@ -359,7 +349,10 @@ class BatchScheduler:
         return (n1 + 1) * (n2 + 1) * (n3 + 1) <= self.max_pool_cells
 
     def _compute_direct(
-        self, req: AlignmentRequest, scheme: ScoringScheme
+        self,
+        req: AlignmentRequest,
+        scheme: ScoringScheme,
+        resolved: tuple[str, str, dict | None],
     ) -> Alignment3:
         if req.mode == "local":
             from repro.core.local import align3_local
@@ -370,15 +363,17 @@ class BatchScheduler:
 
             aln = align3_semiglobal(*req.seqs, scheme)
         else:
+            engine, _key, selection = resolved
             aln = align3(
                 *req.seqs,
                 scheme,
-                method=req.method,
+                method=req.method if engine == "chain" else engine,
                 workers=self.workers,
-                auto_policy=self.auto_policy,
                 constraints=req.constraints,
                 cells_per_s_hint=self._hint(),
             )
+            if selection is not None:
+                aln.meta["auto"] = selection
         aln.meta.setdefault("mode", req.mode)
         aln.meta.setdefault("scheme", scheme.name)
         return aln
@@ -467,7 +462,7 @@ class BatchScheduler:
         self,
         reqs: list[AlignmentRequest],
         schemes: list[ScoringScheme],
-        resolved: list[tuple[str, str]],
+        resolved: list[tuple[str, str, dict | None]],
         results: list[RequestResult | None],
         stats: BatchStats,
         emit: "Callable[[RequestResult], None] | None" = None,
@@ -486,30 +481,12 @@ class BatchScheduler:
 
         pending: list[tuple[str, list[int]]] = []
         for key, idxs in groups.items():
-            req, scheme = reqs[idxs[0]], schemes[idxs[0]]
-            key_method = resolved[idxs[0]][1]
             t0 = time.perf_counter()
             hit = None
             source = "memory_hit"
             if self.cache is not None:
                 pre_disk = self.cache.stats.disk_hits
                 hit = self.cache.get(key)
-                if (
-                    hit is None
-                    and req.method != key_method
-                    and not req.constraints
-                ):
-                    # Migration probe: older releases keyed on the raw
-                    # method string; re-home a hit under the class key.
-                    # (Never for constrained requests — a legacy probe
-                    # has no constraint digest, so it could alias an
-                    # unconstrained result onto a constrained request.)
-                    legacy = request_key(
-                        req.seqs, scheme, req.mode, req.method
-                    )
-                    hit = self.cache.get(legacy)
-                    if hit is not None:
-                        self.cache.put(key, hit)
                 if self.cache.stats.disk_hits > pre_disk:
                     source = "disk_hit"
             dt = time.perf_counter() - t0
@@ -604,7 +581,7 @@ class BatchScheduler:
         for key, idxs in direct:
             req, scheme = reqs[idxs[0]], schemes[idxs[0]]
             t0 = time.perf_counter()
-            aln = self._compute_direct(req, scheme)
+            aln = self._compute_direct(req, scheme, resolved[idxs[0]])
             dt = time.perf_counter() - t0
             self._finish_compute(
                 results, reqs, schemes, resolved, perm_groups, key, idxs,
@@ -622,7 +599,7 @@ class BatchScheduler:
         results: list[RequestResult | None],
         reqs: list[AlignmentRequest],
         schemes: list[ScoringScheme],
-        resolved: list[tuple[str, str]],
+        resolved: list[tuple[str, str, dict | None]],
         perm_groups: dict[str, list[tuple[str, list[int]]]],
         key: str,
         idxs: list[int],
@@ -710,7 +687,6 @@ def run_batch(
     cache: ResultCache | None = None,
     workers: int = 2,
     max_pool_cells: int = DEFAULT_MAX_POOL_CELLS,
-    auto_policy: str = "similarity",
 ) -> BatchReport:
     """One-shot convenience: build a scheduler, run one batch, close it.
 
@@ -722,6 +698,5 @@ def run_batch(
         cache=cache,
         workers=workers,
         max_pool_cells=max_pool_cells,
-        auto_policy=auto_policy,
     ) as sched:
         return sched.run(requests)

@@ -23,14 +23,19 @@ from repro.cluster import (
 from repro.cluster.metrics import block_sweep, sweep_procs
 from repro.core.affine import align3_affine, score3_affine
 from repro.core.bounds import carrillo_lipman_mask
-from repro.core.dp3d import score3_dp3d
+from repro.core.dp3d import NEG, score3_dp3d
 from repro.core.hirschberg import align3_hirschberg, memory_estimate_bytes
 from repro.core.rolling import score3_slab
 from repro.core.scoring import default_scheme_for
-from repro.core.wavefront import score3_wavefront, wavefront_sweep
+from repro.core.wavefront import (
+    compute_plane_rows,
+    plane_bounds,
+    score3_wavefront,
+)
+from repro.core.workspace import PlaneWorkspace
 from repro.heuristics import align3_centerstar, align3_progressive
-from repro.parallel.shared import score3_shared
-from repro.parallel.threads import score3_threads
+from repro.parallel.blocks import score3_blocks
+from repro.parallel.partition import split_range
 from repro.seqio.alphabet import DNA, PROTEIN
 from repro.seqio.datasets import bundled_sequences
 from repro.seqio.generate import MutationModel, mutated_family
@@ -164,6 +169,44 @@ def exp_f2(quick: bool) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def _score3_threads(sa: str, sb: str, sc: str, scheme, workers: int) -> float:
+    """Score-only wavefront over ``workers`` threads: each plane's rows
+    are split across the threads, one barrier per plane. F3's GIL
+    column — it shows why the parallel engine uses processes."""
+    import threading
+
+    dims = n1, n2, n3 = len(sa), len(sb), len(sc)
+    dmax = n1 + n2 + n3
+    sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
+    planes = [np.full((n1 + 2, n2 + 2), NEG) for _ in range(4)]
+    barrier = threading.Barrier(workers)
+
+    def run(w: int) -> None:
+        ws = PlaneWorkspace(dims)
+        try:
+            for d in range(dmax + 1):
+                ilo, ihi, _jlo, _jhi = plane_bounds(d, n1, n2, n3)
+                lo, hi = split_range(ilo, ihi, workers)[w]
+                if lo <= hi:
+                    compute_plane_rows(
+                        d, lo, hi, planes[(d - 1) % 4], planes[(d - 2) % 4],
+                        planes[(d - 3) % 4], planes[d % 4], sab, sac, sbc,
+                        2.0 * scheme.gap, dims, ws=ws,
+                    )
+                barrier.wait()
+        except BaseException:
+            barrier.abort()  # release the peers instead of wedging them
+            raise
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    return float(planes[dmax % 4][n1 + 1, n2 + 1])
+
+
 @experiment("f3", "Figure 3: measured shared-memory speedup (this machine)")
 def exp_f3(quick: bool) -> ExperimentResult:
     import multiprocessing as mp
@@ -172,21 +215,21 @@ def exp_f3(quick: bool) -> ExperimentResult:
     cores = mp.cpu_count()
     table = Table(
         f"F3 measured wall time (s) and speedup, {cores} cores",
-        ["n", "t_serial", "t_threads", "t_shared", "speedup_shared"],
+        ["n", "t_serial", "t_threads", "t_blocks", "speedup_blocks"],
     )
     data: dict[str, list] = {"rows": []}
     for n in ns:
         seqs = _family(n)
         t_serial, s0 = repeat_min(lambda: score3_wavefront(*seqs, _DNA), repeats=3)
         t_thr, s1 = repeat_min(
-            lambda: score3_threads(*seqs, _DNA, workers=cores), repeats=3
+            lambda: _score3_threads(*seqs, _DNA, workers=cores), repeats=3
         )
-        t_shm, s2 = repeat_min(
-            lambda: score3_shared(*seqs, _DNA, workers=cores), repeats=3, warmup=1
+        t_blk, s2 = repeat_min(
+            lambda: score3_blocks(*seqs, _DNA, workers=cores), repeats=3, warmup=1
         )
         assert abs(s0 - s1) < 1e-9 and abs(s0 - s2) < 1e-9
-        table.add_row(n, t_serial, t_thr, t_shm, t_serial / t_shm)
-        data["rows"].append((n, t_serial, t_thr, t_shm, t_serial / t_shm))
+        table.add_row(n, t_serial, t_thr, t_blk, t_serial / t_blk)
+        data["rows"].append((n, t_serial, t_thr, t_blk, t_serial / t_blk))
     return ExperimentResult("f3", "shared-memory speedup", table.render(), data)
 
 
@@ -635,8 +678,7 @@ def exp_engines(quick: bool) -> ExperimentResult:
         ("wavefront", lambda: score3_wavefront(*seqs, _DNA)),
         ("slab", lambda: score3_slab(*seqs, _DNA)),
         ("hirschberg", lambda: align3_hirschberg(*seqs, _DNA).score),
-        ("shared(2)", lambda: score3_shared(*seqs, _DNA, workers=2)),
-        ("threads(2)", lambda: score3_threads(*seqs, _DNA, workers=2)),
+        ("blocks(2)", lambda: score3_blocks(*seqs, _DNA, workers=2)),
     ):
         t0 = time.perf_counter()
         score = fn()

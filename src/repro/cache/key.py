@@ -12,7 +12,7 @@ an engine would be handed the same inputs. The digest therefore covers
 * the **equivalence class** of the *resolved* method
   (:func:`method_key_class`), not the raw request string. Every exact
   linear-gap engine (``dp3d``, ``wavefront``, ``hirschberg``, ``pruned``,
-  ``banded``, ``shared``, ``threads``) reproduces the reference argmax
+  ``banded``, ``blocks``) reproduces the reference argmax
   tie-breaks and returns bit-identical rows and scores, so their results
   are interchangeable and share the single class ``"exact"``. Keying on
   the raw string was a bug: ``align3(method="auto")`` hashed ``"auto"``
@@ -20,8 +20,8 @@ an engine would be handed the same inputs. The digest therefore covers
   ``wavefront`` was solved and stored twice — and a run degraded from
   ``wavefront`` to ``hirschberg`` was stored under the un-degraded key.
   Callers must resolve ``auto`` (and any degradation) first, then key on
-  ``method_key_class(resolved)``; ``align3`` still probes the legacy raw
-  key on a miss so caches persisted by older releases stay warm.
+  ``method_key_class(resolved)``. Entries persisted under the old raw
+  keys are never found again; a miss recomputes the same answer.
 
 Permutation equivalence
 -----------------------
@@ -52,7 +52,7 @@ MODES = ("global", "local", "semiglobal")
 #: pruning/banding keep every cell of every optimal path). Their cached
 #: results are interchangeable.
 EXACT_METHODS = frozenset(
-    {"dp3d", "wavefront", "hirschberg", "pruned", "banded", "shared", "blocks", "threads"}
+    {"dp3d", "wavefront", "hirschberg", "pruned", "banded", "blocks"}
 )
 
 

@@ -48,6 +48,7 @@ import sys
 from typing import Iterator, Sequence
 
 from repro import __version__
+from repro.core.api import AVAILABLE_METHODS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,10 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _scoring_args(p_align)
     p_align.add_argument(
         "--method",
+        choices=AVAILABLE_METHODS,
         default="auto",
-        help="engine for 3 sequences (auto/dp3d/wavefront/hirschberg/"
-        "pruned/banded/affine/shared/blocks/threads/anchored); 'auto' picks via "
-        "the --auto-policy cost model; 'anchored' discovers an anchor "
+        help="engine for 3 sequences; 'auto' picks one from the "
+        "estimated pairwise identity and cube size; 'blocks' is the "
+        "parallel engine (--workers); 'anchored' discovers an anchor "
         "chain and solves sub-cubes (long high-identity triples)",
     )
     p_align.add_argument(
@@ -86,14 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "discovery with exact fallback)",
     )
     p_align.add_argument(
-        "--auto-policy",
-        choices=("similarity", "cells"),
-        default="similarity",
-        help="how --method auto picks an engine: 'similarity' estimates "
-        "pairwise identity and routes similar triples to the pruned "
-        "engine; 'cells' is the legacy cube-size-only split",
-    )
-    p_align.add_argument(
         "--mode",
         choices=("global", "local", "semiglobal"),
         default="global",
@@ -101,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "and the linear gap model)",
     )
     p_align.add_argument(
-        "--workers", type=int, default=2, help="workers for parallel engines"
+        "--workers", type=int, default=2, help="workers for --method blocks"
     )
     p_align.add_argument(
         "--format",
@@ -141,6 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _scoring_args(p_batch)
     p_batch.add_argument(
         "--method",
+        choices=AVAILABLE_METHODS,
         default="auto",
         help="default engine for requests that do not name one",
     )
@@ -152,12 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--workers", type=int, default=2, help="pool worker count"
-    )
-    p_batch.add_argument(
-        "--auto-policy",
-        choices=("similarity", "cells"),
-        default="similarity",
-        help="engine-selection policy for method 'auto' (see 'align')",
     )
     p_batch.add_argument(
         "--cache-dir",
@@ -195,12 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=2, help="worker pool size"
-    )
-    p_serve.add_argument(
-        "--auto-policy",
-        choices=("similarity", "cells"),
-        default="similarity",
-        help="engine-selection policy for method 'auto' (see 'align')",
     )
     p_serve.add_argument(
         "--queue-depth",
@@ -661,7 +644,6 @@ def _cmd_align(args) -> int:
                         method=method,
                         workers=args.workers,
                         allow_degrade=not args.no_degrade,
-                        auto_policy=args.auto_policy,
                         constraints=constraints,
                     )
                 except ValueError as exc:
@@ -774,9 +756,7 @@ def _cmd_batch(args) -> int:
             )
 
     with _obs_session(args):
-        with BatchScheduler(
-            cache=cache, workers=args.workers, auto_policy=args.auto_policy
-        ) as sched:
+        with BatchScheduler(cache=cache, workers=args.workers) as sched:
             report = sched.run_stream(requests, emit)
 
     s = report.stats
@@ -809,7 +789,6 @@ def _cmd_serve(args) -> int:
         "cache_url": args.cache_url,
         "instance": args.instance,
         "drain_grace_s": args.drain_grace,
-        "auto_policy": args.auto_policy,
     }
     if args.batch_age_ms is not None:
         overrides["batch_max_age_s"] = args.batch_age_ms / 1000.0

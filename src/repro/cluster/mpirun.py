@@ -41,7 +41,7 @@ from repro.cluster.blockgrid import BlockGrid
 from repro.core.dp3d import NEG
 from repro.core.scoring import ScoringScheme
 from repro.obs import hooks as _obs
-from repro.parallel.shared import fork_available
+from repro.parallel.executor import fork_available
 from repro.resilience import faults as _faults
 from repro.resilience.errors import FailureRecord, WorkerFailure
 from repro.resilience.retry import (

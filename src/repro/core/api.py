@@ -12,8 +12,9 @@ method           engine
                  Carrillo–Lipman tube pays for itself), ``banded``
                  (near-identical, length-matched triples) or
                  ``hirschberg`` (cubes whose move cube exceeds
-                 :data:`AUTO_HIRSCHBERG_CELLS`). ``auto_policy="cells"``
-                 restores the legacy cells-only split.
+                 :data:`AUTO_HIRSCHBERG_CELLS`). ``blocks`` is never
+                 picked: no benchmark workload shows it beating these
+                 (``docs/performance.md``).
 ``dp3d``         scalar reference full-matrix DP
 ``wavefront``    vectorised full-matrix plane sweep
 ``hirschberg``   linear-space divide and conquer
@@ -21,11 +22,10 @@ method           engine
                  memory; pruned cells are never touched)
 ``banded``       certified band doubling around the main diagonal
 ``affine``       7-state affine-gap DP (requires ``scheme.gap_open != 0``)
-``shared``       multiprocess shared-memory wavefront (per-plane barrier)
-``blocks``       block-tiled multiprocess wavefront: row-slab x plane-band
-                 blocks streamed over per-worker readiness counters
-                 (a fraction of the synchronisation of ``shared``)
-``threads``      thread-pool wavefront (block-tiled)
+``blocks``       block-tiled multiprocess wavefront: a one-job
+                 :class:`~repro.parallel.executor.WavefrontPool` whose
+                 workers stream row-slab x plane-band blocks over
+                 per-worker readiness counters
 ``anchored``     anchor-discovering divide and conquer: shared unique
                  k-mers are chained into a cube-splitting anchor chain
                  (:mod:`repro.anchor`), each sub-cube solved by the
@@ -87,9 +87,6 @@ AUTO_PRUNE_MIN_IDENTITY = 0.7
 #: pruned engine needs.
 AUTO_BANDED_MIN_IDENTITY = 0.96
 
-#: Supported ``auto_policy`` values for :func:`align3`.
-AUTO_POLICIES = ("similarity", "cells")
-
 AVAILABLE_METHODS = (
     "auto",
     "dp3d",
@@ -98,9 +95,7 @@ AVAILABLE_METHODS = (
     "pruned",
     "banded",
     "affine",
-    "shared",
     "blocks",
-    "threads",
     "anchored",
 )
 
@@ -172,18 +167,15 @@ def select_method(
     sb: str,
     sc: str,
     scheme: ScoringScheme,
-    policy: str = "similarity",
     *,
     cells_per_s: float | None = None,
 ) -> tuple[str, dict]:
     """Resolve ``method="auto"`` to a concrete linear-gap engine.
 
-    The ``similarity`` policy estimates the minimum pairwise identity of
-    the triple (:func:`estimate_identity`) and picks the engine whose
-    cost model wins for that regime; the ``cells`` policy is the legacy
-    cube-size-only split (wavefront below
-    :data:`AUTO_HIRSCHBERG_CELLS`, hirschberg above). Affine schemes are
-    resolved by the caller before this runs.
+    Estimates the minimum pairwise identity of the triple
+    (:func:`estimate_identity`) and picks the engine whose cost model
+    wins for that regime. Affine schemes are resolved by the caller
+    before this runs.
 
     ``cells_per_s`` is an optional *observed* plain-sweep throughput (the
     serve tier passes its admission controller's EWMA): on hardware
@@ -194,21 +186,9 @@ def select_method(
     Returns ``(method, selection)`` where ``selection`` records the
     inputs of the decision for ``meta["auto"]``.
     """
-    if policy not in AUTO_POLICIES:
-        raise ValueError(
-            f"unknown auto_policy {policy!r}; available: {AUTO_POLICIES}"
-        )
     n1, n2, n3 = len(sa), len(sb), len(sc)
     cells = (n1 + 1) * (n2 + 1) * (n3 + 1)
-    selection: dict = {"policy": policy, "cells": cells}
-    if policy == "cells":
-        method = "wavefront" if cells <= AUTO_HIRSCHBERG_CELLS else "hirschberg"
-        selection["reason"] = (
-            f"cells {'<=' if method == 'wavefront' else '>'} "
-            f"{AUTO_HIRSCHBERG_CELLS}"
-        )
-        return method, selection
-
+    selection: dict = {"cells": cells}
     prune_min_cells = AUTO_PRUNE_MIN_CELLS
     if cells_per_s is not None and cells_per_s > 0:
         lo, hi = AUTO_HINT_CLAMP
@@ -255,10 +235,6 @@ def resolve_scheme(
     return default_scheme_for(guess_common_alphabet(seqs))
 
 
-#: Backwards-compatible private alias (pre-1.1 internal name).
-_resolve_scheme = resolve_scheme
-
-
 def align3(
     sa: str,
     sb: str,
@@ -268,7 +244,6 @@ def align3(
     workers: int = 2,
     allow_degrade: bool = True,
     cache: "ResultCache | None" = None,
-    auto_policy: str = "similarity",
     constraints=None,
     cells_per_s_hint: float | None = None,
 ) -> Alignment3:
@@ -284,7 +259,7 @@ def align3(
     method:
         One of :data:`AVAILABLE_METHODS`.
     workers:
-        Worker count for the ``shared``/``blocks``/``threads`` methods.
+        Worker count for the ``blocks`` method.
     allow_degrade:
         When the requested engine's estimated footprint exceeds the memory
         budget (see :mod:`repro.resilience.degrade`), True (default)
@@ -301,13 +276,7 @@ def align3(
         equivalence class (:func:`repro.cache.method_key_class`) — all
         exact linear-gap engines share one entry, so ``auto`` and
         ``wavefront`` requests for the same triple no longer compute and
-        store the same alignment twice. Entries written by older
-        releases (keyed on the raw method string) are found by a
-        fallback probe and re-homed under the class key.
-    auto_policy:
-        How ``method="auto"`` picks an engine: ``"similarity"``
-        (default) uses the identity cost model of :func:`select_method`;
-        ``"cells"`` restores the legacy cube-size-only split.
+        store the same alignment twice.
     constraints:
         Optional anchor chain the alignment must pass through — an
         iterable of ``(i, j, k, length)`` tuples (or ``{"i": ...}``
@@ -342,10 +311,6 @@ def align3(
         raise ValueError(
             f"unknown method {method!r}; available: {AVAILABLE_METHODS}"
         )
-    if auto_policy not in AUTO_POLICIES:
-        raise ValueError(
-            f"unknown auto_policy {auto_policy!r}; available: {AUTO_POLICIES}"
-        )
     scheme = resolve_scheme((sa, sb, sc), scheme)
 
     # Constraint normalisation decides the dispatch family up front:
@@ -369,22 +334,17 @@ def align3(
             "constrained/anchored alignment implements the linear gap "
             "model but the scheme has a nonzero gap_open"
         )
-    # Resolve ``auto`` *before* touching the cache: the pre-1.x code keyed
-    # on the raw method string, so ``auto`` and the engine it resolved to
-    # stored the same bit-identical alignment under two different keys
-    # (and a degraded run was stored under the un-degraded key). Keys now
-    # carry the resolved method's equivalence class instead. Chain-mode
-    # requests skip this: engine selection happens per sub-cube inside
-    # the solver.
-    requested = method
+    # Resolve ``auto`` *before* touching the cache: keys carry the
+    # resolved method's equivalence class, so ``auto`` and the engine it
+    # resolves to share one entry. Chain-mode requests skip this: engine
+    # selection happens per sub-cube inside the solver.
     selection = None
     if method == "auto" and chain_mode is None:
         if scheme.is_affine:
             method = "affine"
         else:
             method, selection = select_method(
-                sa, sb, sc, scheme, policy=auto_policy,
-                cells_per_s=cells_per_s_hint,
+                sa, sb, sc, scheme, cells_per_s=cells_per_s_hint
             )
     if scheme.is_affine and method != "affine":
         raise ValueError(
@@ -420,17 +380,6 @@ def align3(
             constraints=constraints,
         )
         hit = cache.get(cache_key)
-        if hit is None and requested != key_method and chain_mode is None:
-            # Migration-safe probe: entries written by older releases are
-            # keyed on the raw requested method string. Re-home a hit
-            # under the class key so the legacy key ages out naturally.
-            # (Chain-mode requests never had legacy entries, and probing
-            # without the constraint digest would alias an unconstrained
-            # result onto a constrained request.)
-            legacy_key = request_key((sa, sb, sc), scheme, "global", requested)
-            hit = cache.get(legacy_key)
-            if hit is not None:
-                cache.put(cache_key, hit)
         if hit is not None:
             hit.meta["cache"] = {"hit": True, "key": cache_key}
             return hit
@@ -455,9 +404,7 @@ def align3(
                 sa, sb, sc, scheme,
                 anchors=constraints if chain_mode == "constrained" else None,
                 method="auto" if method in ("auto", "anchored") else method,
-                auto_policy=auto_policy,
                 cells_per_s_hint=cells_per_s_hint,
-                workers=workers,
                 allow_degrade=allow_degrade,
             )
         elif method == "dp3d":
@@ -500,18 +447,10 @@ def align3(
             from repro.core.affine import align3_affine
 
             aln = align3_affine(sa, sb, sc, scheme)
-        elif method == "shared":
-            from repro.parallel.shared import align3_shared
-
-            aln = align3_shared(sa, sb, sc, scheme, workers=workers)
-        elif method == "blocks":
+        else:  # blocks
             from repro.parallel.blocks import align3_blocks
 
             aln = align3_blocks(sa, sb, sc, scheme, workers=workers)
-        else:  # threads
-            from repro.parallel.threads import align3_threads
-
-            aln = align3_threads(sa, sb, sc, scheme, workers=workers)
 
     aln.meta.setdefault("engine", method)
     aln.meta["method"] = method

@@ -183,9 +183,9 @@ def compute_plane_rows(
     """Compute rows ``row_lo..row_hi`` (inclusive, cell coordinates) of plane
     ``d`` into the padded buffer ``out``.
 
-    This is the kernel shared by the serial, threaded and multiprocess
-    engines: each caller decides how to partition rows across workers and
-    simply invokes this function per worker per plane.
+    This is the kernel shared by the serial engine and the parallel
+    executor: each caller decides how to partition rows across workers
+    and simply invokes this function per worker per plane.
 
     Parameters
     ----------

@@ -2,8 +2,8 @@
 
 The engines call these thin helpers instead of talking to the tracer and
 the registry separately, which keeps record/metric names consistent across
-``dp3d``, ``wavefront``, ``shared``, ``threads``, the pool executor and
-the cluster simulator (and therefore keeps ``repro report`` engine-
+``dp3d``, ``wavefront``, the pool executor (and ``blocks``, a one-job
+pool) and the cluster simulator (and therefore keeps ``repro report`` engine-
 agnostic).
 
 Usage pattern inside an engine::

@@ -1,31 +1,17 @@
-"""Shared-memory parallel wavefront engines.
+"""The parallel wavefront executor.
 
 The anti-diagonal plane is the natural parallel unit: all cells on plane
-``i + j + k = d`` are independent given the previous three planes. Two
-synchronisation regimes are provided:
+``i + j + k = d`` are independent given the previous three planes. One
+executor implements it — :class:`~repro.parallel.executor.WavefrontPool`,
+a persistent multiprocess pool over ``SharedMemory`` buffers. Each
+worker owns a fixed row slab and streams *plane bands* (3-D blocks)
+through a deep rotating plane window, syncing on per-worker readiness
+counters only at band edges (:mod:`repro.parallel.blockwave`).
 
-* **per-plane barrier** (:mod:`repro.parallel.shared`) — each plane's
-  rows are re-sliced across workers with one barrier per plane; the
-  direct, measured counterpart of the paper's cluster algorithm;
-* **block-tiled counters** (:mod:`repro.parallel.blocks`,
-  :class:`~repro.parallel.executor.WavefrontPool`,
-  :mod:`repro.parallel.threads`) — each worker owns a fixed row slab and
-  streams *plane bands* (3-D blocks) through a deep rotating plane
-  window, syncing on per-worker readiness counters only at band edges
-  (:mod:`repro.parallel.blockwave`). Same cells, same kernel, same
-  bit-identical output — a small fraction of the synchronisation.
-
-Executors:
-
-* :mod:`repro.parallel.shared` — per-call ``multiprocessing`` workers
-  over ``SharedMemory`` buffers, one barrier per plane;
-* :mod:`repro.parallel.blocks` — per-call block-tiled workers
-  (counter-synchronised, tube-aware);
-* :mod:`repro.parallel.executor` — :class:`WavefrontPool`, the
-  persistent block-tiled pool for repeated small jobs;
-* :mod:`repro.parallel.threads` — a block-tiled thread pool: mostly a
-  GIL demonstration, though NumPy kernels release the GIL enough for
-  modest gains on large planes.
+* :mod:`repro.parallel.executor` — :class:`WavefrontPool`, the executor
+  the batch scheduler and the serve tier keep alive across jobs;
+* :mod:`repro.parallel.blocks` — ``method="blocks"``: a one-job pool
+  sized to the cube, opened and closed per call.
 
 Partitioning helpers (row slabs, plane bands, the block dependency
 grid) live in :mod:`repro.parallel.partition`.
@@ -33,37 +19,26 @@ grid) live in :mod:`repro.parallel.partition`.
 
 from repro.parallel.partition import (
     split_range,
-    split_cyclic,
     balanced_blocks,
-    active_workers,
     band_depth,
     block_predecessors,
-    max_plane_rows,
     plane_bands,
     plane_window,
     row_slabs,
 )
 from repro.parallel.blocks import align3_blocks, score3_blocks
-from repro.parallel.shared import align3_shared, score3_shared
-from repro.parallel.threads import align3_threads, score3_threads
-from repro.parallel.executor import WavefrontPool
+from repro.parallel.executor import WavefrontPool, fork_available
 
 __all__ = [
     "split_range",
-    "split_cyclic",
     "balanced_blocks",
-    "active_workers",
     "band_depth",
     "block_predecessors",
-    "max_plane_rows",
     "plane_bands",
     "plane_window",
     "row_slabs",
     "align3_blocks",
     "score3_blocks",
-    "align3_shared",
-    "score3_shared",
-    "align3_threads",
-    "score3_threads",
     "WavefrontPool",
+    "fork_available",
 ]

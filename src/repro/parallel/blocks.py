@@ -1,431 +1,57 @@
-"""Block-tiled multiprocess wavefront engine.
+"""Per-call block-tiled wavefront: a one-job :class:`WavefrontPool`.
 
-The measured counterpart of the coarse 3-D block decomposition TrioSeq
-uses to keep GPU SMs saturated: instead of one barrier per anti-diagonal
-plane (:mod:`repro.parallel.shared`), each worker owns a fixed row slab
-of the cube and streams *plane bands* of it — 3-D blocks bounded by two
-``i``-levels and two planes — syncing on per-worker readiness counters
-only at band edges (:mod:`repro.parallel.blockwave`). For a cube with
-``3n`` planes and bands of depth ``T`` that is ``2 * 3n / T`` waits per
-worker instead of ``3n`` full barriers, and the planes inside a band run
-with zero synchronisation.
+``method="blocks"`` runs one alignment on the parallel executor without
+keeping workers around: it opens a :class:`WavefrontPool` sized to the
+cube, with its worker count clamped to the job's row-slab count, runs
+the single job and closes the pool. Workers own fixed row slabs and
+stream plane bands synchronised by per-worker readiness counters
+(:mod:`repro.parallel.blockwave`) — the CPU analogue of the coarse 3-D
+blocks TrioSeq uses to keep GPU SMs saturated.
 
-Like ``shared`` this engine forks per call, shares the plane window and
-move cube through ``multiprocessing.shared_memory``, and the main
-process participates as worker 0 (doubling, when supervised, as the
-:class:`~repro.parallel.blockwave.CounterSupervisor` that respawns dead
-workers at block granularity — resuming from their published counter,
-bit-identical, see ``docs/robustness.md``).
+Callers with many jobs should hold a :class:`WavefrontPool` instead and
+pay the worker spawn once (the batch scheduler does).
 
-Unlike ``shared`` it accepts a :class:`~repro.core.tube.PruningTube`:
-the per-plane live-row windows are computed once, pre-fork, every
-incarnation of a worker (including respawned replacements) intersects
-its slab with the same windows, and bands that fall entirely outside
-the tube are skipped rather than scheduled.
-
-Determinism: every cell is computed exactly once by the same kernel
-call the serial engine makes, so scores and rows are bit-identical to
-:func:`repro.core.wavefront.wavefront_sweep` — with or without a tube,
-with or without mid-sweep recovery.
+Determinism: scores and rows are bit-identical to
+:func:`repro.core.wavefront.wavefront_sweep`, with or without mid-sweep
+recovery (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import time
-from multiprocessing import shared_memory
-from typing import Any
-
-import numpy as np
-
-from repro.core.dp3d import NEG
-from repro.obs import hooks as _obs
-from repro.obs import trace as _trace
 from repro.core.scoring import ScoringScheme
-from repro.core.traceback import traceback_moves
-from repro.core.tube import PruningTube
-from repro.core.types import Alignment3, moves_to_columns
-from repro.core.wavefront import _tube_row_ranges
-from repro.core.workspace import PlaneWorkspace
-from repro.parallel.blockwave import (
-    BlockProgress,
-    CounterSupervisor,
-    sweep_blocks,
-    worker_counter_wait,
-)
-from repro.parallel.partition import (
-    band_depth,
-    plane_bands,
-    plane_window,
-    row_slabs,
-)
-from repro.parallel.shared import _attach, fork_available
-from repro.resilience import faults as _faults
-from repro.resilience.errors import WorkerFailure
-from repro.resilience.supervise import SupervisionPolicy
+from repro.core.types import Alignment3
+from repro.parallel.executor import WavefrontPool
+from repro.parallel.partition import row_slabs
 from repro.util.validation import check_positive, check_sequences
 
 
-def _worker_loop(
-    worker_id: int,
-    slabs: list[tuple[int, int]],
-    bands: list[tuple[int, int]],
-    window: int,
-    dims: tuple[int, int, int],
-    plane_names: list[str],
-    move_name: str | None,
-    ctrl_name: str,
-    sab: np.ndarray,
-    sac: np.ndarray,
-    sbc: np.ndarray,
-    g2: float,
-    policy: SupervisionPolicy | None,
-    tube: PruningTube | None,
-    row_lo_by_d: np.ndarray | None,
-    row_hi_by_d: np.ndarray | None,
-    resume_plane: int | None = None,
-    faults_armed: bool = True,
-) -> None:
-    """Child-process body: attach the shared window, stream the slab.
-
-    Profile matrices, the tube and its live-row window arrays arrive
-    through fork copy-on-write — a respawned replacement therefore
-    replays with exactly the windows its predecessor used.
-    """
-    if not faults_armed:
-        _faults.disarm_all()
-    n1, n2, n3 = dims
-    active = len(slabs)
-    handles = []
-    planes = []
-    for name in plane_names:
-        arr, shm = _attach(name, (n1 + 2, n2 + 2), np.float64)
-        planes.append(arr)
-        handles.append(shm)
-    move_cube = None
-    if move_name is not None:
-        move_cube, shm = _attach(move_name, (n1 + 1, n2 + 1, n3 + 1), np.int8)
-        handles.append(shm)
-    ctrl, shm = _attach(ctrl_name, (2 * active,), np.float64)
-    handles.append(shm)
-    progress = BlockProgress(ctrl, active)
-    try:
-        cells = sweep_blocks(
-            "blocks",
-            worker_id,
-            active,
-            slabs[worker_id],
-            bands,
-            dims,
-            planes,
-            sab,
-            sac,
-            sbc,
-            g2,
-            move_cube,
-            PlaneWorkspace(dims),
-            progress,
-            lambda w, target: worker_counter_wait(
-                progress, w, target, policy
-            ),
-            tube=tube,
-            row_lo_by_d=row_lo_by_d,
-            row_hi_by_d=row_hi_by_d,
-            start_plane=0 if resume_plane is None else resume_plane,
-            record=resume_plane is None,
-        )
-        # Valid-cell tally for meta: exact on a clean run; after a
-        # recovery the dead incarnation's share is conservatively lost
-        # (it never reached this line), so the total is a lower bound.
-        ctrl[active + worker_id] += float(cells)
-        if _obs.active():
-            _trace.flush()
-    finally:
-        for shm in handles:
-            shm.close()
-
-
-def _patient_wait(progress: BlockProgress, w: int, target: int) -> None:
-    """Unsupervised dispatcher wait: sleep-backoff, no timeout, no exit
-    (mirrors the unsupervised barrier engines' infinite waits)."""
-    delay = 0.00005
-    while progress.done(w) < target:
-        time.sleep(delay)
-        delay = min(delay * 2, 0.002)
-
-
-def _blocks_sweep(
-    sa: str,
-    sb: str,
-    sc: str,
-    scheme: ScoringScheme,
-    workers: int,
-    score_only: bool,
-    supervise: bool = True,
-    policy: SupervisionPolicy | None = None,
-    band: int | None = None,
-    tube: PruningTube | None = None,
-) -> tuple[float, np.ndarray | None, dict[str, Any]]:
-    """Run the block-tiled sweep; returns (score, move_cube_copy, meta)."""
+def _one_job_pool(
+    sa: str, sb: str, sc: str, scheme: ScoringScheme, workers: int
+) -> WavefrontPool:
+    """Validate the job, then open a pool sized to exactly this cube."""
     check_sequences((sa, sb, sc), count=3)
     check_positive("workers", workers)
-    if band is not None:
-        check_positive("band", band)
     if scheme.is_affine:
         raise ValueError("the blocks engine implements the linear gap model")
-    n1, n2, n3 = len(sa), len(sb), len(sc)
-    dims = (n1, n2, n3)
-    dmax = n1 + n2 + n3
-    if tube is not None and tube.shape != (n1 + 1, n2 + 1, n3 + 1):
-        raise ValueError(f"tube shape {tube.shape} does not match cube")
-    slabs = row_slabs(n1, workers)
-    active = len(slabs)
-    if supervise and policy is None:
-        policy = SupervisionPolicy.from_env()
-    elif not supervise:
-        policy = None
-
-    if active == 1 or not fork_available():
-        from repro.core.wavefront import wavefront_sweep
-
-        res = wavefront_sweep(
-            sa, sb, sc, scheme, score_only=score_only, tube=tube
-        )
-        meta = {
-            "engine": "blocks",
-            "workers": workers,
-            "active_workers": 1,
-            "fallback": "serial",
-            "cells": res.cells_computed,
-        }
-        return res.score, res.move_cube, meta
-
-    depth = band if band is not None else band_depth(dmax, active)
-    bands = plane_bands(dmax, depth)
-    window = min(plane_window(depth), dmax + 4)
-    sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
-    g2 = 2.0 * scheme.gap
-    row_lo_by_d = row_hi_by_d = None
-    if tube is not None:
-        # Computed once in the parent: every incarnation of every worker
-        # (first spawn and respawned replacements alike) slices the same
-        # arrays, so replay reuses the per-plane live-row windows.
-        row_lo_by_d, row_hi_by_d = _tube_row_ranges(tube, dmax)
-
-    ctx = mp.get_context("fork")
-    plane_bytes = (n1 + 2) * (n2 + 2) * 8
-    shms: list[shared_memory.SharedMemory] = []
-    procs: dict[int, mp.Process] = {}
-    supervisor: CounterSupervisor | None = None
-    try:
-        plane_shms = [
-            shared_memory.SharedMemory(create=True, size=plane_bytes)
-            for _ in range(window)
-        ]
-        shms.extend(plane_shms)
-        planes = [
-            np.ndarray((n1 + 2, n2 + 2), dtype=np.float64, buffer=s.buf)
-            for s in plane_shms
-        ]
-        for p in planes:
-            p.fill(NEG)
-        move_shm = None
-        move_cube = None
-        if not score_only:
-            move_shm = shared_memory.SharedMemory(
-                create=True, size=max(1, (n1 + 1) * (n2 + 1) * (n3 + 1))
-            )
-            shms.append(move_shm)
-            move_cube = np.ndarray(
-                (n1 + 1, n2 + 1, n3 + 1), dtype=np.int8, buffer=move_shm.buf
-            )
-            move_cube.fill(0)
-        ctrl_shm = shared_memory.SharedMemory(
-            create=True, size=2 * active * 8
-        )
-        shms.append(ctrl_shm)
-        ctrl = np.ndarray((2 * active,), dtype=np.float64, buffer=ctrl_shm.buf)
-        progress = BlockProgress(ctrl, active)
-        progress.reset()
-        ctrl[active:] = 0.0
-
-        plane_names = [s.name for s in plane_shms]
-        move_name = move_shm.name if move_shm is not None else None
-
-        def spawn(
-            w: int, resume_plane: int | None, faults_armed: bool
-        ) -> mp.Process:
-            _trace.flush()
-            proc = ctx.Process(
-                target=_worker_loop,
-                args=(
-                    w,
-                    slabs,
-                    bands,
-                    window,
-                    dims,
-                    plane_names,
-                    move_name,
-                    ctrl_shm.name,
-                    sab,
-                    sac,
-                    sbc,
-                    g2,
-                    policy,
-                    tube,
-                    row_lo_by_d,
-                    row_hi_by_d,
-                    resume_plane,
-                    faults_armed,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            return proc
-
-        observing = _obs.active()
-        t_sweep = time.perf_counter() if observing else 0.0
-        for w in range(1, active):
-            procs[w] = spawn(w, None, faults_armed=True)
-        if policy is not None:
-            supervisor = CounterSupervisor(
-                "blocks",
-                progress,
-                procs,
-                respawn=lambda w, d: spawn(w, d, faults_armed=False),
-                policy=policy,
-                dmax=dmax,
-            )
-            wait = supervisor.wait_for
-        else:
-            wait = lambda w, target: _patient_wait(progress, w, target)  # noqa: E731
-
-        cells0 = sweep_blocks(
-            "blocks",
-            0,
-            active,
-            slabs[0],
-            bands,
-            dims,
-            planes,
-            sab,
-            sac,
-            sbc,
-            g2,
-            move_cube,
-            PlaneWorkspace(dims),
-            progress,
-            wait,
-            tube=tube,
-            row_lo_by_d=row_lo_by_d,
-            row_hi_by_d=row_hi_by_d,
-        )
-        if supervisor is not None:
-            supervisor.wait_all()
-        else:
-            for w in range(1, active):
-                _patient_wait(progress, w, dmax)
-        for proc in procs.values():
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - wedged at teardown
-                proc.terminate()
-                proc.join(timeout=5)
-            if proc.exitcode != 0:
-                raise WorkerFailure(
-                    f"blocks worker exited with code {proc.exitcode}"
-                )
-        score = float(planes[dmax % window][n1 + 1, n2 + 1])
-        moves_copy = None if move_cube is None else move_cube.copy()
-        cells = int(cells0 + float(ctrl[active:].sum()))
-        if observing:
-            _obs.record_sweep(
-                "blocks",
-                cells=cells,
-                seconds=time.perf_counter() - t_sweep,
-                peak_plane_bytes=window * plane_bytes,
-                move_cube_bytes=0 if move_cube is None else move_cube.nbytes,
-            )
-        meta = {
-            "engine": "blocks",
-            "workers": workers,
-            "active_workers": active,
-            "band": depth,
-            "window": window,
-            "supervised": policy is not None,
-            "cells": cells,
-        }
-        if supervisor is not None and supervisor.failures:
-            meta["recoveries"] = len(supervisor.failures)
-        return score, moves_copy, meta
-    finally:
-        for proc in procs.values():
-            if proc.is_alive():  # pragma: no cover - only on error paths
-                proc.terminate()
-                proc.join(timeout=5)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=5)
-        for shm in shms:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
+    active = len(row_slabs(len(sa), workers))
+    return WavefrontPool((len(sa), len(sb), len(sc)), workers=active)
 
 
 def score3_blocks(
-    sa: str,
-    sb: str,
-    sc: str,
-    scheme: ScoringScheme,
-    workers: int = 2,
-    supervise: bool = True,
-    band: int | None = None,
-    tube: PruningTube | None = None,
+    sa: str, sb: str, sc: str, scheme: ScoringScheme, workers: int = 2
 ) -> float:
     """Optimal SP score via the block-tiled wavefront (O(n^2) memory)."""
-    score, _moves, _meta = _blocks_sweep(
-        sa,
-        sb,
-        sc,
-        scheme,
-        workers,
-        score_only=True,
-        supervise=supervise,
-        band=band,
-        tube=tube,
-    )
-    return score
+    with _one_job_pool(sa, sb, sc, scheme, workers) as pool:
+        return pool.score3(sa, sb, sc, scheme)
 
 
 def align3_blocks(
-    sa: str,
-    sb: str,
-    sc: str,
-    scheme: ScoringScheme,
-    workers: int = 2,
-    supervise: bool = True,
-    band: int | None = None,
-    tube: PruningTube | None = None,
+    sa: str, sb: str, sc: str, scheme: ScoringScheme, workers: int = 2
 ) -> Alignment3:
     """Optimal three-way alignment via the block-tiled wavefront."""
-    score, move_cube, meta = _blocks_sweep(
-        sa,
-        sb,
-        sc,
-        scheme,
-        workers,
-        score_only=False,
-        supervise=supervise,
-        band=band,
-        tube=tube,
+    with _one_job_pool(sa, sb, sc, scheme, workers) as pool:
+        aln = pool.align3(sa, sb, sc, scheme)
+    aln.meta.update(
+        engine="blocks", workers=workers, active_workers=pool.workers
     )
-    if tube is not None and score <= NEG / 2:
-        raise RuntimeError(
-            "terminal cell unreachable (over-aggressive pruning tube?)"
-        )
-    assert move_cube is not None
-    moves = traceback_moves(move_cube)
-    cols = moves_to_columns(moves, sa, sb, sc)
-    rows = tuple("".join(col[r] for col in cols) for r in range(3))
-    return Alignment3(rows=rows, score=score, meta=meta)  # type: ignore[arg-type]
+    return aln

@@ -1,8 +1,8 @@
-"""Counter-synchronised block streaming for the block-tiled engines.
+"""Counter-synchronised block streaming for the parallel executor.
 
-The per-plane engines pay one full barrier (every worker, one IPC
+A per-plane schedule pays one full barrier (every worker, one IPC
 round-trip) per anti-diagonal plane — ``3n`` barriers per sweep, which
-dominates once the kernel is fast. The block-tiled engines replace the
+dominates once the kernel is fast. The block-tiled sweep replaces the
 barrier with **per-worker readiness counters**: ``done[w]`` is the last
 plane worker ``w`` has fully published. Workers own fixed row slabs
 (:func:`repro.parallel.partition.row_slabs`), advance band-by-band
@@ -28,25 +28,18 @@ makes (same clipping, same tie-breaks, disjoint row writes), so scores
 and rows are bit-identical to the sequential wavefront regardless of
 the partition.
 
-Recovery is *simpler* than the barrier engines' verdict protocol: a
-dead worker's counter freezes, every neighbour just keeps waiting on
-it, and the dispatcher (:class:`CounterSupervisor`) respawns a
-replacement resuming at ``done[w] + 1``. The window arithmetic
-guarantees planes ``resume-1 .. resume-3`` are still intact — the
-neighbours' own progress was gated on the dead worker's frozen counter
-— so replay needs no checkpoint and stays bit-identical. A replacement
-on a tube-pruned run inherits the *same* per-plane live-row window
-arrays the first incarnation used (they are computed once, pre-fork),
-so recovery neither recomputes pruned rows nor loses the pruning
-speedup.
+Recovery needs no extra protocol: a dead worker's counter freezes,
+every neighbour just keeps waiting on it, and the dispatcher
+(:class:`CounterSupervisor`) respawns a replacement resuming at
+``done[w] + 1``. The window arithmetic guarantees planes
+``resume-1 .. resume-3`` are still intact — the neighbours' own
+progress was gated on the dead worker's frozen counter — so replay
+needs no checkpoint and stays bit-identical.
 
-This module is engine-agnostic: :mod:`repro.parallel.blocks` (per-call
-fork engine) and :class:`repro.parallel.executor.WavefrontPool` both
-drive :func:`sweep_blocks` with shared-memory counters; the thread
-engine reimplements the same loop over a plain list (GIL-atomic
-stores). Cross-process counter visibility relies on aligned 8-byte
-stores issued after the plane writes they cover — the same ordering
-assumption the barrier engines' heartbeat protocol already makes.
+:class:`repro.parallel.executor.WavefrontPool` drives
+:func:`sweep_blocks` with shared-memory counters. Cross-process counter
+visibility relies on aligned 8-byte stores issued after the plane
+writes they cover.
 """
 
 from __future__ import annotations
@@ -62,7 +55,11 @@ from repro.obs import hooks as _obs
 from repro.core.wavefront import compute_plane_rows
 from repro.resilience import faults as _faults
 from repro.resilience.errors import FailureRecord, WorkerFailure
-from repro.resilience.supervise import EXIT_NO_VERDICT, SupervisionPolicy
+from repro.resilience.supervise import SupervisionPolicy, _parent_alive
+
+#: Exit code of a worker whose dispatcher vanished (or that waited past
+#: ``policy.worker_timeout``): shared state can no longer be trusted.
+EXIT_ORPHANED = 111
 
 #: Seconds of pure re-reads before a waiter starts sleeping. Kept tiny:
 #: on an oversubscribed host (CI often pins this repo to one core)
@@ -97,11 +94,6 @@ class BlockProgress:
         self._arr[self._base : self._base + self.workers] = -1
 
 
-def _parent_alive() -> bool:
-    parent = mp.parent_process()
-    return parent is None or parent.is_alive()
-
-
 def worker_counter_wait(
     progress: BlockProgress,
     w: int,
@@ -113,7 +105,7 @@ def worker_counter_wait(
     Brief spin, then sleep with exponential backoff. A dead *neighbour*
     is not this worker's problem — the dispatcher respawns it and the
     counter resumes moving — but a dead *dispatcher* is: the worker
-    exits once orphaned, or with :data:`EXIT_NO_VERDICT` when the wait
+    exits once orphaned, or with :data:`EXIT_ORPHANED` when the wait
     outlasts ``policy.worker_timeout`` (shared state can no longer be
     trusted). ``policy=None`` (unsupervised) waits patiently forever,
     checking only for orphanhood.
@@ -139,9 +131,9 @@ def worker_counter_wait(
         if now >= next_liveness:
             next_liveness = now + 0.05
             if not _parent_alive():
-                os._exit(EXIT_NO_VERDICT)
+                os._exit(EXIT_ORPHANED)
             if deadline is not None and now > deadline:
-                os._exit(EXIT_NO_VERDICT)
+                os._exit(EXIT_ORPHANED)
 
 
 class CounterSupervisor:
@@ -297,39 +289,20 @@ def sweep_blocks(
     ws: Any,
     progress: BlockProgress,
     wait_for: Callable[[int, int], None],
-    tube: Any = None,
-    row_lo_by_d: np.ndarray | None = None,
-    row_hi_by_d: np.ndarray | None = None,
     start_plane: int = 0,
     record: bool = True,
-    inject: Callable[[str, int, int, int], None] | None = None,
 ) -> int:
     """One worker's block loop: stream every band of its row slab.
 
     ``planes`` is the ``W``-deep rotating plane window (``W = len(planes)``,
     sized by :func:`~repro.parallel.partition.plane_window`); ``wait_for``
     is the engine's counter wait (worker- or dispatcher-flavoured). A
-    respawned replacement passes ``start_plane = done[w] + 1`` and the
-    *same* ``row_lo_by_d``/``row_hi_by_d`` arrays, so a replayed band
-    recomputes exactly the rows the tube window admits — block-granular
-    replay without re-deriving anything.
-
-    With a tube, a band whose slab/live-row intersection is empty on
-    every plane is **skipped, not scheduled**: no waits (it reads and
-    writes nothing — stale rows under the band are only ever read by
-    tube-invalid cells, which the kernel overwrites with ``NEG``), just
-    a counter publish so the neighbours keep flowing.
-
-    ``inject`` is the fault-injection hook (default
-    :func:`repro.resilience.faults.maybe_inject`, which calls
-    ``os._exit`` — correct for process workers; the thread engine
-    substitutes a raising hook because ``os._exit`` in a thread would
-    take the whole process down).
+    respawned replacement passes ``start_plane = done[w] + 1``, so a
+    replayed band recomputes exactly the planes its predecessor had not
+    published — block-granular replay without re-deriving anything.
 
     Returns the number of valid cells computed.
     """
-    if inject is None:
-        inject = _faults.maybe_inject
     n1, n2, n3 = dims
     dmax = n1 + n2 + n3
     lo, hi = slab
@@ -342,13 +315,6 @@ def sweep_blocks(
         if e < start_plane:
             continue
         s = max(s, start_plane)
-        if row_lo_by_d is not None and row_hi_by_d is not None:
-            live = np.maximum(row_lo_by_d[s : e + 1], lo) <= np.minimum(
-                row_hi_by_d[s : e + 1], hi
-            )
-            if not bool(live.any()):
-                progress.publish(w, e)
-                continue
         t_wait = time.perf_counter() if observing else 0.0
         if w > 0:
             wait_for(w - 1, e - 1)
@@ -360,29 +326,23 @@ def sweep_blocks(
         else:
             t0 = 0.0
         for d in range(s, e + 1):
-            inject(engine, w, d, dmax)
-            rlo, rhi = lo, hi
-            if row_lo_by_d is not None and row_hi_by_d is not None:
-                rlo = max(rlo, int(row_lo_by_d[d]))
-                rhi = min(rhi, int(row_hi_by_d[d]))
-            if rlo <= rhi:
-                cells += compute_plane_rows(
-                    d,
-                    rlo,
-                    rhi,
-                    planes[(d - 1) % window],
-                    planes[(d - 2) % window],
-                    planes[(d - 3) % window],
-                    planes[d % window],
-                    sab,
-                    sac,
-                    sbc,
-                    g2,
-                    dims,
-                    move_cube=move_cube,
-                    ws=ws,
-                    tube=tube,
-                )
+            _faults.maybe_inject(engine, w, d, dmax)
+            cells += compute_plane_rows(
+                d,
+                lo,
+                hi,
+                planes[(d - 1) % window],
+                planes[(d - 2) % window],
+                planes[(d - 3) % window],
+                planes[d % window],
+                sab,
+                sac,
+                sbc,
+                g2,
+                dims,
+                move_cube=move_cube,
+                ws=ws,
+            )
             progress.publish(w, d)
         if observing:
             busy += time.perf_counter() - t0

@@ -1,10 +1,10 @@
-"""Persistent multiprocess worker pool for the wavefront engine.
+"""The block-tiled wavefront executor: a persistent multiprocess pool.
 
-:mod:`repro.parallel.shared` spawns its workers per call, which costs tens
-of milliseconds — more than the whole sweep below n ≈ 100 (the F3 caveat
-in ``EXPERIMENTS.md``). :class:`WavefrontPool` keeps the workers and
-shared buffers alive across calls, the way a long-running MPI rank set
-would, so repeated alignments pay only the per-job dispatch cost.
+:class:`WavefrontPool` is the one parallel executor. It keeps its
+workers and shared buffers alive across calls, the way a long-running
+MPI rank set would, so repeated alignments pay only the per-job
+dispatch cost. The per-call ``blocks`` engine
+(:mod:`repro.parallel.blocks`) is a pool that runs one job and closes.
 
 Protocol
 --------
@@ -20,9 +20,7 @@ flag set.
 
 Workers whose id exceeds the job's slab count (more workers than rows)
 publish completion immediately and go straight back to the start
-barrier: they pay zero per-plane cost for that job instead of meeting
-every barrier with an empty assignment, which is what the old per-plane
-protocol made them do.
+barrier: they pay zero per-plane cost for that job.
 
 Supervision (default on) makes the pool survive worker failure: the
 control block carries one progress counter per worker, every counter
@@ -33,8 +31,9 @@ The window arithmetic keeps the planes a replacement needs intact, so
 replay needs no checkpoint and the output stays bit-identical to the
 serial engine. See ``docs/robustness.md``.
 
-Determinism matches :mod:`repro.parallel.blocks`: identical slabs,
-identical argmax tie-breaking, bit-identical output to the serial engine.
+Determinism: every cell is computed once by the serial engine's kernel
+call on disjoint row slabs, so output is bit-identical to
+:func:`repro.core.wavefront.wavefront_sweep` at any worker count.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from repro.parallel.partition import (
     plane_window,
     row_slabs,
 )
-from repro.parallel.shared import fork_available
 from repro.resilience import faults as _faults
 from repro.resilience.errors import FailureRecord
 from repro.resilience.supervise import (
@@ -75,6 +73,17 @@ from repro.resilience.supervise import (
     worker_idle_wait,
 )
 from repro.util.validation import check_positive, check_sequences
+
+#: Upper bound on the plane-band depth (planes streamed between
+#: synchronisations). Sizes the shared plane window once:
+#: ``2 * BAND_CAP + 3`` capacity-sized buffers.
+BAND_CAP = 8
+
+
+def fork_available() -> bool:
+    """True when the ``fork`` start method exists on this platform."""
+    return "fork" in mp.get_all_start_methods()
+
 
 # Control-block slots (float64 each). One progress counter per worker
 # (the blockwave ``done[w]`` protocol) sits at _CTRL_COUNTER_BASE.
@@ -91,18 +100,16 @@ def _ctrl_slots(workers: int) -> int:
     return _CTRL_COUNTER_BASE + workers
 
 
-def _job_band(band_cap: int, dmax: int, active: int) -> int:
+def _job_band(dmax: int, active: int) -> int:
     """The band depth every participant derives for a job — identical
-    inputs (constructor cap + staged dims), identical result."""
-    return min(band_cap, band_depth(dmax, active, cap=band_cap))
+    inputs (staged dims), identical result."""
+    return min(BAND_CAP, band_depth(dmax, active, cap=BAND_CAP))
 
 
 def _pool_worker(
     worker_id: int,
     workers: int,
     capacity: tuple[int, int, int],
-    band_cap: int,
-    window_cap: int,
     names: dict[str, str],
     start_barrier,
     policy: SupervisionPolicy | None,
@@ -150,13 +157,11 @@ def _pool_worker(
             if worker_id >= active:
                 # More workers than row slabs: nothing to compute for
                 # this job. Publish completion so nobody ever waits on
-                # this counter and go idle — zero per-plane cost,
-                # instead of meeting every plane barrier with an empty
-                # assignment as the old protocol required.
+                # this counter and go idle — zero per-plane cost.
                 progress.publish(worker_id, dmax)
                 resume = None
                 continue
-            depth = _job_band(band_cap, dmax, active)
+            depth = _job_band(dmax, active)
             window = min(plane_window(depth), dmax + 4)
             planes = [
                 np.ndarray(
@@ -223,13 +228,10 @@ class WavefrontPool:
     supervise:
         When True (default) every counter wait has a timeout and dead or
         wedged workers are respawned resuming at their published counter;
-        ``policy`` tunes the timeouts. When False the pool behaves like
-        the pre-supervision engine (infinite waits) — kept for overhead
-        measurement.
-    band:
-        Upper bound on the plane-band depth (planes streamed between
-        synchronisations). Sizes the shared plane window once:
-        ``2 * band + 3`` capacity-sized buffers.
+        ``policy`` tunes the timeouts. When False every wait is
+        infinite — kept for overhead measurement.
+
+    The plane-band depth is capped at :data:`BAND_CAP`.
 
     Use as a context manager::
 
@@ -244,17 +246,13 @@ class WavefrontPool:
         workers: int = 2,
         supervise: bool = True,
         policy: SupervisionPolicy | None = None,
-        band: int = 8,
     ):
         check_positive("workers", workers)
-        check_positive("band", band)
         for c in capacity:
             if c < 0:
                 raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = tuple(int(c) for c in capacity)
         self.workers = workers
-        self.band = band
-        self.window = plane_window(band)
         self.policy = (
             (policy or SupervisionPolicy.from_env()) if supervise else None
         )
@@ -280,7 +278,7 @@ class WavefrontPool:
             "sbc": max(1, c2 * c3 * 8),
             "moves": max(1, (c1 + 1) * (c2 + 1) * (c3 + 1)),
         }
-        for r in range(self.window):
+        for r in range(plane_window(BAND_CAP)):
             sizes[f"plane{r}"] = (c1 + 2) * (c2 + 2) * 8
         for key, size in sizes.items():
             self._shms[key] = shared_memory.SharedMemory(create=True, size=size)
@@ -302,9 +300,8 @@ class WavefrontPool:
             self._start_supervisor = Supervisor(
                 "pool",
                 barrier=self._start_barrier,
-                rec=None,  # type: ignore[arg-type]  # start waits never touch it
                 procs=self._procs,
-                respawn=lambda w, _d: self._spawn(w, None, faults_armed=False),
+                respawn=lambda w: self._spawn(w, None, faults_armed=False),
                 policy=self.policy,
             )
 
@@ -321,8 +318,6 @@ class WavefrontPool:
                 worker_id,
                 self.workers,
                 self.capacity,
-                self.band,
-                self.window,
                 self._names,
                 self._start_barrier,
                 self.policy,
@@ -400,7 +395,7 @@ class WavefrontPool:
 
     def _dispatch_start(self) -> None:
         if self._start_supervisor is not None:
-            self._start_supervisor.wait_job_start(self._start_barrier)
+            self._start_supervisor.wait_job_start()
         else:
             self._start_barrier.wait()
 
@@ -452,7 +447,7 @@ class WavefrontPool:
         dmax = n1 + n2 + n3
         slabs = row_slabs(n1, self.workers)
         active = len(slabs)
-        depth = _job_band(self.band, dmax, active)
+        depth = _job_band(dmax, active)
         window = min(plane_window(depth), dmax + 4)
         # Stage the job into the shared buffers.
         if n1 and n2:

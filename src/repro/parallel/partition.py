@@ -1,5 +1,5 @@
-"""Work-partitioning utilities shared by the parallel engines and the
-cluster simulator."""
+"""Work-partitioning utilities for the parallel executor and the cluster
+simulator."""
 
 from __future__ import annotations
 
@@ -31,18 +31,6 @@ def split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-def split_cyclic(count: int, parts: int) -> list[list[int]]:
-    """Deal indices ``0..count-1`` to ``parts`` owners round-robin.
-
-    >>> split_cyclic(5, 2)
-    [[0, 2, 4], [1, 3]]
-    """
-    check_positive("parts", parts)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    return [list(range(p, count, parts)) for p in range(parts)]
-
-
 def balanced_blocks(total: int, block: int) -> list[tuple[int, int]]:
     """Chop ``0..total-1`` into inclusive blocks of at most ``block``.
 
@@ -59,11 +47,11 @@ def balanced_blocks(total: int, block: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Block-grid geometry for the block-tiled wavefront engines
+# Block-grid geometry for the block-tiled wavefront
 # ---------------------------------------------------------------------------
 #
-# The block-tiled engines (:mod:`repro.parallel.blocks`, the refactored
-# pool and thread engines) retile the DP cube into genuine 3-D blocks:
+# The parallel executor (:class:`repro.parallel.executor.WavefrontPool`)
+# tiles the DP cube into genuine 3-D blocks:
 # a fixed contiguous *row slab* per worker crossed with *plane bands*
 # (runs of consecutive anti-diagonal planes). Each block is the cube
 # region ``{(i, j, k) : i in slab, i + j + k in band}`` — bounded by two
@@ -75,31 +63,8 @@ def balanced_blocks(total: int, block: int) -> list[tuple[int, int]]:
 # one-directional: downward).
 
 
-def max_plane_rows(dims: tuple[int, int, int]) -> int:
-    """Row count of the widest anti-diagonal plane of the cube.
-
-    Plane ``d`` spans rows ``max(0, d - n2 - n3) .. min(n1, d)``; the
-    widest plane has ``min(n1, n2 + n3) + 1`` rows — the most workers a
-    per-plane row split can ever feed.
-    """
-    n1, n2, n3 = dims
-    return min(n1, n2 + n3) + 1
-
-
-def active_workers(dims: tuple[int, int, int], workers: int) -> int:
-    """Workers that ever receive a non-empty per-plane row slice.
-
-    ``split_range`` pads with empty ``(x, x-1)`` chunks when a plane has
-    fewer rows than workers; a worker beyond :func:`max_plane_rows` gets
-    an empty chunk on *every* plane and would only pay barrier + IPC
-    cost. Engines clamp their worker count to this.
-    """
-    check_positive("workers", workers)
-    return max(1, min(workers, max_plane_rows(dims)))
-
-
 def row_slabs(n1: int, workers: int) -> list[tuple[int, int]]:
-    """Fixed contiguous row slabs for the block-tiled engines.
+    """Fixed contiguous row slabs for the block-tiled sweep.
 
     One inclusive ``(lo, hi)`` slab per *active* worker over rows
     ``0..n1`` — never empty: the result has ``min(workers, n1 + 1)``

@@ -8,9 +8,10 @@ Four cooperating pieces (see ``docs/robustness.md``):
     ``REPRO_FAULTS`` environment variable or the ``--inject-fault`` CLI
     flag so chaos runs are reproducible.
 :mod:`repro.resilience.supervise`
-    Worker supervision for the plane-barrier engines: heartbeat slots,
-    barrier waits with timeouts, dead-worker detection, and recovery by
-    respawning the worker and replaying the current plane.
+    The supervision policy (timeouts, respawn cap) and the parallel
+    executor's job-start rendezvous; mid-sweep recovery — respawning a
+    dead worker at its published progress counter — lives with the
+    counter protocol in :mod:`repro.parallel.blockwave`.
 :mod:`repro.resilience.retry`
     Bounded retry-with-backoff queue receives and payload checksums for
     the message-passing runtime (:mod:`repro.cluster.mpirun`).

@@ -7,7 +7,7 @@ walks a degradation ladder instead::
 
     dp3d ──────────────┐
     wavefront/pruned ──┼──>  hirschberg  (divide & conquer, O(n^2))
-    shared/threads ────┤
+    blocks ────────────┤
     banded ────────────┘
 
 Each rung preserves exactness: Hirschberg's divide-and-conquer returns
@@ -40,9 +40,7 @@ LADDER = {
     "wavefront": "hirschberg",
     "pruned": "hirschberg",
     "banded": "hirschberg",
-    "shared": "hirschberg",
     "blocks": "hirschberg",
-    "threads": "hirschberg",
     "hirschberg": None,
 }
 
@@ -116,15 +114,15 @@ def estimate_bytes(
     if method == "dp3d":
         # float64 DP cube, plus the int8 move cube for traceback.
         return cube * 8 + (0 if score_only else cube)
-    if method in ("wavefront", "shared", "threads"):
+    if method == "wavefront":
         return planes + (0 if score_only else cube)
     if method == "blocks":
-        # Block-tiled engines stream through a deeper rotating plane
-        # window (2 * band + 3 buffers; band tops out at
-        # partition.band_depth's default cap of 16).
-        from repro.parallel.partition import band_depth, plane_window
+        # The pool streams through a deeper rotating plane window
+        # (2 * BAND_CAP + 3 buffers).
+        from repro.parallel.executor import BAND_CAP
+        from repro.parallel.partition import plane_window
 
-        window = plane_window(band_depth(n1 + n2 + n3, 2))
+        window = plane_window(BAND_CAP)
         return (window * planes) // 4 + (0 if score_only else cube)
     if method in ("pruned", "banded"):
         # The keep-region is a tube (two (n1+1)(n2+1) intp planes), not a

@@ -15,11 +15,14 @@ with kinds
 
 and keys ``engine``, ``worker``, ``rank``, ``plane``, ``block``,
 ``delay`` (seconds), ``budget`` (bytes), ``seed``, ``times``. Multiple
-specs are separated by ``;``. Examples::
+specs are separated by ``;``. ``@engine`` must name a label that
+injects faults (:data:`ENGINES`): ``pool`` (the parallel executor,
+including per-call ``method="blocks"``) or ``mpirun`` (the cluster
+runtime); any other target could never fire. Examples::
 
     worker_crash@pool:worker=1,plane=25
-    straggler@shared:worker=1,delay=0.2
-    corrupt_ghost:rank=1
+    straggler@pool:worker=1,delay=0.2
+    corrupt_ghost@mpirun:rank=1
     oom:budget=200000
 
 Determinism: when ``plane`` is omitted for a crash/straggler the firing
@@ -47,6 +50,10 @@ from repro.resilience.errors import FaultSpecError
 ENV_VAR = "REPRO_FAULTS"
 
 KINDS = ("worker_crash", "straggler", "corrupt_ghost", "oom")
+
+#: Engine labels that call the injection hooks — the valid ``@engine``
+#: targets.
+ENGINES = ("pool", "mpirun")
 
 #: Module-level fast guard: False <=> no armed specs in this process.
 enabled = False
@@ -114,6 +121,11 @@ def parse_spec(text: str) -> FaultSpec:
             f"unknown fault kind {kind!r}; known: {', '.join(KINDS)}"
         )
     spec = FaultSpec(kind=kind, engine=engine.strip() or None)
+    if spec.engine is not None and spec.engine not in ENGINES:
+        raise FaultSpecError(
+            f"unknown fault target @{spec.engine}; faults fire only in: "
+            f"{', '.join(ENGINES)}"
+        )
     if kind == "oom":
         spec.times = -1  # budget queries are read repeatedly
     for item in filter(None, (s.strip() for s in tail.split(","))):

@@ -1,29 +1,16 @@
-"""Worker supervision for the plane-barrier engines.
+"""Supervision policy and the pool's job-start rendezvous.
 
-The wavefront engines advance in lockstep: every worker computes its row
-slice of plane ``d`` and meets the others at a barrier. A killed or hung
-worker therefore used to wedge everyone else at that barrier forever.
-Supervision fixes this without touching the fault-free fast path:
+Mid-sweep failures are handled by the counter protocol
+(:class:`repro.parallel.blockwave.CounterSupervisor`): a dead or wedged
+worker is respawned resuming at its published counter. This module
+holds what the rest of the pool lifecycle needs:
 
-* the **dispatcher** (worker 0, the main process) waits at each barrier
-  with a timeout; when the wait breaks it inspects its children,
-  respawns the dead ones, resets the barrier and publishes a *recovery
-  verdict* — ``(epoch, resume_plane)`` — through the shared control
-  block;
-* **workers** write a heartbeat (the plane they have arrived at) into
-  the control block before each wait; on a broken barrier they poll for
-  the verdict and jump to ``resume_plane``. A worker that already
-  computed that plane just re-enters the barrier — plane writes are
-  disjoint per worker and deterministic, so replays are idempotent;
-* the respawned worker restarts the sweep at ``resume_plane``. The
-  wavefront reads only planes ``d-1..d-3``, which are intact in the
-  shared buffers — the checkpoint is free.
-
-Stragglers (alive but silent past ``straggler_grace``) are terminated
-and respawned like dead workers. A worker that exhausts
-``max_respawns`` turns into a :class:`WorkerFailure` carrying the full
-failure log. With no faults the only change to the hot path is passing
-a ``timeout=`` to the barrier waits.
+* :class:`SupervisionPolicy` — the timeouts and respawn cap every
+  supervised wait uses (``REPRO_SUPERVISE_TIMEOUT`` scales them);
+* :func:`worker_idle_wait` — an idle pool worker waiting for its next
+  job at the start barrier;
+* :class:`Supervisor` — the dispatcher's side of that start barrier,
+  which respawns workers found dead (or wedged) between jobs.
 """
 
 from __future__ import annotations
@@ -35,31 +22,23 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.obs import hooks as _obs
 from repro.resilience.errors import FailureRecord, WorkerFailure
 
 #: Environment knob scaling the dispatcher-side timeouts (seconds).
 ENV_TIMEOUT = "REPRO_SUPERVISE_TIMEOUT"
 
-#: Exit code a worker uses when the supervisor vanished mid-recovery.
-EXIT_NO_VERDICT = 111
-
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
     """Timeouts and limits for one supervised engine run."""
 
-    #: Dispatcher barrier wait per attempt; also the failure-detection
-    #: latency. Generous relative to a plane (sub-ms at n=120).
+    #: Dispatcher wait per attempt; also the failure-detection latency.
     barrier_timeout: float = 2.0
     #: An *alive* worker silent this long is treated as wedged and killed.
     straggler_grace: float = 6.0
-    #: Worker-side barrier wait; only fires if the dispatcher is gone.
+    #: Worker-side wait; only fires if the dispatcher is gone.
     worker_timeout: float = 300.0
-    #: How long a worker polls for a recovery verdict before giving up.
-    verdict_timeout: float = 60.0
     #: Respawns allowed per worker before the run fails hard.
     max_respawns: int = 3
 
@@ -73,53 +52,6 @@ class SupervisionPolicy:
         return SupervisionPolicy(barrier_timeout=t, straggler_grace=3 * t)
 
 
-class RecoveryBlock:
-    """View of the recovery slots inside a shared float64 control block.
-
-    Layout from ``base``: ``[epoch, resume, hb_0 .. hb_{workers-1}]``.
-    The heartbeat of worker ``w`` is the plane it last *arrived at the
-    barrier for*, plus one (0 = no progress yet). Writes are aligned
-    8-byte stores, which is as atomic as this protocol needs: readers
-    poll ``epoch`` and only then read ``resume``, which is written first.
-    """
-
-    FIXED_SLOTS = 2
-
-    @staticmethod
-    def slots(workers: int) -> int:
-        return RecoveryBlock.FIXED_SLOTS + workers
-
-    def __init__(self, arr: np.ndarray, workers: int, base: int = 0):
-        self._arr = arr
-        self._base = base
-        self.workers = workers
-
-    @property
-    def epoch(self) -> int:
-        return int(self._arr[self._base])
-
-    @property
-    def resume(self) -> int:
-        return int(self._arr[self._base + 1])
-
-    def publish(self, resume: int) -> None:
-        """Publish a verdict: resume first, then the epoch bump readers
-        poll on."""
-        self._arr[self._base + 1] = float(resume)
-        self._arr[self._base] = float(self.epoch + 1)
-
-    def heartbeat(self, worker: int, arrived_plane: int) -> None:
-        self._arr[self._base + 2 + worker] = float(arrived_plane + 1)
-
-    def heartbeat_of(self, worker: int) -> int:
-        return int(self._arr[self._base + 2 + worker]) - 1
-
-    def reset_job(self) -> None:
-        """Zero the heartbeats at the start of a job (epoch survives)."""
-        b = self._base
-        self._arr[b + 2 : b + 2 + self.workers] = 0.0
-
-
 # ---------------------------------------------------------------------------
 # Worker-side waits
 # ---------------------------------------------------------------------------
@@ -128,47 +60,6 @@ class RecoveryBlock:
 def _parent_alive() -> bool:
     parent = mp.parent_process()
     return parent is None or parent.is_alive()
-
-
-def await_verdict(
-    rec: RecoveryBlock, seen_epoch: int, policy: SupervisionPolicy
-) -> int | None:
-    """Poll for a recovery epoch newer than ``seen_epoch``.
-
-    Returns the new epoch, or None when the supervisor never answered
-    (gone, or past ``verdict_timeout``).
-    """
-    deadline = time.perf_counter() + policy.verdict_timeout
-    while time.perf_counter() < deadline:
-        if rec.epoch > seen_epoch:
-            return rec.epoch
-        if not _parent_alive():
-            return None
-        time.sleep(0.001)
-    return None
-
-
-def worker_plane_wait(
-    barrier,
-    rec: RecoveryBlock,
-    current: int,
-    seen_epoch: int,
-    policy: SupervisionPolicy,
-) -> tuple[int, int]:
-    """One worker-side barrier wait for plane ``current``.
-
-    Returns ``(next_plane, seen_epoch)`` — ``current + 1`` on a normal
-    release, or the dispatcher's resume plane after a recovery. Exits the
-    process if no verdict ever arrives (the supervisor is gone; shared
-    state cannot be trusted)."""
-    try:
-        barrier.wait(timeout=policy.worker_timeout)
-        return current + 1, rec.epoch
-    except threading.BrokenBarrierError:
-        epoch = await_verdict(rec, seen_epoch, policy)
-        if epoch is None:
-            os._exit(EXIT_NO_VERDICT)
-        return rec.resume, epoch
 
 
 def worker_idle_wait(barrier, policy: SupervisionPolicy) -> None:
@@ -192,24 +83,20 @@ def worker_idle_wait(barrier, policy: SupervisionPolicy) -> None:
 
 
 class Supervisor:
-    """Dispatcher-side barrier waits with detection and recovery.
+    """Dispatcher-side waits at the pool's job-start barrier.
 
     Parameters
     ----------
     engine:
-        Name used in failure records and obs metrics (``pool``/``shared``).
+        Name used in failure records and obs metrics.
     barrier:
-        The shared plane barrier (all ``workers`` parties including the
-        dispatcher).
-    rec:
-        The :class:`RecoveryBlock` the workers heartbeat into.
+        The start barrier (all workers including the dispatcher).
     procs:
         Live child processes keyed by worker id; respawns replace
         entries in place.
     respawn:
-        ``respawn(worker_id, resume_plane) -> Process`` — must start a
-        replacement worker that begins its sweep at ``resume_plane``
-        with fault injection disarmed.
+        ``respawn(worker_id) -> Process`` — must start a replacement
+        idle worker with fault injection disarmed.
     """
 
     def __init__(
@@ -217,33 +104,19 @@ class Supervisor:
         engine: str,
         *,
         barrier,
-        rec: RecoveryBlock,
         procs: dict[int, mp.Process],
-        respawn: Callable[[int, int], mp.Process],
+        respawn: Callable[[int], mp.Process],
         policy: SupervisionPolicy | None = None,
     ):
         self.engine = engine
         self.barrier = barrier
-        self.rec = rec
         self.procs = procs
         self.respawn = respawn
         self.policy = policy or SupervisionPolicy.from_env()
         self.failures: list[FailureRecord] = []
         self._respawns: dict[int, int] = {}
 
-    def wait(self, plane: int) -> None:
-        """Barrier wait for ``plane``; never hangs, never returns until
-        every (possibly respawned) worker has met the barrier."""
-        t0 = time.perf_counter()
-        while True:
-            try:
-                self.barrier.wait(timeout=self.policy.barrier_timeout)
-                return
-            except threading.BrokenBarrierError:
-                if self._recover(plane, time.perf_counter() - t0):
-                    t0 = time.perf_counter()
-
-    def wait_job_start(self, start_barrier) -> None:
+    def wait_job_start(self) -> None:
         """Dispatch-side wait at the pool's job-start barrier.
 
         A worker dead while idle is found here, at submit time. Idle
@@ -256,7 +129,7 @@ class Supervisor:
         t0 = time.perf_counter()
         while True:
             try:
-                start_barrier.wait(timeout=self.policy.barrier_timeout)
+                self.barrier.wait(timeout=self.policy.barrier_timeout)
                 return
             except threading.BrokenBarrierError:
                 waited = time.perf_counter() - t0
@@ -293,64 +166,11 @@ class Supervisor:
                             f"(max_respawns={self.policy.max_respawns})",
                             self.failures,
                         )
-                    self.procs[w] = self.respawn(w, None)
+                    self.procs[w] = self.respawn(w)
                     _obs.record_recovery(self.engine, w, None)
-                start_barrier.reset()
+                self.barrier.reset()
                 if casualties:
                     t0 = time.perf_counter()
-
-    # -- recovery ----------------------------------------------------------
-
-    def _recover(self, plane: int, waited: float) -> bool:
-        """One recovery round; returns True when a casualty was handled
-        (the caller then restarts its straggler clock)."""
-        casualties: list[tuple[int, mp.Process, str]] = []
-        for w, proc in self.procs.items():
-            if not proc.is_alive():
-                casualties.append(
-                    (w, proc, f"worker process died (exitcode {proc.exitcode})")
-                )
-        if not casualties and waited >= self.policy.straggler_grace:
-            # Everyone is alive but someone never arrived: kill the
-            # stragglers (heartbeat below the current plane) and replay.
-            for w, proc in self.procs.items():
-                if self.rec.heartbeat_of(w) < plane:
-                    proc.terminate()
-                    proc.join(timeout=5)
-                    if proc.is_alive():  # pragma: no cover
-                        proc.kill()
-                        proc.join(timeout=5)
-                    casualties.append(
-                        (w, proc, f"straggler (silent {waited:.1f}s), killed")
-                    )
-        for w, proc, reason in casualties:
-            count = self._respawns.get(w, 0) + 1
-            self._respawns[w] = count
-            record = FailureRecord(
-                engine=self.engine,
-                worker=w,
-                plane=plane,
-                reason=reason,
-                exitcode=proc.exitcode,
-                respawned=count <= self.policy.max_respawns,
-            )
-            self.failures.append(record)
-            _obs.record_failure(self.engine, w, plane, reason)
-            if count > self.policy.max_respawns:
-                self.abort()
-                raise WorkerFailure(
-                    f"{self.engine} worker {w} failed {count} times "
-                    f"(max_respawns={self.policy.max_respawns})",
-                    self.failures,
-                )
-            self.procs[w] = self.respawn(w, plane)
-            _obs.record_recovery(self.engine, w, plane)
-        # Fresh barrier, then the verdict that releases the survivors.
-        # Publishing even when nothing died (transient break / straggler
-        # within grace) re-synchronises everyone at the same plane.
-        self.barrier.reset()
-        self.rec.publish(plane)
-        return bool(casualties)
 
     def abort(self) -> None:
         """Give up: break the barrier so workers stop waiting, then kill

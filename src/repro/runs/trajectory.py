@@ -67,6 +67,23 @@ def kernel_metrics(doc: Mapping[str, Any]) -> dict[str, float]:
     scaling = doc.get("scaling")
     if scaling:
         metrics["scaling_speedup"] = float(scaling["speedup"])
+        # The parallel engine against the serial sweep (no floor; absent
+        # from documents written before it was recorded).
+        if "serial_seconds" in scaling:
+            metrics["scaling_serial_seconds"] = float(
+                scaling["serial_seconds"]
+            )
+            for w, point in scaling["curve"].items():
+                metrics[f"scaling_serial_speedup_w{w}"] = float(
+                    point["serial_speedup"]
+                )
+                metrics[f"scaling_efficiency_w{w}"] = float(
+                    point["efficiency"]
+                )
+            for n, point in scaling["crossover"].items():
+                metrics[f"crossover_serial_speedup_w2_n{n}"] = float(
+                    point["serial_speedup"]
+                )
     anchored = doc.get("long_anchored")
     if anchored:
         metrics["anchored_seconds"] = float(anchored["seconds"])

@@ -267,7 +267,6 @@ class AlignServer(JsonHttpServer):
             cache=self.cache,
             workers=self.config.workers,
             max_pool_cells=self.config.max_pool_cells,
-            auto_policy=self.config.auto_policy,
         )
         self.admission = AdmissionController(
             max_queued_requests=self.config.queue_depth,

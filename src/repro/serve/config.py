@@ -59,10 +59,6 @@ class ServeConfig:
     #: Cube-size ceiling for pool execution (larger jobs fall back to
     #: ``align3`` and its degradation ladder).
     max_pool_cells: int = DEFAULT_MAX_POOL_CELLS
-    #: How ``method="auto"`` requests pick an engine: ``"similarity"``
-    #: (identity cost model; routes similar triples to the pruned
-    #: engine) or the legacy ``"cells"`` cube-size split.
-    auto_policy: str = "similarity"
 
     # Admission control / backpressure.
     queue_depth: int = 256
@@ -108,12 +104,5 @@ class ServeConfig:
         if self.drain_grace_s < 0:
             raise ValueError(
                 f"drain_grace_s must be >= 0, got {self.drain_grace_s}"
-            )
-        from repro.core.api import AUTO_POLICIES
-
-        if self.auto_policy not in AUTO_POLICIES:
-            raise ValueError(
-                f"auto_policy must be one of {AUTO_POLICIES}, "
-                f"got {self.auto_policy!r}"
             )
         return self

@@ -10,8 +10,7 @@ from repro.core.dp3d import score3_dp3d
 class TestDispatch:
     @pytest.mark.parametrize(
         "method",
-        ["dp3d", "wavefront", "hirschberg", "pruned", "banded", "shared",
-         "threads"],
+        ["dp3d", "wavefront", "hirschberg", "pruned", "banded", "blocks"],
     )
     def test_all_linear_methods_agree(self, method, dna_scheme, family_small):
         expected = score3_dp3d(*family_small, dna_scheme)
@@ -37,13 +36,20 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown method"):
             align3("A", "A", "A", dna_scheme, method="magic")
 
+    @pytest.mark.parametrize("method", ["shared", "threads"])
+    def test_removed_parallel_engines_rejected(self, method, dna_scheme):
+        with pytest.raises(ValueError, match="unknown method"):
+            align3("A", "A", "A", dna_scheme, method=method)
+
     def test_pruned_records_stats(self, dna_scheme, family_small):
         aln = align3(*family_small, dna_scheme, method="pruned")
         assert 0 < aln.meta["pruning"]["kept_fraction"] <= 1
 
     def test_methods_listed(self):
-        assert "wavefront" in AVAILABLE_METHODS
-        assert "auto" in AVAILABLE_METHODS
+        assert AVAILABLE_METHODS == (
+            "auto", "dp3d", "wavefront", "hirschberg", "pruned", "banded",
+            "affine", "blocks", "anchored",
+        )
 
 
 class TestSchemeGuessing:
@@ -100,12 +106,6 @@ class TestPerSequenceAlphabetGuessing:
         from repro.core.api import resolve_scheme
 
         assert resolve_scheme(("", "", "")).name == "dna5-4"
-
-    def test_private_alias_still_resolves(self):
-        # pre-1.1 internal name, kept as an alias for API drift safety
-        from repro.core.api import _resolve_scheme, resolve_scheme
-
-        assert _resolve_scheme is resolve_scheme
 
 
 def _scheme_for(method, dna_scheme, affine_dna_scheme):

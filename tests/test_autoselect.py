@@ -14,7 +14,6 @@ from repro.cache import (
     EXACT_METHODS,
     ResultCache,
     method_key_class,
-    request_key,
 )
 from repro.core.api import (
     AUTO_BANDED_MIN_IDENTITY,
@@ -95,28 +94,11 @@ class TestSelectMethod:
         method, sel = select_method(*seqs, dna_scheme)
         assert method == "hirschberg"
 
-    def test_cells_policy_is_legacy_split(self, dna_scheme):
-        seqs = self._triple(100, 0.01)
-        method, sel = select_method(*seqs, dna_scheme, policy="cells")
-        assert method == "wavefront"
-        assert sel["policy"] == "cells"
-        assert "identity" not in sel
-
-    def test_unknown_policy_rejected(self, dna_scheme):
-        with pytest.raises(ValueError, match="auto_policy"):
-            select_method("A", "C", "G", dna_scheme, policy="nope")
-
     def test_align3_records_selection(self, dna_scheme):
         seqs = self._triple(70, 0.02)
         aln = align3(*seqs, dna_scheme, method="auto")
         auto = aln.meta["auto"]
-        assert auto["policy"] == "similarity"
         assert "reason" in auto and "cells" in auto
-
-    def test_align3_cells_policy(self, dna_scheme):
-        seqs = self._triple(70, 0.02)
-        aln = align3(*seqs, dna_scheme, method="auto", auto_policy="cells")
-        assert aln.meta["auto"]["policy"] == "cells"
 
 
 class TestMethodKeyClass:
@@ -142,23 +124,6 @@ class TestCacheAliasing:
             again = align3(*seqs, dna_scheme, method=method, cache=cache)
             assert again.meta["cache"]["hit"] is True, method
             assert again.score == cold.score
-
-    def test_legacy_raw_method_key_migrates(self, dna_scheme, tmp_path):
-        seqs = mutated_family(25, seed=22)
-        cold = align3(*seqs, dna_scheme, method="wavefront")
-        # Simulate a cache persisted by an older release: the entry
-        # lives under the raw request string, not the class key.
-        class_key = request_key(tuple(seqs), dna_scheme, "global", "exact")
-        legacy_key = request_key(tuple(seqs), dna_scheme, "global", "auto")
-        cache = ResultCache(cache_dir=tmp_path)
-        cache.put(legacy_key, cold)
-        assert cache.get(class_key) is None
-        # An auto request misses the class key, probes the legacy raw
-        # key, and re-homes the entry under the class key.
-        hit = align3(*seqs, dna_scheme, method="auto", cache=cache)
-        assert hit.meta["cache"]["hit"] is True
-        assert hit.score == cold.score
-        assert cache.get(class_key) is not None
 
     def test_distinct_triples_do_not_collide(self, dna_scheme, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)

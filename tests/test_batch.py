@@ -115,6 +115,33 @@ class TestScheduling:
         assert a.score == b.score
         assert comparable_meta(a.meta) == comparable_meta(b.meta)
 
+    def test_direct_auto_job_selects_engine_once(self, dna_scheme, monkeypatch):
+        import repro.batch.scheduler as scheduler_mod
+        import repro.core.api as api_mod
+
+        calls = []
+        real = api_mod.select_method
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(api_mod, "select_method", spy)
+        monkeypatch.setattr(scheduler_mod, "select_method", spy)
+        # max_pool_cells=1 routes the resolved job down the direct path,
+        # which hands align3 the engine the scheduler already chose.
+        report = run_batch(
+            [AlignmentRequest(seqs=T1, scheme=dna_scheme)],
+            workers=1,
+            max_pool_cells=1,
+        )
+        assert len(calls) == 1
+        method, selection = calls[0]
+        aln = report.results[0].alignment
+        assert aln.meta["auto"] == selection
+        assert aln.meta["method"] == method
+
     def test_pool_path_matches_align3(self, dna_scheme):
         report = run_batch(
             [AlignmentRequest(seqs=T1, scheme=dna_scheme)], workers=1

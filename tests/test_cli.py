@@ -44,6 +44,16 @@ class TestAlign:
         assert main(["align", path, "--method", "hirschberg"]) == 0
         assert "engine=hirschberg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["shared", "threads"])
+    def test_removed_parallel_engines_are_argparse_errors(
+        self, fasta3, capsys, method
+    ):
+        path, _fam = fasta3
+        with pytest.raises(SystemExit) as exc:
+            main(["align", path, "--method", method])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_affine_via_gap_open(self, fasta3, capsys):
         path, _fam = fasta3
         assert main(

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.dp3d import score3_dp3d
 from repro.core.wavefront import align3_wavefront
-from repro.parallel.executor import WavefrontPool
-from repro.parallel.shared import fork_available
+from repro.parallel.executor import WavefrontPool, fork_available
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"

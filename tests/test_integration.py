@@ -61,7 +61,7 @@ class TestMethodsCrossCheck:
     def test_every_method_same_optimum(self, dna_scheme):
         fam = mutated_family(25, seed=4)
         expected = align3_score(*fam, dna_scheme)
-        for method in ("wavefront", "hirschberg", "pruned", "shared", "threads"):
+        for method in ("wavefront", "hirschberg", "pruned", "blocks"):
             aln = align3(*fam, dna_scheme, method=method)
             assert aln.score == pytest.approx(expected), method
 

@@ -7,7 +7,7 @@ from repro.cluster.machine import MachineModel
 from repro.cluster.mpirun import run_distributed
 from repro.cluster.simulate import simulate_wavefront
 from repro.core.dp3d import score3_dp3d
-from repro.parallel.shared import fork_available
+from repro.parallel.executor import fork_available
 from repro.seqio.generate import mutated_family, random_sequence
 
 needs_fork = pytest.mark.skipif(

@@ -10,7 +10,8 @@ from repro.core.wavefront import align3_wavefront
 from repro.obs import hooks, metrics, trace
 from repro.obs.report import render_metrics, render_report
 from repro.obs.trace import TraceRecorder, read_trace
-from repro.parallel.shared import align3_shared, fork_available
+from repro.parallel.blocks import align3_blocks
+from repro.parallel.executor import fork_available
 from repro.seqio.alphabet import DNA
 from repro.seqio.generate import mutated_family
 
@@ -92,7 +93,7 @@ class TestRecorder:
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_forked_workers_merge_into_one_file(self, tracing, dna_scheme):
         seqs = mutated_family(18, seed=5)
-        aln = align3_shared(*seqs, dna_scheme, workers=3)
+        aln = align3_blocks(*seqs, dna_scheme, workers=3)
         trace.flush()
         records = read_trace(tracing)
         pids = {r["pid"] for r in records}

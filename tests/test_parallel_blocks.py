@@ -1,18 +1,18 @@
-"""Tests for the block-tiled multiprocess wavefront engine
-(repro.parallel.blocks): bit-identity against the serial oracle across
-worker counts and band depths, pruning-tube composition, degenerate
-shapes and validation."""
+"""Tests for the parallel executor: per-call ``blocks`` (a one-job
+``WavefrontPool``) and a reused pool, against the serial oracle across
+worker counts, band depths, alphabets, degenerate shapes and
+validation."""
 
-import numpy as np
 import pytest
 
-from repro.core.bounds import carrillo_lipman_tube
 from repro.core.dp3d import align3_dp3d, score3_dp3d
 from repro.core.scoring import ScoringScheme
-from repro.core.wavefront import align3_wavefront, wavefront_sweep
+from repro.core.wavefront import align3_wavefront
+from repro.parallel import executor
 from repro.parallel.blocks import align3_blocks, score3_blocks
-from repro.parallel.shared import fork_available
-from repro.seqio.alphabet import DNA
+from repro.parallel.executor import WavefrontPool, fork_available
+from repro.seqio.alphabet import DNA, PROTEIN
+from repro.seqio.generate import mutated_family
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -29,23 +29,24 @@ class TestScoreIdentity:
 
     @needs_fork
     def test_more_workers_than_rows(self, dna_scheme, family_small):
-        # workers > n1 + 1: the slab split must shrink to the row count
-        # rather than spawn idle workers (or worse, empty slabs).
+        # workers > n1 + 1: the pool must shrink to the row count rather
+        # than spawn idle workers (or worse, empty slabs).
         ref = score3_dp3d(*family_small, dna_scheme)
         got = score3_blocks(*family_small, dna_scheme, workers=64)
         assert got == ref
+        aln = align3_blocks(*family_small, dna_scheme, workers=64)
+        assert aln.meta["active_workers"] == len(family_small[0]) + 1
 
     @needs_fork
     @pytest.mark.parametrize("band", [1, 2, 7])
     def test_shallow_bands_force_many_blocks(
-        self, dna_scheme, family_small, band
+        self, dna_scheme, family_small, band, monkeypatch
     ):
         # band=1 degenerates to per-plane synchronisation through the
         # counter protocol — the worst case for the window rotation.
+        monkeypatch.setattr(executor, "BAND_CAP", band)
         ref = score3_dp3d(*family_small, dna_scheme)
-        got = score3_blocks(
-            *family_small, dna_scheme, workers=3, band=band
-        )
+        got = score3_blocks(*family_small, dna_scheme, workers=3)
         assert got == ref
 
     @needs_fork
@@ -82,42 +83,61 @@ class TestAlignmentIdentity:
         assert a.rows == b.rows and a.score == b.score
 
 
-class TestTubeComposition:
-    @needs_fork
-    def test_pruned_score_and_cells_match_serial(
-        self, dna_scheme, family_small
+def _shapes(alphabet):
+    """Heterogeneous shapes, degenerate dims included."""
+    fam = tuple(mutated_family(14, alphabet=alphabet, seed=31))
+    skew = (fam[0], fam[1][:3], fam[2] + fam[0])
+    return [
+        fam,
+        skew,
+        (fam[0], "", fam[2]),
+        (fam[0][:1], fam[1][:1], fam[2][:1]),
+        ("", "", ""),
+        fam[::-1],
+    ]
+
+
+class TestOneExecutor:
+    """Every entry point of the one parallel executor — per-call
+    ``blocks`` and a pool reused across shapes — at every worker count
+    returns rows and score bit-identical to the serial wavefront, and
+    the score is the SP score of its own rows."""
+
+    @pytest.mark.parametrize("alphabet", [DNA, PROTEIN], ids=["dna", "protein"])
+    @pytest.mark.parametrize("traceback", [False, True], ids=["score", "align"])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("entry", ["blocks", "pool"])
+    def test_bit_identical_to_serial(
+        self, entry, workers, traceback, alphabet, dna_scheme, protein_scheme
     ):
-        tube, _stats = carrillo_lipman_tube(*family_small, dna_scheme)
-        serial = wavefront_sweep(
-            *family_small, dna_scheme, tube=tube, score_only=True
-        )
-        got = score3_blocks(
-            *family_small, dna_scheme, workers=3, tube=tube
-        )
-        assert got == serial.score
-        # Cell-count parity proves the engine computed exactly the live
-        # cells — blocks fully outside the tube were skipped, none of
-        # the pruning speedup was given back.
-        _score, _moves, meta = _sweep_meta(
-            *family_small, dna_scheme, workers=3, tube=tube
-        )
-        assert meta["cells"] == serial.cells_computed
-
-    @needs_fork
-    def test_pruned_alignment_bit_identical(self, dna_scheme, family_small):
-        tube, _stats = carrillo_lipman_tube(*family_small, dna_scheme)
-        ref = align3_wavefront(*family_small, dna_scheme, tube=tube)
-        aln = align3_blocks(
-            *family_small, dna_scheme, workers=3, tube=tube
-        )
-        assert aln.rows == ref.rows and aln.score == ref.score
-
-    def test_tube_shape_validated(self, dna_scheme, family_small):
-        bad = np.ones((2, 2, 2), dtype=bool)
-        with pytest.raises(ValueError, match="tube"):
-            score3_blocks(
-                *family_small, dna_scheme, workers=2, tube=bad
-            )
+        scheme = dna_scheme if alphabet is DNA else protein_scheme
+        shapes = _shapes(alphabet)
+        pool = None
+        if entry == "pool":
+            cap = tuple(max(len(s[d]) for s in shapes) for d in range(3))
+            pool = WavefrontPool(cap, workers=workers)
+        try:
+            for seqs in shapes:
+                ref = align3_wavefront(*seqs, scheme)
+                if not traceback:
+                    got = (
+                        pool.score3(*seqs, scheme)
+                        if pool
+                        else score3_blocks(*seqs, scheme, workers=workers)
+                    )
+                    assert got == ref.score, seqs
+                    continue
+                aln = (
+                    pool.align3(*seqs, scheme)
+                    if pool
+                    else align3_blocks(*seqs, scheme, workers=workers)
+                )
+                assert aln.rows == ref.rows, seqs
+                assert aln.score == ref.score, seqs
+                assert scheme.sp_score(aln.rows) == aln.score, seqs
+        finally:
+            if pool is not None:
+                pool.close()
 
 
 class TestValidationAndMeta:
@@ -136,34 +156,17 @@ class TestValidationAndMeta:
             score3_blocks(*family_small, affine, workers=2)
 
     def test_serial_fallback_meta(self, dna_scheme, family_small):
-        _score, _moves, meta = _sweep_meta(
-            *family_small, dna_scheme, workers=1
-        )
+        meta = align3_blocks(*family_small, dna_scheme, workers=1).meta
         assert meta["engine"] == "blocks"
-        assert meta["fallback"] == "serial"
+        assert meta["serial_fallback"]
         assert meta["active_workers"] == 1
 
     @needs_fork
     def test_parallel_meta_shape(self, dna_scheme, family_small):
-        _score, _moves, meta = _sweep_meta(
-            *family_small, dna_scheme, workers=3
-        )
+        meta = align3_blocks(*family_small, dna_scheme, workers=3).meta
         assert meta["engine"] == "blocks"
         assert meta["workers"] == 3
-        assert 1 < meta["active_workers"] <= 3
-        assert meta["band"] >= 1
-        # The rotating window covers two bands plus the 3-plane read
-        # horizon (clamped to the cube depth).
-        dmax = sum(len(s) for s in family_small)
-        assert meta["window"] <= min(2 * meta["band"] + 3, dmax + 4)
-        n1 = len(family_small[0])
-        n2, n3 = len(family_small[1]), len(family_small[2])
-        assert meta["cells"] == (n1 + 1) * (n2 + 1) * (n3 + 1)
-
-
-def _sweep_meta(sa, sb, sc, scheme, workers, tube=None):
-    from repro.parallel.blocks import _blocks_sweep
-
-    return _blocks_sweep(
-        sa, sb, sc, scheme, workers, score_only=tube is None, tube=tube
-    )
+        assert meta["active_workers"] == 3
+        assert not meta["serial_fallback"]
+        assert meta["supervised"]
+        assert meta["recoveries"] == 0

@@ -3,15 +3,12 @@
 import pytest
 
 from repro.parallel.partition import (
-    active_workers,
     balanced_blocks,
     band_depth,
     block_predecessors,
-    max_plane_rows,
     plane_bands,
     plane_window,
     row_slabs,
-    split_cyclic,
     split_range,
 )
 
@@ -50,23 +47,6 @@ class TestSplitRange:
             split_range(0, 5, 0)
 
 
-class TestSplitCyclic:
-    def test_round_robin(self):
-        assert split_cyclic(5, 2) == [[0, 2, 4], [1, 3]]
-
-    def test_all_indices_assigned_once(self):
-        owners = split_cyclic(17, 5)
-        flat = sorted(x for lst in owners for x in lst)
-        assert flat == list(range(17))
-
-    def test_zero_count(self):
-        assert split_cyclic(0, 3) == [[], [], []]
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            split_cyclic(-1, 2)
-
-
 class TestBalancedBlocks:
     def test_exact_division(self):
         assert balanced_blocks(8, 4) == [(0, 3), (4, 7)]
@@ -83,27 +63,6 @@ class TestBalancedBlocks:
     def test_block_validated(self):
         with pytest.raises(ValueError):
             balanced_blocks(10, 0)
-
-
-class TestPlaneGeometry:
-    def test_max_plane_rows_small_first_dim(self):
-        # Widest plane is bounded by n1 when n1 is the short axis.
-        assert max_plane_rows((3, 10, 10)) == 4
-
-    def test_max_plane_rows_large_first_dim(self):
-        # ...and by n2 + n3 when it is the long one.
-        assert max_plane_rows((50, 2, 3)) == 6
-
-    def test_active_workers_clamped_to_widest_plane(self):
-        assert active_workers((3, 10, 10), 64) == 4
-        assert active_workers((3, 10, 10), 2) == 2
-
-    def test_active_workers_at_least_one(self):
-        assert active_workers((0, 0, 0), 8) == 1
-
-    def test_active_workers_validates(self):
-        with pytest.raises(ValueError):
-            active_workers((3, 3, 3), 0)
 
 
 class TestRowSlabs:

@@ -2,6 +2,7 @@
 arbitrary inputs, and structural invariants hold for arbitrary alignments."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dp3d import score3_dp3d
@@ -9,7 +10,7 @@ from repro.core.hirschberg import align3_hirschberg
 from repro.core.rolling import score3_slab
 from repro.core.scoring import default_scheme_for
 from repro.core.wavefront import align3_wavefront, score3_wavefront
-from repro.parallel.threads import score3_threads
+from repro.parallel.executor import WavefrontPool
 from repro.seqio.alphabet import DNA
 from tests.reference.bruteforce import memo_optimal_score
 
@@ -21,6 +22,13 @@ triple = st.tuples(dna_seq, dna_seq, dna_seq)
 COMMON = dict(deadline=None, max_examples=40)
 
 
+@pytest.fixture(scope="module")
+def pool():
+    """One parallel executor reused across every hypothesis example."""
+    with WavefrontPool((9, 9, 9), workers=2) as p:
+        yield p
+
+
 @settings(**COMMON)
 @given(triple)
 def test_wavefront_matches_oracle(seqs):
@@ -30,13 +38,18 @@ def test_wavefront_matches_oracle(seqs):
 
 
 @settings(**COMMON)
-@given(triple)
-def test_all_engines_agree(seqs):
+@given(seqs=triple)
+def test_all_engines_agree(pool, seqs):
     ref = score3_dp3d(*seqs, SCHEME)
     assert abs(score3_wavefront(*seqs, SCHEME) - ref) < 1e-9
     assert abs(score3_slab(*seqs, SCHEME) - ref) < 1e-9
-    assert abs(score3_threads(*seqs, SCHEME, workers=2) - ref) < 1e-9
     assert abs(align3_hirschberg(*seqs, SCHEME, base_cells=30).score - ref) < 1e-9
+    # The parallel executor: rows as well as scores, bit-identical.
+    serial = align3_wavefront(*seqs, SCHEME)
+    parallel = pool.align3(*seqs, SCHEME)
+    assert parallel.rows == serial.rows
+    assert parallel.score == serial.score
+    assert pool.score3(*seqs, SCHEME) == serial.score
 
 
 @settings(**COMMON)

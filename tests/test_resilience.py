@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.api import align3
 from repro.core.dp3d import align3_dp3d, score3_dp3d
-from repro.parallel.executor import WavefrontPool
-from repro.parallel.shared import align3_shared, fork_available
+from repro.parallel.blocks import align3_blocks
+from repro.parallel.executor import WavefrontPool, fork_available
 from repro.resilience import faults
 from repro.resilience.degrade import (
     DegradePlan,
@@ -60,7 +60,7 @@ class TestFaultSpecs:
         assert spec.times == -1  # budget is read repeatedly
 
     def test_roundtrip_spec_string(self):
-        text = "straggler@shared:worker=1,plane=7,delay=0.2"
+        text = "straggler@pool:worker=1,plane=7,delay=0.2"
         spec = faults.parse_spec(text)
         assert faults.parse_spec(spec.spec_string()) == spec
 
@@ -79,6 +79,21 @@ class TestFaultSpecs:
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(FaultSpecError):
             faults.parse_spec(bad)
+
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            "worker_crash@shared:worker=1",
+            "straggler@threads:worker=1,delay=0.1",
+            "worker_crash@blocks:worker=1,plane=5",
+        ],
+    )
+    def test_targets_that_never_fire_rejected(self, stale):
+        # Only labels that reach an injection hook are valid targets; a
+        # spec aimed anywhere else would arm, never fire, and let a
+        # chaos run pass without testing anything.
+        with pytest.raises(FaultSpecError, match="unknown fault target"):
+            faults.parse_spec(stale)
 
     def test_install_is_additive_and_clear_disarms(self):
         faults.install("worker_crash@pool:worker=1;oom:budget=1")
@@ -186,80 +201,35 @@ class TestPoolRecovery:
 
 
 @pytest.mark.chaos
-class TestSharedRecovery:
-    @needs_fork
-    def test_crash_recovers_bit_identical(self, dna_scheme, family_small):
-        ref = align3_dp3d(*family_small, dna_scheme)
-        dmax = sum(len(s) for s in family_small)
-        faults.install(f"worker_crash@shared:worker=1,plane={dmax // 2}")
-        aln = align3_shared(*family_small, dna_scheme, workers=2)
-        assert aln.rows == ref.rows and aln.score == ref.score
-        assert aln.meta["recoveries"] >= 1
-
-    @needs_fork
-    def test_straggler_is_tolerated(self, dna_scheme, family_small):
-        ref = align3_dp3d(*family_small, dna_scheme)
-        faults.install("straggler@shared:worker=1,delay=0.1,plane=10")
-        aln = align3_shared(*family_small, dna_scheme, workers=2)
-        assert aln.rows == ref.rows and aln.score == ref.score
-
-
-@pytest.mark.chaos
 class TestBlocksRecovery:
     @needs_fork
     def test_crash_recovers_bit_identical(self, dna_scheme, family_small):
-        from repro.parallel.blocks import align3_blocks
-
         ref = align3_dp3d(*family_small, dna_scheme)
         dmax = sum(len(s) for s in family_small)
-        faults.install(f"worker_crash@blocks:worker=1,plane={dmax // 2}")
+        # Per-call blocks runs on a one-job pool: faults target @pool.
+        faults.install(f"worker_crash@pool:worker=1,plane={dmax // 2}")
         aln = align3_blocks(*family_small, dna_scheme, workers=2)
         assert aln.rows == ref.rows and aln.score == ref.score
         assert aln.meta["recoveries"] >= 1
 
     @needs_fork
-    def test_crash_with_tube_replays_same_windows(
-        self, dna_scheme, family_small
+    @pytest.mark.parametrize("workers", [3, 8])
+    def test_crash_recovers_at_more_workers(
+        self, dna_scheme, family_small, workers
     ):
-        # The satellite-2 regression: a respawned worker must inherit
-        # the pre-fork per-plane tube row windows, replaying only the
-        # live rows — verified by bit-identity against the serial
-        # tube-pruned alignment (a full-range replay would read rows
-        # the tube never computed and corrupt the boundary).
-        from repro.core.bounds import carrillo_lipman_tube
-        from repro.core.wavefront import align3_wavefront
-        from repro.parallel.blocks import align3_blocks
-
-        tube, _stats = carrillo_lipman_tube(*family_small, dna_scheme)
-        ref = align3_wavefront(*family_small, dna_scheme, tube=tube)
+        ref = align3_dp3d(*family_small, dna_scheme)
         dmax = sum(len(s) for s in family_small)
-        faults.install(f"worker_crash@blocks:worker=1,plane={dmax // 2}")
-        aln = align3_blocks(
-            *family_small, dna_scheme, workers=2, tube=tube
-        )
+        faults.install(f"worker_crash@pool:worker=2,plane={dmax // 2}")
+        aln = align3_blocks(*family_small, dna_scheme, workers=workers)
         assert aln.rows == ref.rows and aln.score == ref.score
         assert aln.meta["recoveries"] >= 1
 
     @needs_fork
     def test_straggler_is_tolerated(self, dna_scheme, family_small):
-        from repro.parallel.blocks import align3_blocks
-
         ref = align3_dp3d(*family_small, dna_scheme)
-        faults.install("straggler@blocks:worker=1,delay=0.1,plane=10")
+        faults.install("straggler@pool:worker=1,delay=0.1,plane=10")
         aln = align3_blocks(*family_small, dna_scheme, workers=2)
         assert aln.rows == ref.rows and aln.score == ref.score
-
-
-@pytest.mark.chaos
-class TestThreadsFailFast:
-    def test_injected_crash_raises_typed_failure(
-        self, dna_scheme, family_small
-    ):
-        faults.install("worker_crash@threads:worker=1,plane=5")
-        with pytest.raises(WorkerFailure) as excinfo:
-            align3(*family_small, dna_scheme, method="threads")
-        assert excinfo.value.failures
-        assert excinfo.value.failures[0].engine == "threads"
 
 
 @pytest.mark.chaos
@@ -354,6 +324,19 @@ class TestCliExitCodes:
         assert rc == 5
         assert "bad fault spec" in capsys.readouterr().err
 
+    def test_stale_fault_target_exits_5(self, tmp_path, capsys):
+        from repro.cli import main
+
+        rc = main(
+            [
+                "align", self._fasta(tmp_path),
+                "--method", "blocks",
+                "--inject-fault", "worker_crash@shared:worker=1",
+            ]
+        )
+        assert rc == 5
+        assert "unknown fault target" in capsys.readouterr().err
+
     def test_forbidden_degradation_exits_4(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -369,15 +352,16 @@ class TestCliExitCodes:
         assert "--no-degrade" in capsys.readouterr().err
 
     @pytest.mark.chaos
-    def test_worker_failure_exits_3(self, tmp_path, capsys):
+    def test_worker_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
+        def failing_job(self, *args, **kwargs):
+            raise WorkerFailure("pool worker 1 failed 4 times")
+
+        # The pool under --method blocks exhausts its respawns.
+        monkeypatch.setattr(WavefrontPool, "align3", failing_job)
         rc = main(
-            [
-                "align", self._fasta(tmp_path),
-                "--method", "threads",
-                "--inject-fault", "worker_crash@threads:worker=1,plane=3",
-            ]
+            ["align", self._fasta(tmp_path), "--method", "blocks"]
         )
         assert rc == 3
         assert "worker failure" in capsys.readouterr().err

@@ -432,6 +432,18 @@ class TestAlignServer:
             resp = client._request("POST", "/v1/align", {"nope": 1})
             assert resp.status == 400
 
+    def test_removed_parallel_engines_get_400(self):
+        with ServerThread() as srv, ServeClient(
+            "127.0.0.1", srv.port
+        ) as client:
+            for method in ("shared", "threads"):
+                resp = client._request(
+                    "POST", "/v1/align",
+                    {"seqs": list(TRIPLE), "method": method},
+                )
+                assert resp.status == 400
+                assert "unknown method" in resp.body["error"]["message"]
+
     def test_unknown_route_404_and_bad_method_405(self):
         with ServerThread() as srv, ServeClient(
             "127.0.0.1", srv.port

@@ -20,7 +20,7 @@ from repro.core.semiglobal import (
     semiglobal_dp3d_matrix,
 )
 from repro.core.wavefront import score3_wavefront
-from repro.parallel.threads import score3_threads
+from repro.parallel.blocks import score3_blocks
 from repro.seqio.generate import random_sequence
 
 SHAPES = [
@@ -52,7 +52,7 @@ def test_global_engines_on_skewed_shapes(shape, dna_scheme):
     ref = score3_dp3d(*seqs, dna_scheme)
     assert score3_wavefront(*seqs, dna_scheme) == pytest.approx(ref)
     assert score3_slab(*seqs, dna_scheme) == pytest.approx(ref)
-    assert score3_threads(*seqs, dna_scheme, workers=3) == pytest.approx(ref)
+    assert score3_blocks(*seqs, dna_scheme, workers=3) == pytest.approx(ref)
     assert align3_hirschberg(
         *seqs, dna_scheme, base_cells=50
     ).score == pytest.approx(ref)

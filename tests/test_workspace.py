@@ -23,7 +23,7 @@ from repro.core.wavefront import (
     wavefront_sweep,
 )
 from repro.core.workspace import PlaneWorkspace
-from repro.parallel.shared import fork_available
+from repro.parallel.executor import fork_available
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"

@@ -4,8 +4,10 @@
 Runs a ~40^3 alignment under each injected fault class and asserts the
 recovery contract from ``docs/robustness.md``:
 
-* ``pool``/``shared`` worker crash -> the worker is respawned, the plane
-  replayed, and the output is **bit-identical** to the serial engine;
+* a worker crash in a persistent ``WavefrontPool`` or a per-call
+  ``blocks`` run (a one-job pool) -> the worker is respawned, its
+  blocks replayed, and the output is **bit-identical** to the serial
+  engine;
 * a straggler is tolerated (or killed and replayed) without changing
   the output;
 * a corrupted ghost payload in ``mpirun`` is caught by the CRC32
@@ -17,7 +19,7 @@ recovery contract from ``docs/robustness.md``:
 * supervision overhead on the fault-free path stays within
   ``--tolerance`` (default 10%).
 
-Every barrier/queue wait in the engines is bounded, so the whole suite
+Every counter/barrier/queue wait in the engines is bounded, so the whole suite
 must finish inside ``--budget`` wall-clock seconds — exceeding it is
 itself a failure (it means something waited unsupervised).
 
@@ -90,8 +92,8 @@ def main(argv: list[str] | None = None) -> int:
     from repro.cluster.mpirun import run_distributed
     from repro.core.api import align3
     from repro.core.scoring import default_scheme_for
+    from repro.parallel.blocks import align3_blocks
     from repro.parallel.executor import WavefrontPool
-    from repro.parallel.shared import align3_shared
     from repro.resilience import faults
     from repro.resilience.errors import WorkerFailure
     from repro.seqio.alphabet import DNA
@@ -133,17 +135,17 @@ def main(argv: list[str] | None = None) -> int:
             )
             assert aln.meta["recoveries"] >= 1, "no recovery recorded"
 
-    def shared_crash() -> None:
-        faults.install(f"worker_crash@shared:worker=1,plane={mid}")
-        aln = align3_shared(*seqs, scheme, workers=2)
+    def blocks_crash() -> None:
+        faults.install(f"worker_crash@pool:worker=1,plane={mid}")
+        aln = align3_blocks(*seqs, scheme, workers=2)
         assert aln.rows == ref.rows and aln.score == ref.score, (
             "output differs after recovery"
         )
         assert aln.meta.get("recoveries", 0) >= 1, "no recovery recorded"
 
-    def shared_straggler() -> None:
-        faults.install(f"straggler@shared:worker=1,delay=0.2,plane={mid}")
-        aln = align3_shared(*seqs, scheme, workers=2)
+    def blocks_straggler() -> None:
+        faults.install(f"straggler@pool:worker=1,delay=0.2,plane={mid}")
+        aln = align3_blocks(*seqs, scheme, workers=2)
         assert aln.rows == ref.rows and aln.score == ref.score, (
             "output differs under a straggler"
         )
@@ -177,8 +179,8 @@ def main(argv: list[str] | None = None) -> int:
         assert "degraded_from" in aln.meta, "run did not degrade"
 
     scenario("pool worker_crash -> respawn + plane replay", pool_crash)
-    scenario("shared worker_crash -> respawn + plane replay", shared_crash)
-    scenario("shared straggler tolerated", shared_straggler)
+    scenario("blocks worker_crash -> respawn + plane replay", blocks_crash)
+    scenario("blocks straggler tolerated", blocks_straggler)
     scenario("mpirun corrupt_ghost -> checksum + resend", mpirun_corrupt)
     scenario("mpirun rank death -> typed WorkerFailure", mpirun_rank_death)
     scenario("oom -> degradation ladder, optimal score", oom_degrade)

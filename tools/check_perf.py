@@ -11,7 +11,7 @@ kernel has lost its edge:
   (≥ 1.0x) on the single large sweep, ≥ 5x end-to-end speedup of
   the Carrillo–Lipman-pruned path over the unpruned wavefront on the
   high-similarity workload, and the block-tiled engine at least
-  matching (≥ 1.0x) the per-plane-barrier engine at ≥ 4 workers on
+  matching (≥ 1.0x) the per-plane-barrier reference sweep at ≥ 4 workers on
   the scaling curve;
 * the **measured speedups** of the current checkout must not regress
   more than ``--tolerance`` (default 20%) below the reference point.
@@ -84,7 +84,7 @@ SMALL_SPEEDUP_FLOOR = 1.5
 LARGE_SPEEDUP_FLOOR = 1.0
 #: End-to-end pruned-vs-unpruned on the ≥0.9-identity workload.
 PRUNED_SPEEDUP_FLOOR = 5.0
-#: Block-tiled vs per-plane-barrier engine at >= 4 workers. The floor is
+#: Block-tiled vs per-plane-barrier reference at >= 4 workers. The floor is
 #: deliberately break-even: on fork-less hosts both engines fall back to
 #: the identical serial sweep and the honest ratio is ~1.0; on any host
 #: that actually forks, the barrier wall should put this well above it.
@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         if base_scale_speedup < SCALING_SPEEDUP_FLOOR:
             failures.append(
                 f"baseline scaling speedup {base_scale_speedup:.2f}x "
-                f"(blocks vs shared at w="
+                f"(blocks vs barrier at w="
                 f"{base_scaling.get('gate_workers')}) is below the "
                 f"{SCALING_SPEEDUP_FLOOR:.1f}x acceptance floor"
             )
