@@ -3,7 +3,8 @@
 
 Measures the zero-allocation wavefront kernel (``compute_plane_rows`` +
 :class:`~repro.core.workspace.PlaneWorkspace`) against the frozen
-pre-workspace reference kernel (``compute_plane_rows_ref``) on the two
+pre-workspace reference kernel (``compute_plane_rows_ref`` in
+``tests/reference/kernel.py``) on the two
 workloads that bracket the engine's regimes:
 
 * **small_repeated** — many score-only sweeps over small cubes, the
@@ -60,11 +61,14 @@ import sys
 
 
 def _ensure_importable() -> None:
+    root = pathlib.Path(__file__).resolve().parent.parent
     try:
         import repro  # noqa: F401
     except ImportError:
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        sys.path.insert(0, str(src))
+        sys.path.insert(0, str(root / "src"))
+    # The reference kernel lives in the test tree (tests/reference).
+    if str(root) not in sys.path:
+        sys.path.insert(0, str(root))
 
 
 _ensure_importable()
@@ -76,12 +80,12 @@ from repro.core.hirschberg import align3_hirschberg  # noqa: E402
 from repro.core.scoring import default_scheme_for  # noqa: E402
 from repro.core.wavefront import (  # noqa: E402
     compute_plane_rows,
-    compute_plane_rows_ref,
     wavefront_sweep,
 )
 from repro.core.workspace import PlaneWorkspace  # noqa: E402
 from repro.seqio.generate import mutated_family  # noqa: E402
 from repro.util.timing import repeat_min  # noqa: E402
+from tests.reference.kernel import compute_plane_rows_ref  # noqa: E402
 
 
 def _ab_min(run_ref, run_new, repeats):

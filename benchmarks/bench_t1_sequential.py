@@ -6,7 +6,6 @@ scalar fill.
 """
 
 from repro.core.dp3d import score3_dp3d
-from repro.core.rolling import score3_slab
 from repro.core.wavefront import score3_wavefront
 
 
@@ -24,7 +23,3 @@ def test_wavefront_n60(benchmark, dna_scheme, family60):
 
 def test_wavefront_n80(benchmark, dna_scheme, family80):
     benchmark(score3_wavefront, *family80, dna_scheme)
-
-
-def test_slab_n60(benchmark, dna_scheme, family60):
-    benchmark(score3_slab, *family60, dna_scheme)

@@ -25,7 +25,6 @@ from repro.core.affine import align3_affine, score3_affine
 from repro.core.bounds import carrillo_lipman_mask
 from repro.core.dp3d import NEG, score3_dp3d
 from repro.core.hirschberg import align3_hirschberg, memory_estimate_bytes
-from repro.core.rolling import score3_slab
 from repro.core.scoring import default_scheme_for
 from repro.core.wavefront import (
     compute_plane_rows,
@@ -676,7 +675,6 @@ def exp_engines(quick: bool) -> ExperimentResult:
     rows = []
     for name, fn in (
         ("wavefront", lambda: score3_wavefront(*seqs, _DNA)),
-        ("slab", lambda: score3_slab(*seqs, _DNA)),
         ("hirschberg", lambda: align3_hirschberg(*seqs, _DNA).score),
         ("blocks(2)", lambda: score3_blocks(*seqs, _DNA, workers=2)),
     ):

@@ -12,9 +12,11 @@ an engine would be handed the same inputs. The digest therefore covers
 * the **equivalence class** of the *resolved* method
   (:func:`method_key_class`), not the raw request string. Every exact
   linear-gap engine (``dp3d``, ``wavefront``, ``hirschberg``, ``pruned``,
-  ``banded``, ``blocks``) reproduces the reference argmax
-  tie-breaks and returns bit-identical rows and scores, so their results
-  are interchangeable and share the single class ``"exact"``. Keying on
+  ``banded``, ``blocks``) returns an optimal alignment with the same
+  score. All but ``hirschberg`` share one tie-break and so return the
+  same rows; ``hirschberg`` can return another co-optimal alignment on
+  ties. Their results are interchangeable as optimal answers and share
+  the single class ``"exact"``. Keying on
   the raw string was a bug: ``align3(method="auto")`` hashed ``"auto"``
   *before* resolution, so the same triple computed as ``auto`` and as
   ``wavefront`` was solved and stored twice — and a run degraded from
@@ -42,15 +44,14 @@ import hashlib
 from typing import Sequence
 
 from repro.core.scoring import ScoringScheme
-from repro.core.types import Alignment3
+# MODES (the alignment modes a key may carry) lives with the core types.
+from repro.core.types import MODES, Alignment3
 
-#: Alignment modes a key may carry (mirrors the CLI ``--mode`` choices).
-MODES = ("global", "local", "semiglobal")
-
-#: Engines that provably return bit-identical rows *and* scores for the
-#: linear gap model (they all reproduce the reference tie-breaks, and
-#: pruning/banding keep every cell of every optimal path). Their cached
-#: results are interchangeable.
+#: Exact linear-gap engines: each returns an optimal alignment with the
+#: same score. All but ``hirschberg`` share the kernel's tie-break (moves
+#: 1..7, first of equals) and so the same rows; ``hirschberg`` may pick
+#: another co-optimal alignment on ties. Their cached results are
+#: interchangeable as optimal answers.
 EXACT_METHODS = frozenset(
     {"dp3d", "wavefront", "hirschberg", "pruned", "banded", "blocks"}
 )
@@ -59,7 +60,7 @@ EXACT_METHODS = frozenset(
 def method_key_class(method: str) -> str:
     """Cache-key equivalence class of a *resolved* method.
 
-    All bit-identical exact engines collapse to ``"exact"``; anything
+    All exact linear-gap engines collapse to ``"exact"``; anything
     else (``affine``, future approximate engines) keys as itself.
     ``auto`` must be resolved before calling this — passing it through
     would recreate the aliasing bug this class exists to fix.

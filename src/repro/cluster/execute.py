@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.blockgrid import BlockGrid
-from repro.core.dp3d import NEG
+from repro.core.dp3d import NEG, fill_box
 from repro.core.scoring import ScoringScheme
 from repro.resilience.errors import ProtocolError
 from repro.util.validation import check_positive, check_sequences
@@ -41,71 +41,6 @@ class BlockedResult:
     comm_bytes: int
     blocks: int
     per_proc_cells: list[int] = field(default_factory=list)
-
-
-def _fill_block(
-    D: np.ndarray,
-    lo: tuple[int, int, int],
-    hi: tuple[int, int, int],
-    sab: np.ndarray,
-    sac: np.ndarray,
-    sbc: np.ndarray,
-    g2: float,
-) -> None:
-    """Fill cells ``lo..hi`` (inclusive) of the cube in-place.
-
-    Within the block, cells are swept by local anti-diagonals; every read
-    is either inside the block or exactly one cell below a face — the
-    ghost layer.
-    """
-    i0, j0, k0 = lo
-    i1, j1, k1 = hi
-    for d in range(i0 + j0 + k0, i1 + j1 + k1 + 1):
-        for i in range(max(i0, d - j1 - k1), min(i1, d) + 1):
-            jl = max(j0, d - i - k1)
-            jh = min(j1, d - i - k0)
-            if jl > jh:
-                continue
-            for j in range(jl, jh + 1):
-                k = d - i - j
-                if i == 0 and j == 0 and k == 0:
-                    D[0, 0, 0] = 0.0
-                    continue
-                best = NEG
-                if i >= 1:
-                    v = D[i - 1, j, k] + g2
-                    if v > best:
-                        best = v
-                if j >= 1:
-                    v = D[i, j - 1, k] + g2
-                    if v > best:
-                        best = v
-                if k >= 1:
-                    v = D[i, j, k - 1] + g2
-                    if v > best:
-                        best = v
-                if i >= 1 and j >= 1:
-                    v = D[i - 1, j - 1, k] + sab[i - 1, j - 1] + g2
-                    if v > best:
-                        best = v
-                if i >= 1 and k >= 1:
-                    v = D[i - 1, j, k - 1] + sac[i - 1, k - 1] + g2
-                    if v > best:
-                        best = v
-                if j >= 1 and k >= 1:
-                    v = D[i, j - 1, k - 1] + sbc[j - 1, k - 1] + g2
-                    if v > best:
-                        best = v
-                if i >= 1 and j >= 1 and k >= 1:
-                    v = (
-                        D[i - 1, j - 1, k - 1]
-                        + sab[i - 1, j - 1]
-                        + sac[i - 1, k - 1]
-                        + sbc[j - 1, k - 1]
-                    )
-                    if v > best:
-                        best = v
-                D[i, j, k] = best
 
 
 def execute_blocked(
@@ -157,7 +92,7 @@ def execute_blocked(
             min((idx + 1) * b, dim) - 1
             for idx, b, dim in zip(blk, grid.block, grid.dims)
         )
-        _fill_block(D, lo, hi, sab, sac, sbc, g2)  # type: ignore[arg-type]
+        fill_box(D, lo, hi, sab, sac, sbc, g2)  # type: ignore[arg-type]
         per_proc_cells[own] += grid.block_cells(blk)
         filled.add(blk)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.blockgrid import BlockGrid
-from repro.core.dp3d import NEG
+from repro.core.dp3d import NEG, fill_box
 from repro.core.scoring import ScoringScheme
 from repro.obs import hooks as _obs
 from repro.parallel.executor import fork_available
@@ -101,71 +101,6 @@ def _boundary_slice(
         (slice(-1, None) if d else slice(None)) for d in direction
     )
     return np.ascontiguousarray(data[idx])
-
-
-def _fill_block_with_halo(
-    halo: np.ndarray,
-    lo: tuple[int, int, int],
-    shape: tuple[int, int, int],
-    sab: np.ndarray,
-    sac: np.ndarray,
-    sbc: np.ndarray,
-    g2: float,
-) -> None:
-    """Fill ``halo[1:, 1:, 1:]`` (the block) reading only the halo.
-
-    ``halo`` has one extra leading layer per axis holding ghost values (or
-    ``NEG`` outside the lattice); local cell ``(x, y, z)`` is global
-    ``(lo[0]+x, lo[1]+y, lo[2]+z)``.
-    """
-    bx, by, bz = shape
-    gi0, gj0, gk0 = lo
-    for d in range(bx + by + bz - 2):
-        for x in range(max(0, d - (by - 1) - (bz - 1)), min(bx - 1, d) + 1):
-            yl = max(0, d - x - (bz - 1))
-            yh = min(by - 1, d - x)
-            for y in range(yl, yh + 1):
-                z = d - x - y
-                i, j, k = gi0 + x, gj0 + y, gk0 + z
-                if i == 0 and j == 0 and k == 0:
-                    halo[1, 1, 1] = 0.0
-                    continue
-                hx, hy, hz = x + 1, y + 1, z + 1
-                best = NEG
-                if i >= 1:
-                    v = halo[hx - 1, hy, hz] + g2
-                    if v > best:
-                        best = v
-                if j >= 1:
-                    v = halo[hx, hy - 1, hz] + g2
-                    if v > best:
-                        best = v
-                if k >= 1:
-                    v = halo[hx, hy, hz - 1] + g2
-                    if v > best:
-                        best = v
-                if i >= 1 and j >= 1:
-                    v = halo[hx - 1, hy - 1, hz] + sab[i - 1, j - 1] + g2
-                    if v > best:
-                        best = v
-                if i >= 1 and k >= 1:
-                    v = halo[hx - 1, hy, hz - 1] + sac[i - 1, k - 1] + g2
-                    if v > best:
-                        best = v
-                if j >= 1 and k >= 1:
-                    v = halo[hx, hy - 1, hz - 1] + sbc[j - 1, k - 1] + g2
-                    if v > best:
-                        best = v
-                if i >= 1 and j >= 1 and k >= 1:
-                    v = (
-                        halo[hx - 1, hy - 1, hz - 1]
-                        + sab[i - 1, j - 1]
-                        + sac[i - 1, k - 1]
-                        + sbc[j - 1, k - 1]
-                    )
-                    if v > best:
-                        best = v
-                halo[hx, hy, hz] = best
 
 
 def _assemble_halo(
@@ -312,9 +247,10 @@ def _rank_main(
             handle(msg)
         halo = _assemble_halo(grid, blk, local_blocks, ghosts, owner, rank)
         (i0, i1), (j0, j1), (k0, k1) = _block_ranges(grid, blk)
-        _fill_block_with_halo(
-            halo, (i0, j0, k0), (i1 - i0, j1 - j0, k1 - k0),
-            sab, sac, sbc, g2,
+        # The halo's [0, 0, 0] is cube cell (i0-1, j0-1, k0-1).
+        fill_box(
+            halo, (i0, j0, k0), (i1 - 1, j1 - 1, k1 - 1),
+            sab, sac, sbc, g2, origin=(i0 - 1, j0 - 1, k0 - 1),
         )
         data = np.ascontiguousarray(halo[1:, 1:, 1:])
         local_blocks[blk] = data

@@ -6,8 +6,11 @@ Layout
 ``scoring``    sum-of-pairs scoring schemes (linear and affine gap models)
 ``matrices``   bundled substitution matrices (BLOSUM62, PAM250, DNA)
 ``dp3d``       reference scalar full-matrix 3-D DP with traceback
-``wavefront``  vectorised anti-diagonal-plane engine (the fast path)
-``rolling``    score-only O(n^2)-memory engines with slab capture
+``wavefront``  vectorised anti-diagonal-plane engine (the fast path);
+               its ``mode`` covers global, semiglobal and local
+``local``      local alignment on the wavefront sweep
+``semiglobal`` overlap (free end gap) alignment on the wavefront sweep
+``rolling``    forward/backward ``i``-level slabs from score-only sweeps
 ``hirschberg`` linear-space divide-and-conquer traceback
 ``affine``     7-state quasi-natural affine-gap 3-D DP
 ``bounds``     Carrillo–Lipman pruning masks

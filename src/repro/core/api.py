@@ -41,9 +41,12 @@ method           engine
 appears in this table, so it cannot drift from the dispatcher again.)
 
 Every method above except ``affine`` solves the same linear-gap DP and
-returns bit-identical rows and scores (the engines reproduce the
-reference argmax tie-breaks exactly; pruning keeps every cell of every
-optimal path). The result cache exploits this: keys carry the
+returns the same optimal score. ``dp3d`` and the plane-kernel engines
+also share one tie-break (moves in code order 1..7, first of equals; pruning
+keeps every cell of every optimal path), so they return the same rows;
+``hirschberg`` returns a co-optimal alignment whose rows can differ on
+ties, because its split points choose among optimal paths. The result
+cache treats all of them as one answer: keys carry the
 *equivalence class* of the resolved method
 (:func:`repro.cache.method_key_class`), so a request served as ``auto``,
 ``wavefront`` or ``pruned`` shares one cache entry.
@@ -369,8 +372,8 @@ def align3(
             # the optimum), hence their own key class.
             key_method = "anchored"
         elif chain_mode == "constrained":
-            # Every per-segment engine is exact and bit-identical, so a
-            # constrained result is engine-independent; the constraint
+            # Every per-segment engine is exact, so a constrained
+            # result's score is engine-independent; the constraint
             # digest below separates it from unconstrained entries.
             key_method = "exact"
         else:

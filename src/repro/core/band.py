@@ -67,17 +67,6 @@ def band_tube(n1: int, n2: int, n3: int, band: int) -> PruningTube:
     return tube
 
 
-def band_mask(
-    n1: int, n2: int, n3: int, band: int
-) -> np.ndarray:
-    """Dense boolean keep-mask of the scaled-diagonal band.
-
-    Kept for tests and diagnostics; the engine itself runs on the
-    memory-light :func:`band_tube` (cell-for-cell identical region).
-    """
-    return band_tube(n1, n2, n3, band).dense_mask()
-
-
 def _max_outside_upper_bound(
     sa: str,
     sb: str,

@@ -9,9 +9,9 @@ low-information regions. This module quantifies that degeneracy:
 * :func:`enumerate_optimal` — materialise up to ``limit`` of them by
   depth-first traceback over all tight predecessors.
 
-Both need the full score cube, obtained here by stacking the slab
-engine's captured levels, so memory is O(n^3) floats — use for moderate
-lengths (the counting is a diagnostic, not a production path).
+Both need the full score cube, obtained here by capturing every ``i``
+level of one wavefront sweep, so memory is O(n^3) floats — use for
+moderate lengths (the counting is a diagnostic, not a production path).
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.dp3d import NEG
-from repro.core.rolling import slab_sweep
 from repro.core.scoring import ScoringScheme
 from repro.core.types import Alignment3, move_delta, moves_to_columns
+from repro.core.wavefront import wavefront_sweep
 from repro.util.validation import check_positive, check_sequences
 
 #: Score-tie tolerance when matching predecessors.
@@ -35,8 +35,11 @@ def score_cube(
 ) -> np.ndarray:
     """The full DP value cube ``D[i, j, k]`` (vectorised fill)."""
     check_sequences((sa, sb, sc), count=3)
-    res = slab_sweep(sa, sb, sc, scheme, want_levels=range(len(sa) + 1))
-    return np.stack([res.slabs[i] for i in range(len(sa) + 1)])
+    levels = range(len(sa) + 1)
+    res = wavefront_sweep(
+        sa, sb, sc, scheme, score_only=True, capture_levels=levels
+    )
+    return np.stack([res.captured_slab[i] for i in levels])
 
 
 def _tight_moves(

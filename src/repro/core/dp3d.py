@@ -92,62 +92,10 @@ def dp3d_matrix(
 
     D = np.full((n1 + 1, n2 + 1, n3 + 1), NEG, dtype=np.float64)
     M = np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
-    D[0, 0, 0] = 0.0
 
     observing = _obs.active()
     t0 = time.perf_counter() if observing else 0.0
-
-    for i in range(n1 + 1):
-        for j in range(n2 + 1):
-            for k in range(n3 + 1):
-                if i == j == k == 0:
-                    continue
-                if mask is not None and not mask[i, j, k]:
-                    continue
-                best = NEG
-                best_move = 0
-                # Move A (advance i only).
-                if i >= 1:
-                    v = D[i - 1, j, k] + g2
-                    if v > best:
-                        best, best_move = v, 1
-                # Move B.
-                if j >= 1:
-                    v = D[i, j - 1, k] + g2
-                    if v > best:
-                        best, best_move = v, 2
-                # Move C.
-                if k >= 1:
-                    v = D[i, j, k - 1] + g2
-                    if v > best:
-                        best, best_move = v, 4
-                # Move AB.
-                if i >= 1 and j >= 1:
-                    v = D[i - 1, j - 1, k] + sab[i - 1, j - 1] + g2
-                    if v > best:
-                        best, best_move = v, 3
-                # Move AC.
-                if i >= 1 and k >= 1:
-                    v = D[i - 1, j, k - 1] + sac[i - 1, k - 1] + g2
-                    if v > best:
-                        best, best_move = v, 5
-                # Move BC.
-                if j >= 1 and k >= 1:
-                    v = D[i, j - 1, k - 1] + sbc[j - 1, k - 1] + g2
-                    if v > best:
-                        best, best_move = v, 6
-                # Move ABC.
-                if i >= 1 and j >= 1 and k >= 1:
-                    v = (
-                        D[i - 1, j - 1, k - 1]
-                        + sab[i - 1, j - 1]
-                        + sac[i - 1, k - 1]
-                        + sbc[j - 1, k - 1]
-                    )
-                    if v > best:
-                        best, best_move = v, 7
-                D[i, j, k] = best
-                M[i, j, k] = best_move
+    fill_box(D, (0, 0, 0), (n1, n2, n3), sab, sac, sbc, g2, M=M, mask=mask)
     if observing:
         cells = (
             (n1 + 1) * (n2 + 1) * (n3 + 1)
@@ -162,6 +110,87 @@ def dp3d_matrix(
             move_cube_bytes=M.nbytes,
         )
     return D, M
+
+
+def fill_box(
+    D: np.ndarray,
+    lo: tuple[int, int, int],
+    hi: tuple[int, int, int],
+    sab: np.ndarray,
+    sac: np.ndarray,
+    sbc: np.ndarray,
+    g2: float,
+    origin: tuple[int, int, int] = (0, 0, 0),
+    M: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+) -> None:
+    """Fill cells ``lo..hi`` (inclusive, cube coordinates) of ``D`` in place.
+
+    ``D[c - origin]`` holds cube cell ``c`` (a halo-padded block passes its
+    corner minus one), and every predecessor outside the box must already
+    hold its value or NEG. Each cell takes the best of moves 1..7 visited
+    in code order with strict ``>``, so the first of equals wins — the
+    tie-break every vectorised engine shares. ``M`` (indexed like ``D``)
+    receives the winning moves; cells where ``mask`` (cube-indexed) is
+    False are skipped.
+    """
+    o1, o2, o3 = origin
+    for i in range(lo[0], hi[0] + 1):
+        x = i - o1
+        for j in range(lo[1], hi[1] + 1):
+            y = j - o2
+            for k in range(lo[2], hi[2] + 1):
+                z = k - o3
+                if i == j == k == 0:
+                    D[x, y, z] = 0.0
+                    continue
+                if mask is not None and not mask[i, j, k]:
+                    continue
+                best = NEG
+                best_move = 0
+                # Move A (advance i only).
+                if i >= 1:
+                    v = D[x - 1, y, z] + g2
+                    if v > best:
+                        best, best_move = v, 1
+                # Move B.
+                if j >= 1:
+                    v = D[x, y - 1, z] + g2
+                    if v > best:
+                        best, best_move = v, 2
+                # Move AB.
+                if i >= 1 and j >= 1:
+                    v = D[x - 1, y - 1, z] + sab[i - 1, j - 1] + g2
+                    if v > best:
+                        best, best_move = v, 3
+                # Move C.
+                if k >= 1:
+                    v = D[x, y, z - 1] + g2
+                    if v > best:
+                        best, best_move = v, 4
+                # Move AC.
+                if i >= 1 and k >= 1:
+                    v = D[x - 1, y, z - 1] + sac[i - 1, k - 1] + g2
+                    if v > best:
+                        best, best_move = v, 5
+                # Move BC.
+                if j >= 1 and k >= 1:
+                    v = D[x, y - 1, z - 1] + sbc[j - 1, k - 1] + g2
+                    if v > best:
+                        best, best_move = v, 6
+                # Move ABC.
+                if i >= 1 and j >= 1 and k >= 1:
+                    v = (
+                        D[x - 1, y - 1, z - 1]
+                        + sab[i - 1, j - 1]
+                        + sac[i - 1, k - 1]
+                        + sbc[j - 1, k - 1]
+                    )
+                    if v > best:
+                        best, best_move = v, 7
+                D[x, y, z] = best
+                if M is not None:
+                    M[x, y, z] = best_move
 
 
 def align3_dp3d(

@@ -53,7 +53,6 @@ def _solve(
     seqs: tuple[str, str, str],
     scheme: ScoringScheme,
     base_cells: int,
-    engine: str,
     stats: _Stats,
     ws: PlaneWorkspace,
 ) -> list[tuple[str, str, str]]:
@@ -75,8 +74,8 @@ def _solve(
     mid = len(ps[0]) // 2
     # The forward slab is freshly allocated (never a workspace view), so it
     # survives the backward sweep's reuse of the same workspace.
-    fwd = forward_slab(*ps, scheme, mid, engine=engine, workspace=ws)
-    bwd = backward_slab(*ps, scheme, mid, engine=engine, workspace=ws)
+    fwd = forward_slab(*ps, scheme, mid, workspace=ws)
+    bwd = backward_slab(*ps, scheme, mid, workspace=ws)
     stats.slab_sweeps += 2
     total = fwd + bwd
     j_star, k_star = np.unravel_index(int(np.argmax(total)), total.shape)
@@ -86,7 +85,6 @@ def _solve(
         (ps[0][:mid], ps[1][:j_star], ps[2][:k_star]),
         scheme,
         base_cells,
-        engine,
         stats,
         ws,
     )
@@ -94,7 +92,6 @@ def _solve(
         (ps[0][mid:], ps[1][j_star:], ps[2][k_star:]),
         scheme,
         base_cells,
-        engine,
         stats,
         ws,
     )
@@ -109,7 +106,6 @@ def align3_hirschberg(
     sc: str,
     scheme: ScoringScheme,
     base_cells: int = DEFAULT_BASE_CELLS,
-    engine: str = "wavefront",
     workspace: PlaneWorkspace | None = None,
 ) -> Alignment3:
     """Optimal three-way alignment in O(n^2) memory.
@@ -120,9 +116,6 @@ def align3_hirschberg(
         Subproblems at most this many cells are solved by the full-matrix
         wavefront directly (the recursion's base case). Smaller values lower
         peak memory at the cost of more sweeps.
-    engine:
-        Slab backend: ``"wavefront"`` (plane sweep with row capture) or
-        ``"slab"`` (the rolling-slab formulation).
     workspace:
         Optional :class:`~repro.core.workspace.PlaneWorkspace`. Every
         recursion node — both slab sweeps and the base-case wavefront —
@@ -137,7 +130,7 @@ def align3_hirschberg(
         raise ValueError(f"base_cells must be >= 8, got {base_cells}")
     stats = _Stats()
     ws = PlaneWorkspace() if workspace is None else workspace
-    cols = _solve((sa, sb, sc), scheme, base_cells, engine, stats, ws)
+    cols = _solve((sa, sb, sc), scheme, base_cells, stats, ws)
     rows = tuple("".join(col[r] for col in cols) for r in range(3))
     score = scheme.sp_score(rows)
     meta: dict[str, Any] = {

@@ -7,190 +7,25 @@ back to the nearest restart. This finds the highest-scoring triple of
 substrings — the natural tool when only a conserved core is shared (the
 "motif finding" use case the paper family's introductions cite).
 
-Engines: a scalar reference (:func:`local_dp3d_matrix`) and a vectorised
-anti-diagonal sweep (:func:`align3_local` / :func:`score3_local`) mirroring
-:mod:`repro.core.wavefront`; both validated against each other and against
-the invariant ``local >= max(0, global)``.
+Both entry points run :func:`~repro.core.wavefront.wavefront_sweep` with
+``mode="local"``; the invariant ``local >= max(0, global)`` and the
+scalar oracle in ``tests/reference/modes.py`` pin it in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
-from repro.core.dp3d import NEG
 from repro.core.scoring import ScoringScheme
-from repro.core.types import Alignment3, move_delta, moves_to_columns
-from repro.core.wavefront import plane_bounds
-from repro.util.validation import check_sequences
-
-
-def local_dp3d_matrix(
-    sa: str, sb: str, sc: str, scheme: ScoringScheme
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar reference fill of the local score/move cubes.
-
-    ``M[i, j, k] == 0`` marks a restart cell (the local alignment through
-    it begins there).
-    """
-    check_sequences((sa, sb, sc), count=3)
-    if scheme.is_affine:
-        raise ValueError("local_dp3d_matrix implements the linear gap model")
-    n1, n2, n3 = len(sa), len(sb), len(sc)
-    sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
-    g2 = 2.0 * scheme.gap
-    D = np.zeros((n1 + 1, n2 + 1, n3 + 1))
-    M = np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
-    for i in range(n1 + 1):
-        for j in range(n2 + 1):
-            for k in range(n3 + 1):
-                if i == j == k == 0:
-                    continue
-                best, move = 0.0, 0  # restart
-                if i >= 1:
-                    v = D[i - 1, j, k] + g2
-                    if v > best:
-                        best, move = v, 1
-                if j >= 1:
-                    v = D[i, j - 1, k] + g2
-                    if v > best:
-                        best, move = v, 2
-                if k >= 1:
-                    v = D[i, j, k - 1] + g2
-                    if v > best:
-                        best, move = v, 4
-                if i >= 1 and j >= 1:
-                    v = D[i - 1, j - 1, k] + sab[i - 1, j - 1] + g2
-                    if v > best:
-                        best, move = v, 3
-                if i >= 1 and k >= 1:
-                    v = D[i - 1, j, k - 1] + sac[i - 1, k - 1] + g2
-                    if v > best:
-                        best, move = v, 5
-                if j >= 1 and k >= 1:
-                    v = D[i, j - 1, k - 1] + sbc[j - 1, k - 1] + g2
-                    if v > best:
-                        best, move = v, 6
-                if i >= 1 and j >= 1 and k >= 1:
-                    v = (
-                        D[i - 1, j - 1, k - 1]
-                        + sab[i - 1, j - 1]
-                        + sac[i - 1, k - 1]
-                        + sbc[j - 1, k - 1]
-                    )
-                    if v > best:
-                        best, move = v, 7
-                D[i, j, k] = best
-                M[i, j, k] = move
-    return D, M
-
-
-@dataclass
-class LocalResult:
-    """Output of a local sweep."""
-
-    score: float
-    end_cell: tuple[int, int, int]
-    move_cube: np.ndarray | None
-    cells_computed: int
-
-
-def local_sweep(
-    sa: str,
-    sb: str,
-    sc: str,
-    scheme: ScoringScheme,
-    score_only: bool = False,
-) -> LocalResult:
-    """Vectorised local sweep (anti-diagonal planes, restart at 0)."""
-    check_sequences((sa, sb, sc), count=3)
-    if scheme.is_affine:
-        raise ValueError("local_sweep implements the linear gap model")
-    n1, n2, n3 = len(sa), len(sb), len(sc)
-    sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
-    g2 = 2.0 * scheme.gap
-
-    planes = [np.full((n1 + 2, n2 + 2), NEG) for _ in range(4)]
-    move_cube = (
-        None
-        if score_only
-        else np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
-    )
-    best_score = 0.0
-    best_cell = (0, 0, 0)
-    cells = 0
-
-    for d in range(n1 + n2 + n3 + 1):
-        out = planes[d % 4]
-        ilo, ihi, jlo, jhi = plane_bounds(d, n1, n2, n3)
-        if ilo > ihi or jlo > jhi:
-            continue
-        out[ilo + 1 : ihi + 2, :] = NEG
-        if d == 0:
-            out[1, 1] = 0.0
-            cells += 1
-            continue
-
-        I = np.arange(ilo, ihi + 1)[:, None]
-        J = np.arange(jlo, jhi + 1)[None, :]
-        K = d - I - J
-        valid = (K >= 0) & (K <= n3)
-        Ic = np.clip(I - 1, 0, max(n1 - 1, 0))
-        Jc = np.clip(J - 1, 0, max(n2 - 1, 0))
-        Kc = np.clip(K - 1, 0, max(n3 - 1, 0))
-        shape = K.shape
-        g_ab = sab[Ic, Jc] if (n1 and n2) else np.zeros(shape)
-        g_ac = sac[Ic, Kc] if (n1 and n3) else np.zeros(shape)
-        g_bc = sbc[Jc, Kc] if (n2 and n3) else np.zeros(shape)
-
-        r0, r1 = ilo + 1, ihi + 2
-        c0, c1 = jlo + 1, jhi + 2
-        P1 = planes[(d - 1) % 4]
-        P2 = planes[(d - 2) % 4]
-        P3 = planes[(d - 3) % 4]
-        cand = np.empty((8,) + shape)
-        cand[0] = 0.0  # restart
-        cand[1] = P1[r0 - 1 : r1 - 1, c0:c1] + g2  # A
-        cand[2] = P1[r0:r1, c0 - 1 : c1 - 1] + g2  # B
-        cand[3] = P2[r0 - 1 : r1 - 1, c0 - 1 : c1 - 1] + g_ab + g2  # AB
-        cand[4] = P1[r0:r1, c0:c1] + g2  # C
-        cand[5] = P2[r0 - 1 : r1 - 1, c0:c1] + g_ac + g2  # AC
-        cand[6] = P2[r0:r1, c0 - 1 : c1 - 1] + g_bc + g2  # BC
-        cand[7] = P3[r0 - 1 : r1 - 1, c0 - 1 : c1 - 1] + g_ab + g_ac + g_bc
-
-        best = cand.max(axis=0)
-        np.copyto(best, NEG, where=~valid)
-        out[r0:r1, c0:c1] = best
-        cells += int(valid.sum())
-
-        if move_cube is not None:
-            # Prefer the restart (move 0) only when nothing beats 0, which
-            # argmax already encodes because cand[0] == 0 everywhere.
-            moves = cand.argmax(axis=0).astype(np.int8)
-            ii, jj = np.nonzero(valid)
-            move_cube[ilo + ii, jlo + jj, K[ii, jj]] = moves[ii, jj]
-
-        masked = np.where(valid, best, NEG)
-        flat = int(masked.argmax())
-        val = float(masked.flat[flat])
-        if val > best_score:
-            ri, rj = np.unravel_index(flat, masked.shape)
-            best_score = val
-            best_cell = (ilo + int(ri), jlo + int(rj), int(K[ri, rj]))
-
-    return LocalResult(
-        score=best_score,
-        end_cell=best_cell,
-        move_cube=move_cube,
-        cells_computed=cells,
-    )
+from repro.core.traceback import path_cells, traceback_moves
+from repro.core.types import Alignment3, moves_to_columns
+from repro.core.wavefront import wavefront_sweep
 
 
 def score3_local(sa: str, sb: str, sc: str, scheme: ScoringScheme) -> float:
     """Best local SP score (O(n^2) memory)."""
-    return local_sweep(sa, sb, sc, scheme, score_only=True).score
+    res = wavefront_sweep(sa, sb, sc, scheme, score_only=True, mode="local")
+    return res.score
 
 
 def align3_local(
@@ -200,37 +35,24 @@ def align3_local(
 
     The returned :class:`Alignment3` aligns the three *substrings*;
     ``meta["spans"]`` records each substring's half-open interval in its
-    source sequence.
+    source sequence. When every column scores below zero the alignment
+    is empty with score 0.
     """
-    res = local_sweep(sa, sb, sc, scheme, score_only=False)
+    res = wavefront_sweep(sa, sb, sc, scheme, mode="local")
     assert res.move_cube is not None
-    i, j, k = res.end_cell
     end = res.end_cell
-    moves: list[int] = []
-    while True:
-        m = int(res.move_cube[i, j, k])
-        if m == 0:
-            break
-        moves.append(m)
-        di, dj, dk = move_delta(m)
-        i, j, k = i - di, j - dj, k - dk
-    moves.reverse()
-    start = (i, j, k)
-    sub_a = sa[start[0] : end[0]]
-    sub_b = sb[start[1] : end[1]]
-    sub_c = sc[start[2] : end[2]]
-    cols = moves_to_columns(moves, sub_a, sub_b, sub_c)
+    moves = traceback_moves(res.move_cube, end, restart=True)
+    start = tuple(e - t for e, t in zip(end, path_cells(moves)[-1]))
+    cols = moves_to_columns(
+        moves,
+        sa[start[0] : end[0]],
+        sb[start[1] : end[1]],
+        sc[start[2] : end[2]],
+    )
     rows = tuple("".join(col[r] for col in cols) for r in range(3))
     meta: dict[str, Any] = {
         "engine": "local",
-        "spans": (
-            (start[0], end[0]),
-            (start[1], end[1]),
-            (start[2], end[2]),
-        ),
+        "spans": tuple(zip(start, end)),
         "cells": res.cells_computed,
     }
-    if not moves:
-        # Empty local alignment (all-negative scores everywhere).
-        return Alignment3(rows=("", "", ""), score=0.0, meta=meta)
     return Alignment3(rows=rows, score=res.score, meta=meta)  # type: ignore[arg-type]

@@ -10,201 +10,31 @@ introductions mention).
 
 Semantics: leading/trailing residue-versus-gap pairs are simply not
 charged. Interior gaps cost as usual. The DP is the global recurrence
-with (a) zero initialisation over the faces ``i=0 | j=0 | k=0`` and (b)
-the answer maximised over the faces ``i=n1 | j=n2 | k=n3``; the traceback
-is completed into a full-length alignment by padding the unconsumed
-prefixes/suffixes with free end gaps.
+with (a) a free start on the faces ``i=0 | j=0 | k=0`` and (b) the answer
+maximised over the faces ``i=n1 | j=n2 | k=n3`` — both entry points run
+:func:`~repro.core.wavefront.wavefront_sweep` with ``mode="semiglobal"``.
+The traceback is completed into a full-length alignment by padding the
+unconsumed prefixes/suffixes with free end gaps.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
-from repro.core.dp3d import NEG
 from repro.core.scoring import ScoringScheme
-from repro.core.types import Alignment3, move_delta, moves_to_columns
-from repro.core.wavefront import plane_bounds
+from repro.core.traceback import path_cells, traceback_moves
+from repro.core.types import Alignment3, moves_to_columns
+from repro.core.wavefront import wavefront_sweep
 from repro.seqio.alphabet import GAP_CHAR
-from repro.util.validation import check_sequences
-
-
-def semiglobal_dp3d_matrix(
-    sa: str, sb: str, sc: str, scheme: ScoringScheme
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar reference fill. ``M == 0`` marks a free-start cell."""
-    check_sequences((sa, sb, sc), count=3)
-    if scheme.is_affine:
-        raise ValueError("semiglobal implements the linear gap model")
-    n1, n2, n3 = len(sa), len(sb), len(sc)
-    sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
-    g2 = 2.0 * scheme.gap
-    D = np.full((n1 + 1, n2 + 1, n3 + 1), NEG)
-    M = np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
-    for i in range(n1 + 1):
-        for j in range(n2 + 1):
-            for k in range(n3 + 1):
-                best, move = (
-                    (0.0, 0) if (i == 0 or j == 0 or k == 0) else (NEG, 0)
-                )
-                if i >= 1:
-                    v = D[i - 1, j, k] + g2
-                    if v > best:
-                        best, move = v, 1
-                if j >= 1:
-                    v = D[i, j - 1, k] + g2
-                    if v > best:
-                        best, move = v, 2
-                if k >= 1:
-                    v = D[i, j, k - 1] + g2
-                    if v > best:
-                        best, move = v, 4
-                if i >= 1 and j >= 1:
-                    v = D[i - 1, j - 1, k] + sab[i - 1, j - 1] + g2
-                    if v > best:
-                        best, move = v, 3
-                if i >= 1 and k >= 1:
-                    v = D[i - 1, j, k - 1] + sac[i - 1, k - 1] + g2
-                    if v > best:
-                        best, move = v, 5
-                if j >= 1 and k >= 1:
-                    v = D[i, j - 1, k - 1] + sbc[j - 1, k - 1] + g2
-                    if v > best:
-                        best, move = v, 6
-                if i >= 1 and j >= 1 and k >= 1:
-                    v = (
-                        D[i - 1, j - 1, k - 1]
-                        + sab[i - 1, j - 1]
-                        + sac[i - 1, k - 1]
-                        + sbc[j - 1, k - 1]
-                    )
-                    if v > best:
-                        best, move = v, 7
-                D[i, j, k] = best
-                M[i, j, k] = move
-    return D, M
-
-
-def _best_end_cell(
-    D: np.ndarray, n1: int, n2: int, n3: int
-) -> tuple[float, tuple[int, int, int]]:
-    """Maximum over the three upper faces."""
-    best = NEG
-    cell = (n1, n2, n3)
-    for j in range(n2 + 1):
-        for k in range(n3 + 1):
-            if D[n1, j, k] > best:
-                best, cell = D[n1, j, k], (n1, j, k)
-    for i in range(n1 + 1):
-        for k in range(n3 + 1):
-            if D[i, n2, k] > best:
-                best, cell = D[i, n2, k], (i, n2, k)
-    for i in range(n1 + 1):
-        for j in range(n2 + 1):
-            if D[i, j, n3] > best:
-                best, cell = D[i, j, n3], (i, j, n3)
-    return float(best), cell
 
 
 def score3_semiglobal(
     sa: str, sb: str, sc: str, scheme: ScoringScheme
 ) -> float:
     """Best overlap score (free end gaps)."""
-    return semiglobal_sweep(sa, sb, sc, scheme, score_only=True)[0]
-
-
-def semiglobal_sweep(
-    sa: str,
-    sb: str,
-    sc: str,
-    scheme: ScoringScheme,
-    score_only: bool = False,
-) -> tuple[float, tuple[int, int, int], np.ndarray | None]:
-    """Vectorised overlap sweep; returns (score, end_cell, move_cube)."""
-    check_sequences((sa, sb, sc), count=3)
-    if scheme.is_affine:
-        raise ValueError("semiglobal implements the linear gap model")
-    n1, n2, n3 = len(sa), len(sb), len(sc)
-    sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
-    g2 = 2.0 * scheme.gap
-
-    planes = [np.full((n1 + 2, n2 + 2), NEG) for _ in range(4)]
-    move_cube = (
-        None
-        if score_only
-        else np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
-    )
-    best_score = NEG
-    best_cell = (n1, n2, n3)
-
-    for d in range(n1 + n2 + n3 + 1):
-        out = planes[d % 4]
-        ilo, ihi, jlo, jhi = plane_bounds(d, n1, n2, n3)
-        if ilo > ihi or jlo > jhi:
-            continue
-        out[ilo + 1 : ihi + 2, :] = NEG
-
-        I = np.arange(ilo, ihi + 1)[:, None]
-        J = np.arange(jlo, jhi + 1)[None, :]
-        K = d - I - J
-        valid = (K >= 0) & (K <= n3)
-        on_lower_face = (I == 0) | (J == 0) | (K == 0)
-        if d == 0:
-            out[1, 1] = 0.0
-            continue
-
-        Ic = np.clip(I - 1, 0, max(n1 - 1, 0))
-        Jc = np.clip(J - 1, 0, max(n2 - 1, 0))
-        Kc = np.clip(K - 1, 0, max(n3 - 1, 0))
-        shape = K.shape
-        g_ab = sab[Ic, Jc] if (n1 and n2) else np.zeros(shape)
-        g_ac = sac[Ic, Kc] if (n1 and n3) else np.zeros(shape)
-        g_bc = sbc[Jc, Kc] if (n2 and n3) else np.zeros(shape)
-
-        r0, r1 = ilo + 1, ihi + 2
-        c0, c1 = jlo + 1, jhi + 2
-        P1, P2, P3 = (
-            planes[(d - 1) % 4],
-            planes[(d - 2) % 4],
-            planes[(d - 3) % 4],
-        )
-        cand = np.empty((8,) + shape)
-        cand[0] = np.where(on_lower_face, 0.0, NEG)  # free start
-        cand[1] = P1[r0 - 1 : r1 - 1, c0:c1] + g2
-        cand[2] = P1[r0:r1, c0 - 1 : c1 - 1] + g2
-        cand[3] = P2[r0 - 1 : r1 - 1, c0 - 1 : c1 - 1] + g_ab + g2
-        cand[4] = P1[r0:r1, c0:c1] + g2
-        cand[5] = P2[r0 - 1 : r1 - 1, c0:c1] + g_ac + g2
-        cand[6] = P2[r0:r1, c0 - 1 : c1 - 1] + g_bc + g2
-        cand[7] = P3[r0 - 1 : r1 - 1, c0 - 1 : c1 - 1] + g_ab + g_ac + g_bc
-
-        best = cand.max(axis=0)
-        np.copyto(best, NEG, where=~valid)
-        out[r0:r1, c0:c1] = best
-
-        if move_cube is not None:
-            moves = cand.argmax(axis=0).astype(np.int8)
-            ii, jj = np.nonzero(valid)
-            move_cube[ilo + ii, jlo + jj, K[ii, jj]] = moves[ii, jj]
-
-        # Track the best upper-face cell.
-        on_upper = valid & ((I == n1) | (J == n2) | (K == n3))
-        if on_upper.any():
-            masked = np.where(on_upper, best, NEG)
-            flat = int(masked.argmax())
-            val = float(masked.flat[flat])
-            if val > best_score:
-                ri, rj = np.unravel_index(flat, masked.shape)
-                best_score = val
-                best_cell = (ilo + int(ri), jlo + int(rj), int(K[ri, rj]))
-
-    if n1 == 0 or n2 == 0 or n3 == 0:
-        # Origin lies on a face; a zero-column overlap is always feasible.
-        best_score = max(best_score, 0.0)
-        if best_score == 0.0:
-            best_cell = (0, 0, 0)
-    return best_score, best_cell, move_cube
+    return wavefront_sweep(
+        sa, sb, sc, scheme, score_only=True, mode="semiglobal"
+    ).score
 
 
 def align3_semiglobal(
@@ -216,19 +46,11 @@ def align3_semiglobal(
     gives the half-open column range that was actually scored (the overlap
     region), and ``meta["score"]`` excludes the free end gaps.
     """
-    score, end, move_cube = semiglobal_sweep(sa, sb, sc, scheme)
-    assert move_cube is not None
-    i, j, k = end
-    moves: list[int] = []
-    while True:
-        m = int(move_cube[i, j, k])
-        if m == 0:
-            break
-        moves.append(m)
-        di, dj, dk = move_delta(m)
-        i, j, k = i - di, j - dj, k - dk
-    moves.reverse()
-    start = (i, j, k)
+    res = wavefront_sweep(sa, sb, sc, scheme, mode="semiglobal")
+    assert res.move_cube is not None
+    end = res.end_cell
+    moves = traceback_moves(res.move_cube, end, restart=True)
+    start = tuple(e - t for e, t in zip(end, path_cells(moves)[-1]))
 
     core_cols = moves_to_columns(
         moves,
@@ -246,7 +68,7 @@ def align3_semiglobal(
         "start": start,
         "end": end,
     }
-    return Alignment3(rows=rows, score=score, meta=meta)  # type: ignore[arg-type]
+    return Alignment3(rows=rows, score=res.score, meta=meta)  # type: ignore[arg-type]
 
 
 def _pad_columns(

@@ -2,7 +2,9 @@
 
 A move cube ``M`` holds, for each cell, the move (1..7) by which the optimal
 path arrives there, or 0 at the origin. Traceback simply walks from the
-terminal corner to the origin, reversing each move's (di, dj, dk).
+terminal corner to the origin, reversing each move's (di, dj, dk). In the
+local and semiglobal modes a 0 also marks a cell where the path restarts,
+and the walk stops there.
 """
 
 from __future__ import annotations
@@ -12,9 +14,17 @@ import numpy as np
 from repro.core.types import move_delta
 
 
-def traceback_moves(M: np.ndarray, start: tuple[int, int, int] | None = None) -> list[int]:
+def traceback_moves(
+    M: np.ndarray,
+    start: tuple[int, int, int] | None = None,
+    restart: bool = False,
+) -> list[int]:
     """Walk ``M`` from ``start`` (default: the terminal corner) back to the
     origin and return the move sequence in forward order.
+
+    With ``restart`` the walk instead ends at the first zero move (a
+    local/semiglobal restart cell); the path's first cell is then
+    ``start`` minus the moves' summed deltas.
 
     Raises ``RuntimeError`` when the chain is broken (a zero move before the
     origin, or a cycle longer than the cube's diameter), which would indicate
@@ -28,6 +38,8 @@ def traceback_moves(M: np.ndarray, start: tuple[int, int, int] | None = None) ->
     limit = i + j + k  # each move decreases i+j+k by at least 1
     while (i, j, k) != (0, 0, 0):
         m = int(M[i, j, k])
+        if restart and m == 0:
+            break
         if not 1 <= m <= 7:
             raise RuntimeError(
                 f"broken traceback chain at ({i},{j},{k}): move {m}"

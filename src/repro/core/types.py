@@ -20,6 +20,10 @@ from typing import Any, Iterator
 
 from repro.seqio.alphabet import GAP_CHAR
 
+#: Alignment modes: the sweep's restart floor and answer region (see
+#: :mod:`repro.core.wavefront`); cache keys and the CLI ``--mode`` use them.
+MODES = ("global", "local", "semiglobal")
+
 #: All seven legal moves, in ascending encoding order.
 ALL_MOVES: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7)
 

@@ -43,18 +43,34 @@ values are unchanged).
 
 With a workspace supplied, the unmasked hot path performs **zero** array
 allocations per plane; results stay bit-identical to the original
-allocating kernel, which is kept verbatim as
-:func:`compute_plane_rows_ref` for A/B benchmarking
-(``benchmarks/bench_kernel.py``) and the bit-identity tests
-(``tests/test_workspace.py``). The masked (Carrillo–Lipman) path may
-allocate a few O(row)/O(col) temporaries while tightening the live box.
+allocating kernel, which is kept verbatim in ``tests/reference/kernel.py``
+for A/B benchmarking (``benchmarks/bench_kernel.py``) and the
+bit-identity tests (``tests/test_workspace.py``). The masked
+(Carrillo–Lipman) path may allocate a few O(row)/O(col) temporaries
+while tightening the live box.
+
+Alignment modes
+---------------
+Global, semi-global and local alignment are one recurrence that differs
+only in a restart floor and in where the answer is read (``mode``):
+
+==============  ============================  ===========================
+mode            cells that may restart at 0   answer
+==============  ============================  ===========================
+``global``      none (origin only)            the terminal corner
+``semiglobal``  the i=0, j=0 and k=0 faces    best cell on the i=n1, j=n2
+                                              and k=n3 faces
+``local``       every cell                    best cell anywhere
+==============  ============================  ===========================
+
+Ties in the answer go to the first cell in ``(d, i, j)`` order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -63,7 +79,7 @@ from repro.obs import hooks as _obs
 from repro.core.scoring import ScoringScheme
 from repro.core.traceback import traceback_moves
 from repro.core.tube import PruningTube
-from repro.core.types import Alignment3, moves_to_columns
+from repro.core.types import MODES, Alignment3, moves_to_columns
 from repro.core.workspace import PlaneWorkspace
 from repro.util.validation import check_sequences
 
@@ -179,6 +195,7 @@ def compute_plane_rows(
     mask: np.ndarray | None = None,
     ws: PlaneWorkspace | None = None,
     tube: PruningTube | None = None,
+    mode: str = "global",
 ) -> int:
     """Compute rows ``row_lo..row_hi`` (inclusive, cell coordinates) of plane
     ``d`` into the padded buffer ``out``.
@@ -224,6 +241,13 @@ def compute_plane_rows(
         clamped to ``[0, n3]``, so it subsumes the cube-bounds check),
         and the live box is tightened exactly as for ``mask``.
         Mutually exclusive with ``mask``.
+    mode:
+        One of :data:`repro.cache.key.MODES`; it sets only the floor a
+        cell may restart from. ``"local"`` cells restart at 0 anywhere,
+        ``"semiglobal"`` cells on the ``i=0``, ``j=0`` and ``k=0`` faces
+        start free. A restart (move 0) wins ties: a cell restarts when
+        the best of moves 1..7 is ``<=`` its floor. Global-only with
+        ``mask``/``tube``.
 
     Returns
     -------
@@ -421,6 +445,24 @@ def compute_plane_rows(
         c += g_bc  # move 7: ABC
         _take_better(best, c, mv, 7, tmp)
 
+    if mode != "global" and (mode == "local" or min(kmin, row_lo, jlo) <= 0):
+        # Restart floor: ``free`` marks the cells that restart at 0 (the
+        # score-only path leaves ``valid`` unused).
+        free = tmp if move_cube is not None else valid
+        np.less_equal(best, 0.0, out=free)
+        if mode == "semiglobal":
+            # Only cells on the i=0, j=0 and k=0 faces start free.
+            face = ws.face[: row_hi - row_lo + 1, : jhi - jlo + 1]
+            np.equal(K, 0, out=face)
+            if row_lo == 0:
+                face[0] = True
+            if jlo == 0:
+                face[:, 0] = True
+            free &= face
+        np.copyto(best, 0.0, where=free)
+        if move_cube is not None:
+            np.copyto(mv, 0, where=free)
+
     # The origin may sit inside this block on plane 0 only; for d >= 1 every
     # valid cell has at least one legal predecessor, except the origin's
     # plane which was handled above. On the fast path ``tmp`` already
@@ -446,119 +488,6 @@ def compute_plane_rows(
         # condition, so the closed-form count applies here too.
         return _band_count(kmax, h, w) - _band_count(kmax - n3 - 1, h, w)
     return int(np.count_nonzero(valid))
-
-
-def compute_plane_rows_ref(
-    d: int,
-    row_lo: int,
-    row_hi: int,
-    P1: np.ndarray,
-    P2: np.ndarray,
-    P3: np.ndarray,
-    out: np.ndarray,
-    sab: np.ndarray,
-    sac: np.ndarray,
-    sbc: np.ndarray,
-    g2: float,
-    dims: tuple[int, int, int],
-    move_cube: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
-) -> int:
-    """The original allocating plane kernel, kept verbatim.
-
-    Builds the full ``(7,) + shape`` candidate stack and ~10 fresh
-    arrays per call. Serves as the A/B baseline for
-    ``benchmarks/bench_kernel.py`` and as the oracle the zero-allocation
-    :func:`compute_plane_rows` must match bit-for-bit
-    (``tests/test_workspace.py``). Not used by any engine.
-    """
-    n1, n2, n3 = dims
-    ilo, ihi, jlo, jhi = plane_bounds(d, n1, n2, n3)
-    row_lo = max(row_lo, ilo)
-    row_hi = min(row_hi, ihi)
-    if row_lo > row_hi or jlo > jhi:
-        return 0
-
-    # Reset target rows: stale values from plane d-4 live in this buffer.
-    out[row_lo + 1 : row_hi + 2, :] = NEG
-
-    I = np.arange(row_lo, row_hi + 1)[:, None]
-    J = np.arange(jlo, jhi + 1)[None, :]
-    K = d - I - J
-    valid = (K >= 0) & (K <= n3)
-    if mask is not None:
-        Ic = I
-        Jc = np.broadcast_to(J, K.shape)
-        Kc = np.clip(K, 0, n3)
-        valid = valid & mask[Ic, Jc, Kc]
-    if d == 0:
-        # Only the origin exists; it has no predecessors.
-        if row_lo == 0 and jlo == 0 and (valid.size and valid[0, 0]):
-            out[1, 1] = 0.0
-            return 1
-        return 0
-
-    if mask is not None:
-        rows_any = valid.any(axis=1)
-        if not rows_any.any():
-            return 0
-        r_lo = int(rows_any.argmax())
-        r_hi = len(rows_any) - 1 - int(rows_any[::-1].argmax())
-        cols_any = valid.any(axis=0)
-        col_lo = int(cols_any.argmax())
-        col_hi = len(cols_any) - 1 - int(cols_any[::-1].argmax())
-        row_lo, row_hi = row_lo + r_lo, row_lo + r_hi
-        jlo, jhi = jlo + col_lo, jlo + col_hi
-        I = I[r_lo : r_hi + 1]
-        J = J[:, col_lo : col_hi + 1]
-        K = d - I - J
-        valid = valid[r_lo : r_hi + 1, col_lo : col_hi + 1]
-
-    r0, r1 = row_lo + 1, row_hi + 2
-    c0, c1 = jlo + 1, jhi + 2
-    p1_00 = P1[r0:r1, c0:c1]
-    p1_10 = P1[r0 - 1 : r1 - 1, c0:c1]
-    p1_01 = P1[r0:r1, c0 - 1 : c1 - 1]
-    p2_11 = P2[r0 - 1 : r1 - 1, c0 - 1 : c1 - 1]
-    p2_10 = P2[r0 - 1 : r1 - 1, c0:c1]
-    p2_01 = P2[r0:r1, c0 - 1 : c1 - 1]
-    p3_11 = P3[r0 - 1 : r1 - 1, c0 - 1 : c1 - 1]
-
-    Ic = np.clip(I - 1, 0, max(n1 - 1, 0))
-    Jc = np.clip(J - 1, 0, max(n2 - 1, 0))
-    Kc = np.clip(K - 1, 0, max(n3 - 1, 0))
-    if n1 and n2:
-        g_ab = sab[Ic, Jc]
-    else:
-        g_ab = np.zeros(K.shape)
-    if n1 and n3:
-        g_ac = sac[Ic, Kc]
-    else:
-        g_ac = np.zeros(K.shape)
-    if n2 and n3:
-        g_bc = sbc[Jc, Kc]
-    else:
-        g_bc = np.zeros(K.shape)
-
-    cand = np.empty((7,) + K.shape, dtype=np.float64)
-    cand[0] = p1_10 + g2  # move 1: A
-    cand[1] = p1_01 + g2  # move 2: B
-    cand[2] = p2_11 + g_ab + g2  # move 3: AB
-    cand[3] = p1_00 + g2  # move 4: C
-    cand[4] = p2_10 + g_ac + g2  # move 5: AC
-    cand[5] = p2_01 + g_bc + g2  # move 6: BC
-    cand[6] = p3_11 + g_ab + g_ac + g_bc  # move 7: ABC
-
-    best = cand.max(axis=0)
-    np.copyto(best, NEG, where=~valid)
-    out[r0:r1, c0:c1] = best
-
-    if move_cube is not None:
-        moves = (cand.argmax(axis=0) + 1).astype(np.int8)
-        ii, jj = np.nonzero(valid)
-        move_cube[row_lo + ii, jlo + jj, K[ii, jj]] = moves[ii, jj]
-
-    return int(valid.sum())
 
 
 def _tube_row_ranges(
@@ -590,13 +519,19 @@ def _tube_row_ranges(
 
 @dataclass
 class WavefrontResult:
-    """Output of a wavefront sweep."""
+    """Output of a wavefront sweep.
+
+    ``end_cell`` is where ``score`` was read: the terminal corner for a
+    global sweep, the best answer-region cell otherwise.
+    ``captured_slab`` maps each captured ``i`` level to its slab.
+    """
 
     score: float
     move_cube: np.ndarray | None
     cells_computed: int
-    captured_slab: np.ndarray | None
+    captured_slab: dict[int, np.ndarray]
     planes_swept: int
+    end_cell: tuple[int, int, int]
 
 
 def wavefront_sweep(
@@ -606,9 +541,10 @@ def wavefront_sweep(
     scheme: ScoringScheme,
     score_only: bool = False,
     mask: np.ndarray | None = None,
-    capture_level: int | None = None,
+    capture_levels: Iterable[int] = (),
     workspace: PlaneWorkspace | None = None,
     tube: PruningTube | None = None,
+    mode: str = "global",
 ) -> WavefrontResult:
     """Run the full wavefront sweep.
 
@@ -621,16 +557,20 @@ def wavefront_sweep(
     tube:
         Optional O(n^2) :class:`~repro.core.tube.PruningTube` keep-region
         (the production pruning path); mutually exclusive with ``mask``.
-    capture_level:
-        When given, collect the full slab ``F[capture_level, j, k]`` during
-        the sweep (used by the Hirschberg divide-and-conquer, which needs
-        forward scores on one ``i`` level but not the whole cube).
+    capture_levels:
+        ``i`` levels whose full slab ``F[level, j, k]`` is collected
+        during the sweep (Hirschberg needs one level, the co-optimal
+        counter all of them).
     workspace:
         Optional :class:`~repro.core.workspace.PlaneWorkspace` to source
         the plane buffers and kernel scratch from. Sequential sweeps
         through one workspace (Hirschberg recursion, the persistent
         pool's job loop) skip all steady-state allocation. Not
         thread-safe: never share one across concurrent sweeps.
+    mode:
+        ``"global"``, ``"semiglobal"`` or ``"local"`` (see the module
+        docstring). The Carrillo–Lipman bounds behind ``mask`` and
+        ``tube`` are global-only.
     """
     check_sequences((sa, sb, sc), count=3)
     if scheme.is_affine:
@@ -638,17 +578,20 @@ def wavefront_sweep(
             "wavefront_sweep implements the linear gap model; "
             "use repro.core.affine for affine gaps"
         )
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; available: {MODES}")
     n1, n2, n3 = len(sa), len(sb), len(sc)
+    if mode != "global" and (mask is not None or tube is not None):
+        raise ValueError(f"mask/tube pruning is global-only, not {mode!r}")
     if mask is not None and tube is not None:
         raise ValueError("mask and tube are mutually exclusive")
     if mask is not None and mask.shape != (n1 + 1, n2 + 1, n3 + 1):
         raise ValueError(f"mask shape {mask.shape} does not match cube")
     if tube is not None and tube.shape != (n1 + 1, n2 + 1, n3 + 1):
         raise ValueError(f"tube shape {tube.shape} does not match cube")
-    if capture_level is not None and not 0 <= capture_level <= n1:
-        raise ValueError(
-            f"capture_level must be in [0, {n1}], got {capture_level}"
-        )
+    levels = sorted({int(v) for v in capture_levels})
+    if levels and not 0 <= levels[0] <= levels[-1] <= n1:
+        raise ValueError(f"capture level outside [0, {n1}]: {levels}")
     sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
     g2 = 2.0 * scheme.gap
     dims = (n1, n2, n3)
@@ -664,12 +607,10 @@ def wavefront_sweep(
         if score_only
         else np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
     )
-    # The captured slab is part of the *result* (Hirschberg holds the
-    # forward slab across the backward sweep), so it must be a fresh
-    # allocation, never a workspace view the next sweep would clobber.
-    slab = (
-        np.full((n2 + 1, n3 + 1), NEG) if capture_level is not None else None
-    )
+    # Captured slabs are part of the *result* (Hirschberg holds the
+    # forward slab across the backward sweep), so they must be fresh
+    # allocations, never workspace views the next sweep would clobber.
+    slabs = {lvl: np.full((n2 + 1, n3 + 1), NEG) for lvl in levels}
 
     observing = _obs.active()
     t_sweep = time.perf_counter() if observing else 0.0
@@ -678,9 +619,10 @@ def wavefront_sweep(
         plane_dur_log: list[float] = []
     cells = 0
     dmax = n1 + n2 + n3
+    best, end = -np.inf, dims
     row_lo_by_d, row_hi_by_d = (
         _tube_row_ranges(tube, dmax)
-        if tube is not None and capture_level is None
+        if tube is not None and not levels
         else (None, None)
     )
     for d in range(dmax + 1):
@@ -703,49 +645,93 @@ def wavefront_sweep(
             mask=mask,
             ws=ws,
             tube=tube,
+            mode=mode,
         )
         if observing:
             plane_cell_log.append(plane_cells)
             plane_dur_log.append(time.perf_counter() - t0)
         cells += plane_cells
-        if slab is not None:
-            _capture_row(out, d, capture_level, n2, n3, slab)
+        if mode != "global":
+            # Strict improvement keeps the first best cell in (d, i, j)
+            # order. With an empty sequence the origin lies on an upper
+            # face, so a zero-column semiglobal overlap scores 0.
+            val, (i, j) = _plane_answer(out, d, dims, mode)
+            if val > best:
+                best, end = val, (i, j, d - i - j)
+        for lvl in levels:
+            t = d - lvl  # row ``lvl`` of plane d holds slab cells j + k == t
+            if 0 <= t <= n2 + n3:
+                _antidiagonal(slabs[lvl], t)[...] = out[
+                    lvl + 1, max(0, t - n3) + 1 : min(n2, t) + 2
+                ]
 
     if observing:
-        _obs.record_planes("wavefront", plane_cell_log, plane_dur_log)
+        engine = "wavefront" if mode == "global" else mode
+        _obs.record_planes(engine, plane_cell_log, plane_dur_log)
         _obs.record_sweep(
-            "wavefront",
+            engine,
             cells=cells,
             seconds=time.perf_counter() - t_sweep,
             peak_plane_bytes=sum(p.nbytes for p in planes),
             move_cube_bytes=0 if move_cube is None else move_cube.nbytes,
         )
-    score = float(planes[dmax % 4][n1 + 1, n2 + 1])
+    if mode == "global":
+        best = planes[dmax % 4][n1 + 1, n2 + 1]
     return WavefrontResult(
-        score=score,
+        score=float(best),
         move_cube=move_cube,
         cells_computed=cells,
-        captured_slab=slab,
+        captured_slab=slabs,
         planes_swept=dmax + 1,
+        end_cell=end,
     )
 
 
-def _capture_row(
+def _antidiagonal(a: np.ndarray, s: int) -> np.ndarray:
+    """Writable view of the cells ``a[r, c]`` with ``r + c == s``, by row."""
+    view = a[:, ::-1].diagonal(a.shape[1] - 1 - s)
+    view.flags.writeable = True
+    return view
+
+
+def _plane_answer(
     plane: np.ndarray,
     d: int,
-    level: int,
-    n2: int,
-    n3: int,
-    slab: np.ndarray,
-) -> None:
-    """Copy the ``i == level`` row of plane ``d`` into ``slab[j, k]``."""
-    jlo = max(0, d - level - n3)
-    jhi = min(n2, d - level)
-    if jlo > jhi:
-        return
-    js = np.arange(jlo, jhi + 1)
-    ks = d - level - js
-    slab[js, ks] = plane[level + 1, jlo + 1 : jhi + 2]
+    dims: tuple[int, int, int],
+    mode: str,
+) -> tuple[float, tuple[int, int]]:
+    """Best answer-region value on plane ``d`` and its first ``(i, j)``.
+
+    Local reads the whole plane box, semiglobal the cells on its
+    ``i=n1``, ``j=n2`` and ``k=n3`` faces (``-inf`` when the plane has
+    none); invalid box cells hold NEG and never win.
+    """
+    n1, n2, n3 = dims
+    ilo, ihi, jlo, jhi = plane_bounds(d, n1, n2, n3)
+    box = plane[ilo + 1 : ihi + 2, jlo + 1 : jhi + 2]
+    if mode == "local":
+        r, c = divmod(int(box.argmax()), jhi - jlo + 1)
+        return float(box[r, c]), (ilo + r, jlo + c)
+    # Each face's first best cell as (-value, i, j); min() then picks the
+    # best value and, among ties, the first (i, j).
+    cands = []
+    if ihi == n1:
+        t = int(box[-1].argmax())
+        cands.append((-box[-1, t], n1, jlo + t))
+    if jhi == n2:
+        t = int(box[:, -1].argmax())
+        cands.append((-box[t, -1], ilo + t, n2))
+    # k = n3 cells: r + c == s in box coordinates, starting in row 0
+    # (the box's first row always holds one when the plane has any).
+    s = d - n3 - ilo - jlo
+    if s >= 0:
+        diag = _antidiagonal(box, s)
+        t = int(diag.argmax())
+        cands.append((-diag[t], ilo + t, jlo + s - t))
+    if not cands:
+        return -np.inf, (0, 0)
+    neg, i, j = min(cands)
+    return float(-neg), (i, j)
 
 
 def align3_wavefront(

@@ -20,8 +20,7 @@ plane — rivals the arithmetic itself.
   tables (``tab_ab``/``tab_ac``/``tab_bc``, so the AB term becomes a
   plain view and the AC/BC terms one fused flat ``take``), the
   ``i + j`` grid (``K`` in a single subtract) and flat-offset rows for
-  the mask/table gathers,
-* the rolling-slab engine's **slab buffers** (``repro.core.rolling``).
+  the mask/table gathers.
 
 Buffers are sized to the largest shape seen so far and sliced down to
 views per sweep, so *changing cube shapes can safely share one
@@ -51,7 +50,7 @@ from repro.core.dp3d import NEG
 
 
 class PlaneWorkspace:
-    """Grow-only preallocated buffers for wavefront/slab sweeps.
+    """Grow-only preallocated buffers for wavefront sweeps.
 
     Parameters
     ----------
@@ -76,7 +75,6 @@ class PlaneWorkspace:
         self._c1 = self._c2 = self._c3 = -1
         self.grows = -1  # the constructor's reserve() is not a "grow"
         self._planes: list[np.ndarray] | None = None
-        self._slabs: list[np.ndarray] | None = None
         self.reserve(c1, c2, c3)
 
     # ------------------------------------------------------------------
@@ -105,6 +103,7 @@ class PlaneWorkspace:
         self.idx = np.empty(shape, dtype=np.intp)
         self.valid = np.empty(shape, dtype=bool)
         self.tmp = np.empty(shape, dtype=bool)
+        self.face = np.empty(shape, dtype=bool)  # semiglobal restart faces
         self.cand = np.empty(shape)
         self.moves = np.empty(shape, dtype=np.int8)
         # Fused-gather scratch: AC/BC indices and values live stacked in
@@ -133,10 +132,9 @@ class PlaneWorkspace:
         self._psac: np.ndarray | None = None
         self._psbc: np.ndarray | None = None
         self._pdims: tuple[int, int, int] | None = None
-        # Plane/slab buffers are lazy; a grow invalidates any existing
-        # (now too small) ones.
+        # Plane buffers are lazy; a grow invalidates any existing (now
+        # too small) ones.
         self._planes = None
-        self._slabs = None
         return self
 
     @property
@@ -292,30 +290,3 @@ class PlaneWorkspace:
         for v in views:
             v.fill(NEG)
         return views
-
-    # ------------------------------------------------------------------
-    # Slab buffers (rolling engine)
-    # ------------------------------------------------------------------
-
-    def slab_buffers(
-        self, n2: int, n3: int
-    ) -> tuple[np.ndarray, ...]:
-        """Buffers for one :func:`repro.core.rolling.slab_sweep`:
-        ``(prev, cur, base, env_ab, env_ac, env_bc, tmp)``.
-
-        ``prev``/``cur`` are NEG-filled padded ``(n2+2, n3+2)`` views;
-        the rest are uninitialised ``(n2+1, n3+1)`` views the sweep
-        fully (re)writes before reading.
-        """
-        self.reserve(0, n2, n3)
-        if self._slabs is None:
-            c2, c3 = self._c2, self._c3
-            self._slabs = [np.empty((c2 + 2, c3 + 2)) for _ in range(2)] + [
-                np.empty((c2 + 1, c3 + 1)) for _ in range(5)
-            ]
-        prev = self._slabs[0][: n2 + 2, : n3 + 2]
-        cur = self._slabs[1][: n2 + 2, : n3 + 2]
-        prev.fill(NEG)
-        cur.fill(NEG)
-        rest = tuple(b[: n2 + 1, : n3 + 1] for b in self._slabs[2:])
-        return (prev, cur) + rest

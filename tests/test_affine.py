@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.affine import (
-    affine_reference,
     affine_sweep,
     align3_affine,
     score3_affine,
 )
 from repro.core.dp3d import score3_dp3d
 from repro.seqio.generate import random_sequence
+from tests.reference.affine import affine_reference
 
 
 class TestAgainstScalarReference:

@@ -119,6 +119,7 @@ class TestPermutationEquivalence:
             )
 
 
+
 class TestEncoding:
     def test_jsonable_canonicalises(self):
         import numpy as np
@@ -360,3 +361,15 @@ class TestHitBitIdentity:
         assert hit2.rows == cold.rows
         assert hit2.score == cold.score
         assert comparable_meta(hit2.meta) == comparable_meta(cold.meta)
+
+    def test_exact_class_shares_rows_across_engines(self, dna_scheme):
+        # dp3d and wavefront share the "exact" key class, so a dp3d result
+        # served to a wavefront request must be what wavefront computes.
+        triple = ("AGTC", "TGTAC", "ACG")
+        cache = ResultCache()
+        stored = align3(*triple, dna_scheme, method="dp3d", cache=cache)
+        hit = align3(*triple, dna_scheme, method="wavefront", cache=cache)
+        assert hit.meta["cache"]["hit"]
+        fresh = align3(*triple, dna_scheme, method="wavefront")
+        assert hit.rows == stored.rows == fresh.rows
+        assert hit.score == fresh.score

@@ -106,5 +106,17 @@ class TestAlignment:
         with pytest.raises(RuntimeError, match="unreachable"):
             align3_dp3d("AC", "AG", "AT", dna_scheme, mask=mask)
 
+    @pytest.mark.parametrize(
+        "triple", [("AGTC", "TGTAC", "ACG"), ("GCCTATG", "ATACG", "GACCT")]
+    )
+    def test_ties_break_like_the_wavefront(self, triple, dna_scheme):
+        # An AB/C tie: visiting move C before AB once made dp3d return a
+        # different co-optimal alignment than every vectorised engine.
+        from repro.core.wavefront import align3_wavefront
+
+        ref = align3_wavefront(*triple, dna_scheme)
+        aln = align3_dp3d(*triple, dna_scheme)
+        assert (aln.rows, aln.score) == (ref.rows, ref.score)
+
     def test_neg_sentinel_is_very_negative(self):
         assert NEG < -1e20

@@ -25,11 +25,8 @@ class TestOptimality:
         assert aln.score == pytest.approx(expected)
         assert aln.meta["slab_sweeps"] >= 2
 
-    @pytest.mark.parametrize("engine", ["wavefront", "slab"])
-    def test_both_slab_backends(self, engine, family_small, dna_scheme):
-        aln = align3_hirschberg(
-            *family_small, dna_scheme, base_cells=100, engine=engine
-        )
+    def test_small_base_cells_recursion(self, family_small, dna_scheme):
+        aln = align3_hirschberg(*family_small, dna_scheme, base_cells=100)
         assert aln.score == pytest.approx(score3_dp3d(*family_small, dna_scheme))
 
     def test_unbalanced_lengths(self, dna_scheme):

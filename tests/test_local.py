@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.dp3d import score3_dp3d
-from repro.core.local import (
-    align3_local,
-    local_dp3d_matrix,
-    local_sweep,
-    score3_local,
-)
+from repro.core.local import align3_local, score3_local
+from repro.core.wavefront import wavefront_sweep
 from repro.seqio.generate import random_sequence
+from tests.reference.modes import local_dp3d_matrix
 
 
 class TestEnginesAgree:
@@ -91,11 +88,13 @@ class TestAlignment:
         assert aln.score == 0.0
 
     def test_score_only_sweep(self, dna_scheme, family_small):
-        res = local_sweep(*family_small, dna_scheme, score_only=True)
+        res = wavefront_sweep(
+            *family_small, dna_scheme, score_only=True, mode="local"
+        )
         assert res.move_cube is None
         assert res.score == pytest.approx(score3_local(*family_small, dna_scheme))
 
     def test_end_cell_consistent(self, dna_scheme, family_small):
-        res = local_sweep(*family_small, dna_scheme)
+        res = wavefront_sweep(*family_small, dna_scheme, mode="local")
         D, _ = local_dp3d_matrix(*family_small, dna_scheme)
         assert D[res.end_cell] == pytest.approx(res.score)

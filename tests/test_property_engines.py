@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dp3d import score3_dp3d
 from repro.core.hirschberg import align3_hirschberg
-from repro.core.rolling import score3_slab
 from repro.core.scoring import default_scheme_for
 from repro.core.wavefront import align3_wavefront, score3_wavefront
 from repro.parallel.executor import WavefrontPool
@@ -42,7 +41,6 @@ def test_wavefront_matches_oracle(seqs):
 def test_all_engines_agree(pool, seqs):
     ref = score3_dp3d(*seqs, SCHEME)
     assert abs(score3_wavefront(*seqs, SCHEME) - ref) < 1e-9
-    assert abs(score3_slab(*seqs, SCHEME) - ref) < 1e-9
     assert abs(align3_hirschberg(*seqs, SCHEME, base_cells=30).score - ref) < 1e-9
     # The parallel executor: rows as well as scores, bit-identical.
     serial = align3_wavefront(*seqs, SCHEME)

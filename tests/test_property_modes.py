@@ -1,23 +1,97 @@
 """Property-based tests for the extension engines: local, semiglobal,
 banded, and the N-sequence MSA."""
 
+import math
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.band import align3_banded
 from repro.core.dp3d import score3_dp3d
 from repro.core.local import align3_local, score3_local
 from repro.core.scoring import default_scheme_for
 from repro.core.semiglobal import align3_semiglobal, score3_semiglobal
+from repro.core.types import moves_to_columns
+from repro.core.wavefront import wavefront_sweep
+from repro.core.workspace import PlaneWorkspace
 from repro.msa.progressive import align_msa
-from repro.seqio.alphabet import DNA
+from repro.seqio.alphabet import DNA, PROTEIN
+from tests.reference.modes import (
+    best_end_cell,
+    local_dp3d_matrix,
+    semiglobal_dp3d_matrix,
+    walk_back,
+)
 
 SCHEME = default_scheme_for(DNA)
+SCHEMES = {"dna": SCHEME, "protein": default_scheme_for(PROTEIN)}
+ORACLES = {"local": local_dp3d_matrix, "semiglobal": semiglobal_dp3d_matrix}
+LETTERS = {"dna": "ACGT", "protein": "ACDEFGHIKLMNPQRSTVWY"}
+#: One workspace shared by every example: stale scratch must never leak.
+SHARED_WS = PlaneWorkspace()
 
 dna_seq = st.text(alphabet="ACGT", min_size=0, max_size=9)
 triple = st.tuples(dna_seq, dna_seq, dna_seq)
 
 COMMON = dict(deadline=None, max_examples=30)
+
+
+@st.composite
+def scheme_triples(draw):
+    """``(alphabet, triple)``: up to 8 residues each, empty included."""
+    alphabet = draw(st.sampled_from(sorted(SCHEMES)))
+    seq = st.text(alphabet=LETTERS[alphabet], min_size=0, max_size=8)
+    return alphabet, draw(st.tuples(seq, seq, seq))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    case=scheme_triples(),
+    mode=st.sampled_from(["local", "semiglobal"]),
+    reuse=st.booleans(),
+)
+@example(case=("dna", ("", "", "")), mode="local", reuse=False)
+@example(case=("dna", ("", "", "")), mode="semiglobal", reuse=True)
+@example(case=("dna", ("A", "C", "G")), mode="local", reuse=True)
+@example(case=("protein", ("W", "", "W")), mode="semiglobal", reuse=False)
+@example(case=("dna", ("ACGT", "", "GG")), mode="semiglobal", reuse=True)
+def test_modes_match_scalar_oracle(case, mode, reuse):
+    """Score-only and traceback sweeps of both modes, with a fresh or a
+    reused workspace, and the alignments built on them reproduce the
+    scalar oracle bit for bit."""
+    alphabet, seqs = case
+    scheme = SCHEMES[alphabet]
+    ws = SHARED_WS if reuse else None
+    D, M = ORACLES[mode](*seqs, scheme)
+    score, end = best_end_cell(D, mode)
+    start, moves = walk_back(M, end)
+    subs = [s[a:b] for s, a, b in zip(seqs, start, end)]
+    core = tuple("".join(c) for c in zip(*moves_to_columns(moves, *subs)))
+    core = core or ("", "", "")
+
+    for score_only in (True, False):
+        sweep = wavefront_sweep(
+            *seqs, scheme, score_only=score_only, workspace=ws, mode=mode
+        )
+        assert (sweep.score, sweep.end_cell) == (score, end)
+    # Same tie rule, so the whole move cube matches, restarts included.
+    assert np.array_equal(sweep.move_cube, M)
+    if mode == "local":
+        aln = align3_local(*seqs, scheme)
+        assert aln.meta["spans"] == tuple(zip(start, end))
+        assert aln.meta["cells"] == math.prod(len(s) + 1 for s in seqs)
+        assert aln.rows == core
+        for row, seq, (a, b) in zip(aln.rows, seqs, aln.meta["spans"]):
+            assert row.replace("-", "") == seq[a:b]
+    else:
+        aln = align3_semiglobal(*seqs, scheme)
+        lo = sum(start)  # one end-gap column per unconsumed prefix residue
+        assert aln.meta["core"] == (lo, lo + len(moves))
+        assert (aln.meta["start"], aln.meta["end"]) == (start, end)
+        assert tuple(r[lo : lo + len(moves)] for r in aln.rows) == core
+        assert aln.sequences() == seqs
+    assert aln.score == score
+    assert abs(scheme.sp_score(core) - score) < 1e-9
 
 
 @settings(**COMMON)

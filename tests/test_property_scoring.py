@@ -4,10 +4,11 @@ engine's objective."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.affine import affine_reference, score3_affine
+from repro.core.affine import score3_affine
 from repro.core.scoring import default_scheme_for
 from repro.core.types import moves_to_columns
 from repro.seqio.alphabet import DNA
+from tests.reference.affine import affine_reference
 
 SCHEME = default_scheme_for(DNA)
 AFFINE = SCHEME.with_gaps(gap=-3.0, gap_open=-7.0)

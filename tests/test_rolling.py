@@ -1,66 +1,64 @@
-"""Unit tests for the slab (rolling) engine (repro.core.rolling)."""
+"""Unit tests for the forward/backward slabs (repro.core.rolling) and the
+wavefront sweep's ``i``-level capture behind them."""
 
 import numpy as np
 import pytest
 
 from repro.core.dp3d import dp3d_matrix, score3_dp3d
-from repro.core.rolling import (
-    backward_slab,
-    forward_slab,
-    score3_slab,
-    slab_sweep,
-)
+from repro.core.rolling import backward_slab, forward_slab
+from repro.core.wavefront import wavefront_sweep
 
 
 class TestScoreAgreement:
     def test_small_battery(self, small_triples, dna_scheme):
         for triple in small_triples:
-            assert score3_slab(*triple, dna_scheme) == pytest.approx(
-                score3_dp3d(*triple, dna_scheme)
-            ), triple
+            D, _ = dp3d_matrix(*triple, dna_scheme)
+            n1 = len(triple[0])
+            for level in {0, n1 // 2, n1}:
+                fwd = forward_slab(*triple, dna_scheme, level)
+                assert np.array_equal(fwd, D[level]), (triple, level)
 
     def test_medium_family(self, family_medium, dna_scheme):
         from repro.core.wavefront import score3_wavefront
 
-        assert score3_slab(*family_medium, dna_scheme) == pytest.approx(
-            score3_wavefront(*family_medium, dna_scheme)
-        )
+        n1 = len(family_medium[0])
+        fwd = forward_slab(*family_medium, dna_scheme, n1)
+        assert fwd[-1, -1] == score3_wavefront(*family_medium, dna_scheme)
 
     def test_affine_rejected(self, dna_scheme):
         with pytest.raises(ValueError, match="linear"):
-            slab_sweep("A", "A", "A", dna_scheme.with_gaps(gap=-1, gap_open=-1))
+            forward_slab(
+                "A", "A", "A", dna_scheme.with_gaps(gap=-1, gap_open=-1), 0
+            )
 
 
 class TestSlabCapture:
     def test_captured_slabs_match_reference_cube(self, dna_scheme):
         sa, sb, sc = "GATT", "GT", "GAT"
         D_ref, _ = dp3d_matrix(sa, sb, sc, dna_scheme)
-        res = slab_sweep(sa, sb, sc, dna_scheme, want_levels=range(len(sa) + 1))
-        assert set(res.slabs) == set(range(len(sa) + 1))
-        for level, slab in res.slabs.items():
-            np.testing.assert_allclose(slab, D_ref[level], atol=1e-9)
+        res = wavefront_sweep(
+            sa, sb, sc, dna_scheme, capture_levels=range(len(sa) + 1)
+        )
+        assert set(res.captured_slab) == set(range(len(sa) + 1))
+        for level, slab in res.captured_slab.items():
+            assert np.array_equal(slab, D_ref[level]), level
 
     def test_capture_level_validated(self, dna_scheme):
         with pytest.raises(ValueError, match="capture level"):
-            slab_sweep("AC", "A", "A", dna_scheme, want_levels=(9,))
+            wavefront_sweep("AC", "A", "A", dna_scheme, capture_levels=(9,))
 
     def test_cells_computed(self, dna_scheme):
-        res = slab_sweep("ACG", "AC", "A", dna_scheme)
+        res = wavefront_sweep("ACG", "AC", "A", dna_scheme, capture_levels=(1,))
         assert res.cells_computed == 4 * 3 * 2
 
 
 class TestForwardBackwardSlabs:
-    @pytest.mark.parametrize("engine", ["wavefront", "slab"])
-    def test_engines_agree(self, engine, dna_scheme, family_small):
+    def test_forward_slab_matches_reference_cube(self, dna_scheme, family_small):
         sa, sb, sc = family_small
-        mid = len(sa) // 2
-        ref = forward_slab(sa, sb, sc, dna_scheme, mid, engine="slab")
-        got = forward_slab(sa, sb, sc, dna_scheme, mid, engine=engine)
-        np.testing.assert_allclose(got, ref, atol=1e-9)
-
-    def test_unknown_engine(self, dna_scheme):
-        with pytest.raises(ValueError, match="unknown engine"):
-            forward_slab("A", "A", "A", dna_scheme, 0, engine="bogus")
+        D, _ = dp3d_matrix(sa, sb, sc, dna_scheme)
+        for level in (0, len(sa) // 2, len(sa)):
+            fwd = forward_slab(sa, sb, sc, dna_scheme, level)
+            assert np.array_equal(fwd, D[level]), level
 
     def test_forward_plus_backward_attains_optimum(
         self, dna_scheme, family_small

@@ -5,21 +5,16 @@ import pytest
 
 from repro.core.dp3d import score3_dp3d
 from repro.core.local import score3_local
-from repro.core.semiglobal import (
-    _best_end_cell,
-    align3_semiglobal,
-    score3_semiglobal,
-    semiglobal_dp3d_matrix,
-)
+from repro.core.semiglobal import align3_semiglobal, score3_semiglobal
 from repro.seqio.generate import random_sequence
+from tests.reference.modes import best_end_cell, semiglobal_dp3d_matrix
 
 
 class TestEnginesAgree:
     def test_small_battery(self, small_triples, dna_scheme):
         for triple in small_triples:
             D, _ = semiglobal_dp3d_matrix(*triple, dna_scheme)
-            n1, n2, n3 = (len(s) for s in triple)
-            ref, _cell = _best_end_cell(D, n1, n2, n3)
+            ref, _cell = best_end_cell(D, "semiglobal")
             got = score3_semiglobal(*triple, dna_scheme)
             assert got == pytest.approx(ref), triple
 
@@ -31,7 +26,7 @@ class TestEnginesAgree:
                 for t, n in enumerate(rng.integers(4, 18, size=3))
             ]
             D, _ = semiglobal_dp3d_matrix(*seqs, dna_scheme)
-            ref, _ = _best_end_cell(D, *(len(s) for s in seqs))
+            ref, _ = best_end_cell(D, "semiglobal")
             assert score3_semiglobal(*seqs, dna_scheme) == pytest.approx(ref)
 
 

@@ -8,20 +8,22 @@ that argument has the least slack, so every engine is pinned against the
 scalar reference on a battery of adversarial shapes.
 """
 
+import numpy as np
 import pytest
 
-from repro.core.dp3d import score3_dp3d
+from repro.core.dp3d import dp3d_matrix, score3_dp3d
 from repro.core.hirschberg import align3_hirschberg
-from repro.core.local import local_dp3d_matrix, score3_local
-from repro.core.rolling import score3_slab
-from repro.core.semiglobal import (
-    _best_end_cell,
-    score3_semiglobal,
-    semiglobal_dp3d_matrix,
-)
+from repro.core.local import score3_local
+from repro.core.rolling import forward_slab
+from repro.core.semiglobal import score3_semiglobal
 from repro.core.wavefront import score3_wavefront
 from repro.parallel.blocks import score3_blocks
 from repro.seqio.generate import random_sequence
+from tests.reference.modes import (
+    best_end_cell,
+    local_dp3d_matrix,
+    semiglobal_dp3d_matrix,
+)
 
 SHAPES = [
     (1, 40, 3),
@@ -49,9 +51,14 @@ def _seqs(shape, seed_base):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_global_engines_on_skewed_shapes(shape, dna_scheme):
     seqs = _seqs(shape, 3000)
-    ref = score3_dp3d(*seqs, dna_scheme)
+    D, _ = dp3d_matrix(*seqs, dna_scheme)
+    ref = float(D[tuple(len(s) for s in seqs)])
     assert score3_wavefront(*seqs, dna_scheme) == pytest.approx(ref)
-    assert score3_slab(*seqs, dna_scheme) == pytest.approx(ref)
+    # Hirschberg's slabs on the skewed cube, one i level at a time.
+    for level in {0, len(seqs[0]) // 2, len(seqs[0])}:
+        assert np.array_equal(
+            forward_slab(*seqs, dna_scheme, level), D[level]
+        ), level
     assert score3_blocks(*seqs, dna_scheme, workers=3) == pytest.approx(ref)
     assert align3_hirschberg(
         *seqs, dna_scheme, base_cells=50
@@ -69,7 +76,7 @@ def test_local_engine_on_skewed_shapes(shape, dna_scheme):
 def test_semiglobal_engine_on_skewed_shapes(shape, dna_scheme):
     seqs = _seqs(shape, 5000)
     D, _ = semiglobal_dp3d_matrix(*seqs, dna_scheme)
-    ref, _cell = _best_end_cell(D, *(len(s) for s in seqs))
+    ref, _cell = best_end_cell(D, "semiglobal")
     assert score3_semiglobal(*seqs, dna_scheme) == pytest.approx(ref)
 
 
@@ -81,4 +88,4 @@ def test_extremely_long_thin_cube(dna_scheme):
     sc = random_sequence(5, seed=6002)
     ref = score3_dp3d(sa, sb, sc, dna_scheme)
     assert score3_wavefront(sa, sb, sc, dna_scheme) == pytest.approx(ref)
-    assert score3_slab(sa, sb, sc, dna_scheme) == pytest.approx(ref)
+    assert forward_slab(sa, sb, sc, dna_scheme, 300)[4, 5] == ref

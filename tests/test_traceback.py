@@ -46,6 +46,15 @@ class TestTracebackMoves:
         with pytest.raises(RuntimeError, match="broken"):
             traceback_moves(M, start=(1, 1, 0))
 
+    def test_restart_ends_the_walk(self):
+        # Chain 7, 3, 4 with the first move erased: (1,1,1) is a restart
+        # cell, a hole for a global walk.
+        M = _cube_for_moves([7, 3, 4], (2, 2, 2))
+        M[1, 1, 1] = 0
+        assert traceback_moves(M, restart=True) == [3, 4]
+        with pytest.raises(RuntimeError, match="broken"):
+            traceback_moves(M)
+
     def test_invalid_move_value_detected(self):
         M = np.zeros((2, 1, 1), dtype=np.int8)
         M[1, 0, 0] = 9

@@ -66,19 +66,24 @@ class TestAgainstReference:
         )
 
     def test_move_cube_matches_reference(self, dna_scheme):
-        # Scores along the whole cube must agree cell-by-cell (the move
-        # cubes may differ on ties, but the value cube may not).
+        # Both engines visit moves 1..7 and keep the first of equals, so
+        # the move cubes agree cell-by-cell, ties included.
         sa, sb, sc = "GAT", "GTT", "AT"
-        D_ref, _ = dp3d_matrix(sa, sb, sc, dna_scheme)
+        D_ref, M_ref = dp3d_matrix(sa, sb, sc, dna_scheme)
         res = wavefront_sweep(sa, sb, sc, dna_scheme)
-        # Rebuild the value cube by replaying traceback-independent sweeps:
-        # cheapest cross-check is the terminal score plus per-cell spot
-        # checks via capture levels.
+        assert np.array_equal(res.move_cube, M_ref)
+        # Rebuild the value cube from one score-only sweep that captures
+        # every i level.
+        caps = wavefront_sweep(
+            sa,
+            sb,
+            sc,
+            dna_scheme,
+            score_only=True,
+            capture_levels=range(len(sa) + 1),
+        ).captured_slab
         for level in range(len(sa) + 1):
-            cap = wavefront_sweep(
-                sa, sb, sc, dna_scheme, score_only=True, capture_level=level
-            ).captured_slab
-            np.testing.assert_allclose(cap, D_ref[level], atol=1e-9)
+            np.testing.assert_allclose(caps[level], D_ref[level], atol=1e-9)
         assert res.score == pytest.approx(D_ref[len(sa), len(sb), len(sc)])
 
 
@@ -96,8 +101,8 @@ class TestSweepOptions:
         assert res.planes_swept == 3 + 2 + 1 + 1
 
     def test_capture_level_validated(self, dna_scheme):
-        with pytest.raises(ValueError, match="capture_level"):
-            wavefront_sweep("AC", "A", "A", dna_scheme, capture_level=5)
+        with pytest.raises(ValueError, match="capture level"):
+            wavefront_sweep("AC", "A", "A", dna_scheme, capture_levels=(5,))
 
     def test_affine_rejected(self, dna_scheme):
         with pytest.raises(ValueError, match="linear"):

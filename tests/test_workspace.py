@@ -7,23 +7,23 @@ the shared scratch. These tests hammer heterogeneous shapes — skewed
 cubes, empty sequences, masked/pruned sweeps — through a single
 workspace and assert every result is bit-identical to (a) a
 fresh-workspace run and (b) the frozen pre-workspace reference kernel
-:func:`repro.core.wavefront.compute_plane_rows_ref`.
+``compute_plane_rows_ref`` (``tests/reference/kernel.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.dp3d import NEG
+from repro.core.dp3d import NEG, dp3d_matrix
 from repro.core.hirschberg import align3_hirschberg
-from repro.core.rolling import backward_slab, forward_slab, slab_sweep
+from repro.core.rolling import backward_slab, forward_slab
 from repro.core.wavefront import (
     align3_wavefront,
     compute_plane_rows,
-    compute_plane_rows_ref,
     wavefront_sweep,
 )
 from repro.core.workspace import PlaneWorkspace
 from repro.parallel.executor import fork_available
+from tests.reference.kernel import compute_plane_rows_ref
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -225,6 +225,19 @@ class TestEngineReuse:
             assert np.array_equal(fresh.move_cube, reused.move_cube)
             assert fresh.cells_computed == reused.cells_computed
 
+    @pytest.mark.parametrize("mode", ["local", "semiglobal"])
+    def test_mode_sweep_reuse(self, dna_scheme, mode):
+        # The restart floor reads the face scratch; a stale mask from a
+        # bigger sweep must never leak into a smaller one.
+        rng = np.random.default_rng(61)
+        ws = PlaneWorkspace()
+        for shape in SHAPES + SHAPES[::-1]:
+            seqs = _random_triple(rng, shape)
+            fresh = wavefront_sweep(*seqs, dna_scheme, mode=mode)
+            reused = wavefront_sweep(*seqs, dna_scheme, mode=mode, workspace=ws)
+            assert (fresh.score, fresh.end_cell) == (reused.score, reused.end_cell)
+            assert np.array_equal(fresh.move_cube, reused.move_cube)
+
     def test_align3_wavefront_reuse(self, dna_scheme):
         rng = np.random.default_rng(31)
         ws = PlaneWorkspace()
@@ -256,47 +269,36 @@ class TestEngineReuse:
         ws = PlaneWorkspace()
         for shape in SHAPES:
             seqs = _random_triple(rng, shape)
-            fresh = slab_sweep(*seqs, dna_scheme, want_levels=(0, len(seqs[0])))
-            reused = slab_sweep(
-                *seqs, dna_scheme, want_levels=(0, len(seqs[0])), workspace=ws
-            )
-            assert fresh.score == reused.score
-            assert fresh.cells_computed == reused.cells_computed
-            for lvl, slab in fresh.slabs.items():
-                assert np.array_equal(slab, reused.slabs[lvl])
+            for level in {0, len(seqs[0])}:
+                for slab in (forward_slab, backward_slab):
+                    fresh = slab(*seqs, dna_scheme, level)
+                    reused = slab(*seqs, dna_scheme, level, workspace=ws)
+                    assert np.array_equal(fresh, reused), (shape, level)
 
     def test_slab_engine_slabs_bit_identical(self, dna_scheme):
+        # Slabs from a reused workspace equal the scalar cube's i levels.
         rng = np.random.default_rng(43)
         ws = PlaneWorkspace()
         for shape in [(7, 6, 5), (3, 9, 2), (1, 1, 8)]:
             seqs = _random_triple(rng, shape)
+            D, _ = dp3d_matrix(*seqs, dna_scheme)
             n1 = len(seqs[0])
             for level in {0, n1 // 2, n1}:
-                fresh = forward_slab(*seqs, dna_scheme, level, engine="slab")
-                reused = forward_slab(
-                    *seqs, dna_scheme, level, engine="slab", workspace=ws
-                )
-                assert np.array_equal(fresh, reused)
+                reused = forward_slab(*seqs, dna_scheme, level, workspace=ws)
+                assert np.array_equal(D[level], reused)
 
     def test_hirschberg_reuse(self, dna_scheme):
         rng = np.random.default_rng(47)
         ws = PlaneWorkspace()
         for shape in [(20, 16, 18), (6, 30, 4), (9, 9, 9)]:
             seqs = _random_triple(rng, shape)
-            for engine in ("wavefront", "slab"):
-                fresh = align3_hirschberg(
-                    *seqs, dna_scheme, base_cells=64, engine=engine
-                )
-                reused = align3_hirschberg(
-                    *seqs,
-                    dna_scheme,
-                    base_cells=64,
-                    engine=engine,
-                    workspace=ws,
-                )
-                assert fresh.rows == reused.rows
-                assert fresh.score == reused.score
-                assert fresh.meta == reused.meta
+            fresh = align3_hirschberg(*seqs, dna_scheme, base_cells=64)
+            reused = align3_hirschberg(
+                *seqs, dna_scheme, base_cells=64, workspace=ws
+            )
+            assert fresh.rows == reused.rows
+            assert fresh.score == reused.score
+            assert fresh.meta == reused.meta
 
     @needs_fork
     def test_pool_varied_job_shapes(self, dna_scheme):
