@@ -59,6 +59,7 @@ from repro.core.scoring import ScoringScheme
 from repro.core.types import Alignment3
 from repro.obs import hooks as _obs
 from repro.obs import trace as _trace
+from repro.seqio.alphabet import guess_common_alphabet
 from repro.util.validation import check_sequences
 
 #: *Resolved* methods the long-lived pool serves (its workers run the
@@ -274,6 +275,11 @@ class BatchScheduler:
                 )
             req = AlignmentRequest(seqs=seqs)  # type: ignore[arg-type]
         check_sequences(req.seqs, count=3)
+        if req.scheme is None:
+            # No default scheme fits a mixed triple. Rejecting it here,
+            # where every entry point normalises, keeps it out of a
+            # micro-batch whose other requests it would fail.
+            guess_common_alphabet(req.seqs)
         if req.mode not in MODES:
             raise ValueError(f"unknown mode {req.mode!r}; available: {MODES}")
         if req.method not in AVAILABLE_METHODS:

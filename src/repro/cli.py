@@ -560,13 +560,18 @@ def _scoring_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_scheme(args, seqs: Sequence[str]):
+    """The scheme ``--matrix``/``--gap``/``--gap-open`` ask for.
+
+    ``auto`` and ``unit`` guess the alphabet per sequence and raise
+    ``ValueError`` when the guesses disagree (a DNA + protein input).
+    """
     from repro.core import matrices as m
-    from repro.core.scoring import ScoringScheme, default_scheme_for
-    from repro.seqio.alphabet import DNA, PROTEIN, guess_alphabet
+    from repro.core.api import resolve_scheme
+    from repro.core.scoring import ScoringScheme
+    from repro.seqio.alphabet import DNA, PROTEIN, guess_common_alphabet
 
     if args.matrix == "auto":
-        alpha = guess_alphabet("".join(seqs) or "A")
-        scheme = default_scheme_for(alpha)
+        scheme = resolve_scheme(seqs)
     elif args.matrix == "blosum62":
         scheme = ScoringScheme(PROTEIN, m.blosum62(), gap=-8.0, name="blosum62")
     elif args.matrix == "pam250":
@@ -574,7 +579,7 @@ def _resolve_scheme(args, seqs: Sequence[str]):
     elif args.matrix == "dna":
         scheme = ScoringScheme(DNA, m.dna_simple(), gap=-6.0, name="dna5-4")
     else:
-        alpha = guess_alphabet("".join(seqs) or "A")
+        alpha = guess_common_alphabet(seqs)
         scheme = ScoringScheme(
             alpha, m.unit_matrix(alpha), gap=-1.0, name="unit"
         )
@@ -595,7 +600,11 @@ def _cmd_align(args) -> int:
         return 2
     names = [h for h, _ in records]
     seqs = [s for _h, s in records]
-    scheme = _resolve_scheme(args, seqs)
+    try:
+        scheme = _resolve_scheme(args, seqs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.mode != "global" and len(records) != 3:
         print(
@@ -696,12 +705,20 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    from functools import partial
+
     from repro.batch import BatchScheduler, read_requests
-    from repro.batch.scheduler import AlignmentRequest
     from repro.cache import ResultCache
 
+    scheme_for = None
+    if args.matrix != "auto" or args.gap is not None or args.gap_open:
+        scheme_for = partial(_resolve_scheme, args)
+
     try:
-        requests = read_requests(args.input, mode=args.mode, method=args.method)
+        requests = read_requests(
+            args.input, mode=args.mode, method=args.method,
+            scheme_for=scheme_for,
+        )
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
@@ -711,18 +728,6 @@ def _cmd_batch(args) -> int:
     if not requests:
         print("error: no requests in input", file=sys.stderr)
         return 2
-
-    scheme = None
-    if args.matrix != "auto" or args.gap is not None or args.gap_open:
-        seqs = [s for r in requests for s in r.seqs]
-        scheme = _resolve_scheme(args, seqs)
-        requests = [
-            AlignmentRequest(
-                seqs=r.seqs, scheme=scheme, mode=r.mode, method=r.method,
-                rid=r.rid, constraints=r.constraints,
-            )
-            for r in requests
-        ]
 
     cache = ResultCache(
         max_entries=args.max_entries, cache_dir=args.cache_dir
@@ -855,7 +860,11 @@ def _cmd_score(args) -> int:
 
     records = read_fasta(args.fasta)
     seqs = [s for _h, s in records]
-    scheme = _resolve_scheme(args, seqs)
+    try:
+        scheme = _resolve_scheme(args, seqs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if len(seqs) == 3:
         score = align3_score(*seqs, scheme)
     elif len(seqs) >= 2:
@@ -876,7 +885,11 @@ def _cmd_count(args) -> int:
         print("error: count requires exactly three sequences", file=sys.stderr)
         return 2
     seqs = [s for _h, s in records]
-    scheme = _resolve_scheme(args, seqs)
+    try:
+        scheme = _resolve_scheme(args, seqs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if scheme.is_affine:
         print("error: count supports the linear gap model", file=sys.stderr)
         return 2

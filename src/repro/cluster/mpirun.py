@@ -41,6 +41,7 @@ from repro.cluster.blockgrid import BlockGrid
 from repro.core.dp3d import NEG, fill_box
 from repro.core.scoring import ScoringScheme
 from repro.obs import hooks as _obs
+from repro.parallel.blockwave import reap
 from repro.parallel.executor import fork_available
 from repro.resilience import faults as _faults
 from repro.resilience.errors import FailureRecord, WorkerFailure
@@ -451,10 +452,4 @@ def run_distributed(
             per_rank_stats=per_rank_stats,
         )
     finally:
-        for w in workers.values():
-            if w.is_alive():
-                w.terminate()
-                w.join(timeout=5)
-                if w.is_alive():  # pragma: no cover
-                    w.kill()
-                    w.join(timeout=5)
+        reap(workers.values())

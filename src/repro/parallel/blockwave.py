@@ -34,7 +34,17 @@ every neighbour just keeps waiting on it, and the dispatcher
 ``done[w] + 1``. The window arithmetic guarantees planes
 ``resume-1 .. resume-3`` are still intact — the neighbours' own
 progress was gated on the dead worker's frozen counter — so replay
-needs no checkpoint and stays bit-identical.
+needs no checkpoint and stays bit-identical. A worker that died while
+idle is no special case: the job start resets its counter to ``-1``,
+so it is found by the same scan and respawned at plane 0.
+
+Every participant waits with the one loop here, :func:`wait_counter`,
+and differs only in what a stall means to it: a worker checks that its
+dispatcher is still there (:func:`exit_if_orphaned`), the supervising
+dispatcher scans for casualties (:meth:`CounterSupervisor.wait_for`),
+an unsupervised one just waits. :class:`SupervisionPolicy` holds the
+timeouts and the respawn cap; :func:`reap` is the one way a process
+is stopped.
 
 :class:`repro.parallel.executor.WavefrontPool` drives
 :func:`sweep_blocks` with shared-memory counters. Cross-process counter
@@ -44,10 +54,12 @@ writes they cover.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import time
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -55,11 +67,14 @@ from repro.obs import hooks as _obs
 from repro.core.wavefront import compute_plane_rows
 from repro.resilience import faults as _faults
 from repro.resilience.errors import FailureRecord, WorkerFailure
-from repro.resilience.supervise import SupervisionPolicy, _parent_alive
+from repro.util.validation import env_seconds
 
 #: Exit code of a worker whose dispatcher vanished (or that waited past
 #: ``policy.worker_timeout``): shared state can no longer be trusted.
 EXIT_ORPHANED = 111
+
+#: Environment knob scaling the dispatcher-side timeouts (seconds).
+ENV_TIMEOUT = "REPRO_SUPERVISE_TIMEOUT"
 
 #: Seconds of pure re-reads before a waiter starts sleeping. Kept tiny:
 #: on an oversubscribed host (CI often pins this repo to one core)
@@ -67,6 +82,40 @@ EXIT_ORPHANED = 111
 _SPIN_READS = 32
 _SLEEP_MIN = 0.00005
 _SLEEP_MAX = 0.002
+
+#: How often a worker stalled on a counter checks for its dispatcher.
+_ORPHAN_CHECK_S = 0.05
+
+
+@dataclass(frozen=True)
+class SupervisionPolicy:
+    """Timeouts and limits for one supervised pool."""
+
+    #: How long the dispatcher waits on a stalled counter before it
+    #: scans its workers; also the failure-detection latency.
+    scan_interval: float = 2.0
+    #: An *alive* worker silent this long is treated as wedged and killed.
+    straggler_grace: float = 6.0
+    #: Worker-side counter wait; only fires if the dispatcher is gone.
+    worker_timeout: float = 300.0
+    #: Respawns allowed per worker per job before the job fails hard.
+    max_respawns: int = 3
+
+    @staticmethod
+    def from_env(environ=None) -> "SupervisionPolicy":
+        """The default policy, or ``scan_interval = t`` and
+        ``straggler_grace = 3t`` when ``REPRO_SUPERVISE_TIMEOUT=t``
+        (floored at 0.05 s; a value that is not a finite number warns
+        and keeps the default)."""
+        t = env_seconds(
+            ENV_TIMEOUT, SupervisionPolicy.scan_interval, 0.05, environ
+        )
+        return SupervisionPolicy(scan_interval=t, straggler_grace=3 * t)
+
+
+def _parent_alive() -> bool:
+    parent = mp.parent_process()
+    return parent is None or parent.is_alive()
 
 
 class BlockProgress:
@@ -94,21 +143,19 @@ class BlockProgress:
         self._arr[self._base : self._base + self.workers] = -1
 
 
-def worker_counter_wait(
+def wait_counter(
     progress: BlockProgress,
     w: int,
     target: int,
-    policy: SupervisionPolicy | None,
+    on_stall: Callable[[float], None] | None = None,
+    interval: float = _ORPHAN_CHECK_S,
 ) -> None:
-    """Worker-side wait until ``done[w] >= target``.
+    """Wait until ``done[w] >= target``.
 
-    Brief spin, then sleep with exponential backoff. A dead *neighbour*
-    is not this worker's problem — the dispatcher respawns it and the
-    counter resumes moving — but a dead *dispatcher* is: the worker
-    exits once orphaned, or with :data:`EXIT_ORPHANED` when the wait
-    outlasts ``policy.worker_timeout`` (shared state can no longer be
-    trusted). ``policy=None`` (unsupervised) waits patiently forever,
-    checking only for orphanhood.
+    Brief spin, then sleep with exponential backoff. While the counter
+    stalls, ``on_stall(seconds_waited)`` runs every ``interval``
+    seconds: the caller's hook for what a stall means to it. It may
+    return (keep waiting), raise, or exit the process.
     """
     if progress.done(w) >= target:
         return
@@ -116,24 +163,58 @@ def worker_counter_wait(
         if progress.done(w) >= target:
             return
     delay = _SLEEP_MIN
-    deadline = (
-        None
-        if policy is None
-        else time.perf_counter() + policy.worker_timeout
-    )
-    next_liveness = time.perf_counter() + 0.05
+    start = time.perf_counter()
+    next_check = start + interval
     while True:
         time.sleep(delay)
         if progress.done(w) >= target:
             return
         delay = min(delay * 2, _SLEEP_MAX)
-        now = time.perf_counter()
-        if now >= next_liveness:
-            next_liveness = now + 0.05
-            if not _parent_alive():
-                os._exit(EXIT_ORPHANED)
-            if deadline is not None and now > deadline:
-                os._exit(EXIT_ORPHANED)
+        if on_stall is not None:
+            now = time.perf_counter()
+            if now >= next_check:
+                on_stall(now - start)
+                next_check = time.perf_counter() + interval
+
+
+def exit_if_orphaned(
+    policy: SupervisionPolicy | None,
+) -> Callable[[float], None]:
+    """A worker's stall hook for :func:`wait_counter`.
+
+    A dead *neighbour* is not the worker's problem — the dispatcher
+    respawns it and the counter resumes moving — but a dead
+    *dispatcher* is: the worker exits with :data:`EXIT_ORPHANED` once
+    orphaned, or when one wait outlasts ``policy.worker_timeout``
+    (shared state can no longer be trusted). ``policy=None`` waits
+    patiently forever, checking only for orphanhood — the unsupervised
+    pool's counter waits, and every pool worker's idle wait.
+    """
+    limit = math.inf if policy is None else policy.worker_timeout
+
+    def check(waited: float) -> None:
+        if waited > limit or not _parent_alive():
+            os._exit(EXIT_ORPHANED)
+
+    return check
+
+
+def reap(procs: Iterable[mp.Process], grace: float = 0.0) -> None:
+    """Stop ``procs``: allow them ``grace`` seconds to exit on their
+    own, then terminate, then kill what still runs. Every started
+    process is joined, so none is left as a zombie."""
+    procs = [proc for proc in procs if proc.pid is not None]
+    deadline = time.perf_counter() + grace
+    for proc in procs:
+        proc.join(timeout=max(0.0, deadline - time.perf_counter()))
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+    for proc in procs:
+        proc.join(timeout=5)
+        if proc.is_alive():  # pragma: no cover
+            proc.kill()
+            proc.join(timeout=5)
 
 
 class CounterSupervisor:
@@ -175,34 +256,21 @@ class CounterSupervisor:
 
     def wait_for(self, w: int, target: int) -> None:
         """Wait until ``done[w] >= target``, scanning for casualties
-        every ``barrier_timeout`` while stalled. Never hangs: either the
+        every ``scan_interval`` while stalled. Never hangs: either the
         counter advances (possibly via a respawned replacement) or the
         respawn cap turns the stall into :class:`WorkerFailure`."""
-        if self.progress.done(w) >= target:
-            return
-        for _ in range(_SPIN_READS):
-            if self.progress.done(w) >= target:
-                return
-        delay = _SLEEP_MIN
-        next_scan = time.perf_counter() + self.policy.barrier_timeout
-        while True:
-            time.sleep(delay)
-            if self.progress.done(w) >= target:
-                return
-            delay = min(delay * 2, _SLEEP_MAX)
-            if time.perf_counter() >= next_scan:
-                self.scan()
-                next_scan = time.perf_counter() + self.policy.barrier_timeout
+        wait_counter(
+            self.progress,
+            w,
+            target,
+            lambda _waited: self.scan(),
+            self.policy.scan_interval,
+        )
 
-    def wait_all(self, target: int | None = None) -> None:
-        """Wait until every worker's counter reaches ``target``
-        (default: the final plane) — the job-completion rendezvous."""
-        goal = self.dmax if target is None else target
-        for w in sorted(self.procs):
-            self.wait_for(w, goal)
-
-    def scan(self) -> bool:
-        """One detection round; returns True when a casualty was handled."""
+    def scan(self) -> None:
+        """One detection round: respawn every casualty, or raise
+        :class:`WorkerFailure` once a worker exceeds the respawn cap
+        (the caller then reaps the rest)."""
         casualties: list[tuple[int, mp.Process, str]] = []
         now = time.perf_counter()
         floor = min(
@@ -227,11 +295,7 @@ class CounterSupervisor:
                 # Alive, silent past grace, and the pipeline minimum —
                 # everyone above is legitimately waiting on *it*. Kill
                 # and replay; a mere waiter never matches ``== floor``.
-                proc.terminate()
-                proc.join(timeout=5)
-                if proc.is_alive():  # pragma: no cover
-                    proc.kill()
-                    proc.join(timeout=5)
+                reap([proc])
                 casualties.append(
                     (w, proc, f"straggler (silent {now - since:.1f}s), killed")
                 )
@@ -250,7 +314,6 @@ class CounterSupervisor:
             self.failures.append(record)
             _obs.record_failure(self.engine, w, resume, reason)
             if count > self.policy.max_respawns:
-                self.abort()
                 raise WorkerFailure(
                     f"{self.engine} worker {w} failed {count} times "
                     f"(max_respawns={self.policy.max_respawns})",
@@ -259,18 +322,6 @@ class CounterSupervisor:
             self.procs[w] = self.respawn(w, resume)
             self._seen.pop(w, None)
             _obs.record_recovery(self.engine, w, resume)
-        return bool(casualties)
-
-    def abort(self) -> None:
-        """Kill and reap every child (hard failure / forced shutdown)."""
-        for proc in self.procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self.procs.values():
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover
-                proc.kill()
-                proc.join(timeout=5)
 
 
 def sweep_blocks(
@@ -296,10 +347,11 @@ def sweep_blocks(
 
     ``planes`` is the ``W``-deep rotating plane window (``W = len(planes)``,
     sized by :func:`~repro.parallel.partition.plane_window`); ``wait_for``
-    is the engine's counter wait (worker- or dispatcher-flavoured). A
-    respawned replacement passes ``start_plane = done[w] + 1``, so a
-    replayed band recomputes exactly the planes its predecessor had not
-    published — block-granular replay without re-deriving anything.
+    is the caller's counter wait (:func:`wait_counter` with its stall
+    hook, or :meth:`CounterSupervisor.wait_for`). A respawned
+    replacement passes ``start_plane = done[w] + 1``, so a replayed band
+    recomputes exactly the planes its predecessor had not published —
+    block-granular replay without re-deriving anything.
 
     Returns the number of valid cells computed.
     """

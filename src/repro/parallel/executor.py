@@ -12,24 +12,30 @@ The pool allocates capacity-sized shared buffers once (a ``W``-deep
 rotating plane window, three profile-matrix buffers, a move cube and a
 small control block). Per job the main process writes the job descriptor
 (dims, gap, score-only flag) and the profile matrices, resets the planes
-and the progress counters, and everyone meets at the start barrier;
-workers then stream the block-tiled sweep (fixed row slab × plane bands,
-counter synchronisation — :mod:`repro.parallel.blockwave`) and return to
-the start barrier for the next job. Shutdown is a job with the shutdown
-flag set.
+and the progress counters, then moves the control block's *job epoch*
+on and rings one doorbell (a semaphore) per worker. An idle worker
+blocks on its doorbell; once woken it re-reads the epoch, and a new one
+starts the job. The epoch slot is the only truth: the doorbell only
+ends the blocking wait, so a stale or spurious ring costs one re-check.
+Workers then stream the block-tiled sweep (fixed row slab × plane
+bands, counter synchronisation — :mod:`repro.parallel.blockwave`) and
+go back to their doorbells. Shutdown is the same epoch move with the
+shutdown flag set.
 
 Workers whose id exceeds the job's slab count (more workers than rows)
-publish completion immediately and go straight back to the start
-barrier: they pay zero per-plane cost for that job.
+publish completion immediately and go straight back to their doorbell:
+they pay zero per-plane cost for that job.
 
 Supervision (default on) makes the pool survive worker failure: the
 control block carries one progress counter per worker, every counter
-wait has a timeout, and the dispatcher responds to a stall by respawning
+wait is bounded, and the dispatcher responds to a stall by respawning
 dead (or wedged) workers resuming at their published counter — block-
 granular replay (:class:`~repro.parallel.blockwave.CounterSupervisor`).
-The window arithmetic keeps the planes a replacement needs intact, so
-replay needs no checkpoint and the output stays bit-identical to the
-serial engine. See ``docs/robustness.md``.
+A worker that died while idle keeps the ``-1`` the next job start
+writes to its counter, so the same scan respawns it at plane 0. The window arithmetic keeps the
+planes a replacement needs intact, so replay needs no checkpoint and
+the output stays bit-identical to the serial engine. See
+``docs/robustness.md``.
 
 Determinism: every cell is computed once by the serial engine's kernel
 call on disjoint row slabs, so output is bit-identical to
@@ -39,7 +45,6 @@ call on disjoint row slabs, so output is bit-identical to
 from __future__ import annotations
 
 import multiprocessing as mp
-import threading
 import time
 from multiprocessing import shared_memory
 from typing import Any
@@ -56,8 +61,11 @@ from repro.core.workspace import PlaneWorkspace
 from repro.parallel.blockwave import (
     BlockProgress,
     CounterSupervisor,
+    SupervisionPolicy,
+    exit_if_orphaned,
+    reap,
     sweep_blocks,
-    worker_counter_wait,
+    wait_counter,
 )
 from repro.parallel.partition import (
     band_depth,
@@ -67,11 +75,6 @@ from repro.parallel.partition import (
 )
 from repro.resilience import faults as _faults
 from repro.resilience.errors import FailureRecord
-from repro.resilience.supervise import (
-    SupervisionPolicy,
-    Supervisor,
-    worker_idle_wait,
-)
 from repro.util.validation import check_positive, check_sequences
 
 #: Upper bound on the plane-band depth (planes streamed between
@@ -88,12 +91,17 @@ def fork_available() -> bool:
 # Control-block slots (float64 each). One progress counter per worker
 # (the blockwave ``done[w]`` protocol) sits at _CTRL_COUNTER_BASE.
 _CTRL_SHUTDOWN = 0
-_CTRL_N1 = 1
-_CTRL_N2 = 2
-_CTRL_N3 = 3
-_CTRL_G2 = 4
-_CTRL_SCORE_ONLY = 5
-_CTRL_COUNTER_BASE = 6
+_CTRL_EPOCH = 1
+_CTRL_N1 = 2
+_CTRL_N2 = 3
+_CTRL_N3 = 4
+_CTRL_G2 = 5
+_CTRL_SCORE_ONLY = 6
+_CTRL_COUNTER_BASE = 7
+
+#: How often a worker blocked on its doorbell checks for its dispatcher.
+#: Only an orphan check: job starts and shutdown ring the doorbell.
+_IDLE_CHECK_S = 1.0
 
 
 def _ctrl_slots(workers: int) -> int:
@@ -106,25 +114,40 @@ def _job_band(dmax: int, active: int) -> int:
     return min(BAND_CAP, band_depth(dmax, active, cap=BAND_CAP))
 
 
+def _await_epoch(ctrl: np.ndarray, doorbell, seen: int, on_idle) -> int:
+    """Block until the job epoch moves past ``seen``; return the new one.
+
+    No deadline — an idle pool is legitimately idle — but ``on_idle``
+    runs whenever :data:`_IDLE_CHECK_S` passes without a ring, so the
+    worker can exit once its dispatcher is gone."""
+    while int(ctrl[_CTRL_EPOCH]) == seen:
+        if not doorbell.acquire(timeout=_IDLE_CHECK_S):
+            on_idle(_IDLE_CHECK_S)
+    return int(ctrl[_CTRL_EPOCH])
+
+
 def _pool_worker(
     worker_id: int,
     workers: int,
     capacity: tuple[int, int, int],
     names: dict[str, str],
-    start_barrier,
+    doorbell,
     policy: SupervisionPolicy | None,
-    resume_plane: int | None = None,
-    faults_armed: bool = True,
+    epoch: int,
+    resume_plane: int | None,
 ) -> None:
-    """Worker main loop: wait for a job, stream its slab, repeat until
-    shutdown.
+    """Worker main loop: wait for a new job epoch, stream the job's slab,
+    repeat until shutdown.
 
-    A respawned replacement arrives with ``resume_plane`` set (skip the
-    job-start barrier, re-enter the current sweep at its predecessor's
-    published counter) and ``faults_armed=False`` (a replayed block must
-    not re-trigger the injected crash that killed its predecessor).
+    ``epoch`` is the last job epoch this process counts as seen: 0 for
+    a worker spawned with the pool, the current one for a replacement.
+    (Reading it at start-up instead could miss a job released between
+    the fork and the read.) A replacement arrives with ``resume_plane``
+    set: it re-enters the current sweep at its predecessor's published
+    counter, with fault injection disarmed (a replayed block must not
+    re-trigger the injected crash that killed its predecessor).
     """
-    if not faults_armed:
+    if resume_plane is not None:
         _faults.disarm_all()
     shms = {key: shared_memory.SharedMemory(name=name) for key, name in names.items()}
     try:
@@ -132,6 +155,8 @@ def _pool_worker(
             (_ctrl_slots(workers),), dtype=np.float64, buffer=shms["ctrl"].buf
         )
         progress = BlockProgress(ctrl, workers, base=_CTRL_COUNTER_BASE)
+        on_stall = exit_if_orphaned(policy)
+        on_idle = exit_if_orphaned(None)
         # One capacity-sized workspace per worker process, reused across
         # every job the pool ever runs — the persistent-pool analogue of
         # long-lived MPI rank buffers (zero steady-state allocation).
@@ -139,10 +164,7 @@ def _pool_worker(
         resume = resume_plane
         while True:
             if resume is None:
-                if policy is None:
-                    start_barrier.wait()
-                else:
-                    worker_idle_wait(start_barrier, policy)
+                epoch = _await_epoch(ctrl, doorbell, epoch, on_idle)
             if ctrl[_CTRL_SHUTDOWN]:
                 return
             n1 = int(ctrl[_CTRL_N1])
@@ -198,9 +220,7 @@ def _pool_worker(
                 move_cube,
                 ws,
                 progress,
-                lambda w, target: worker_counter_wait(
-                    progress, w, target, policy
-                ),
+                lambda w, target: wait_counter(progress, w, target, on_stall),
                 start_plane=0 if resume is None else resume,
                 record=resume is None,
             )
@@ -264,7 +284,6 @@ class WavefrontPool:
         self._failed = False
         self._shms: dict[str, shared_memory.SharedMemory] = {}
         self._procs: dict[int, mp.Process] = {}
-        self._start_supervisor: Supervisor | None = None
         self._failures: list[FailureRecord] = []
         if self._serial:
             return
@@ -289,26 +308,17 @@ class WavefrontPool:
         self._progress = BlockProgress(
             self._ctrl, workers, base=_CTRL_COUNTER_BASE
         )
-        self._start_barrier = self._ctx.Barrier(workers)
+        # A waiter killed inside acquire() leaves the semaphore's count
+        # intact, so a replacement worker reuses its predecessor's bell.
+        self._doorbells = {w: self._ctx.Semaphore(0) for w in range(1, workers)}
         self._names = {key: shm.name for key, shm in self._shms.items()}
         for w in range(1, workers):
-            self._procs[w] = self._spawn(w, None, faults_armed=True)
-        if self.policy is not None:
-            # Supervises only the job-start rendezvous (a worker dead
-            # while idle); mid-sweep supervision is the per-job
-            # CounterSupervisor in _run_parallel.
-            self._start_supervisor = Supervisor(
-                "pool",
-                barrier=self._start_barrier,
-                procs=self._procs,
-                respawn=lambda w: self._spawn(w, None, faults_armed=False),
-                policy=self.policy,
-            )
+            self._procs[w] = self._spawn(w)
 
     # ------------------------------------------------------------------
 
     def _spawn(
-        self, worker_id: int, resume_plane: int | None, faults_armed: bool
+        self, worker_id: int, resume_plane: int | None = None
     ) -> mp.Process:
         # Flush buffered trace lines so the fork doesn't duplicate them.
         _trace.flush()
@@ -319,18 +329,22 @@ class WavefrontPool:
                 self.workers,
                 self.capacity,
                 self._names,
-                self._start_barrier,
+                self._doorbells[worker_id],
                 self.policy,
+                int(self._ctrl[_CTRL_EPOCH]),
                 resume_plane,
-                faults_armed,
             ),
             daemon=True,
         )
         proc.start()
         return proc
 
-    def _respawn(self, worker_id: int, resume_plane: int) -> mp.Process:
-        return self._spawn(worker_id, resume_plane, faults_armed=False)
+    def _release(self) -> None:
+        """Start the staged job (or, with the shutdown flag set, stop
+        the workers): move the epoch on, then ring every doorbell."""
+        self._ctrl[_CTRL_EPOCH] += 1
+        for bell in self._doorbells.values():
+            bell.release()
 
     def __enter__(self) -> "WavefrontPool":
         return self
@@ -341,30 +355,18 @@ class WavefrontPool:
     def close(self) -> None:
         """Shut the workers down and release the shared buffers.
 
-        Escalates join -> terminate -> kill so a wedged worker cannot
-        hang shutdown, and always releases the shared-memory segments —
-        leaked SHM would outlive the process.
+        A worker that does not exit in time is terminated, then killed,
+        so a wedged one cannot hang shutdown; the shared-memory segments
+        are always released — leaked SHM would outlive the process.
         """
         if self._closed:
             return
         self._closed = True
         try:
             if not self._serial:
-                all_alive = all(p.is_alive() for p in self._procs.values())
-                if not self._failed and all_alive:
-                    self._ctrl[_CTRL_SHUTDOWN] = 1.0
-                    try:
-                        self._start_barrier.wait(timeout=10)
-                    except threading.BrokenBarrierError:
-                        pass  # dead/wedged worker; escalation handles it
-                for proc in self._procs.values():
-                    proc.join(timeout=10)
-                    if proc.is_alive():
-                        proc.terminate()
-                        proc.join(timeout=5)
-                    if proc.is_alive():  # pragma: no cover
-                        proc.kill()
-                        proc.join(timeout=5)
+                self._ctrl[_CTRL_SHUTDOWN] = 1.0
+                self._release()
+                reap(self._procs.values(), grace=10.0)
         finally:
             for shm in self._shms.values():
                 shm.close()
@@ -393,12 +395,6 @@ class WavefrontPool:
                 )
         return dims
 
-    def _dispatch_start(self) -> None:
-        if self._start_supervisor is not None:
-            self._start_supervisor.wait_job_start()
-        else:
-            self._start_barrier.wait()
-
     def _run(
         self,
         sa: str,
@@ -423,14 +419,7 @@ class WavefrontPool:
             # leaves buffers in an unknown state; poison the pool so
             # later jobs fail fast, and kill what is left.
             self._failed = True
-            for proc in self._procs.values():
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in self._procs.values():
-                proc.join(timeout=5)
-                if proc.is_alive():  # pragma: no cover
-                    proc.kill()
-                    proc.join(timeout=5)
+            reap(self._procs.values())
             raise
 
     def _run_parallel(
@@ -475,20 +464,20 @@ class WavefrontPool:
         self._ctrl[_CTRL_N3] = n3
         self._ctrl[_CTRL_G2] = 2.0 * scheme.gap
         self._ctrl[_CTRL_SCORE_ONLY] = 1.0 if score_only else 0.0
-        # Counters must read -1 before any worker sees the released
-        # start barrier (workers only read them post-release).
+        # Counters must read -1 before any worker sees the new epoch
+        # (workers only read them once the job has started).
         self._progress.reset()
 
         observing = _obs.active()
         t_sweep = time.perf_counter() if observing else 0.0
-        self._dispatch_start()
+        self._release()
         supervisor: CounterSupervisor | None = None
         if self.policy is not None:
             supervisor = CounterSupervisor(
                 "pool",
                 self._progress,
                 self._procs,
-                respawn=self._respawn,
+                respawn=self._spawn,
                 policy=self.policy,
                 dmax=dmax,
             )
@@ -496,10 +485,7 @@ class WavefrontPool:
         else:
 
             def wait(w: int, target: int) -> None:
-                delay = 0.00005
-                while self._progress.done(w) < target:
-                    time.sleep(delay)
-                    delay = min(delay * 2, 0.002)
+                wait_counter(self._progress, w, target)
 
         # The dispatcher is worker 0, owning the bottom slab.
         g2 = 2.0 * scheme.gap
@@ -524,11 +510,9 @@ class WavefrontPool:
                 self._progress,
                 wait,
             )
-            if supervisor is not None:
-                supervisor.wait_all()  # job-completion rendezvous
-            else:
-                for w in range(1, self.workers):
-                    wait(w, dmax)
+            # Job-completion rendezvous: every worker at the last plane.
+            for w in range(1, self.workers):
+                wait(w, dmax)
         finally:
             if supervisor is not None:
                 self._failures.extend(supervisor.failures)
@@ -550,10 +534,7 @@ class WavefrontPool:
     @property
     def failures(self) -> list:
         """Failure records accumulated by supervision (empty when clean)."""
-        records = list(self._failures)
-        if self._start_supervisor is not None:
-            records.extend(self._start_supervisor.failures)
-        return records
+        return list(self._failures)
 
     def score3(self, sa: str, sb: str, sc: str, scheme: ScoringScheme) -> float:
         """Optimal SP score (score-only sweep on the pool)."""

@@ -1,17 +1,12 @@
 """Fault tolerance for the parallel engines.
 
-Four cooperating pieces (see ``docs/robustness.md``):
+Three cooperating pieces (see ``docs/robustness.md``):
 
 :mod:`repro.resilience.faults`
     Deterministic, seed-driven fault injection (worker crash, straggler
     delay, corrupted ghost payload, simulated OOM), armed via the
     ``REPRO_FAULTS`` environment variable or the ``--inject-fault`` CLI
     flag so chaos runs are reproducible.
-:mod:`repro.resilience.supervise`
-    The supervision policy (timeouts, respawn cap) and the parallel
-    executor's job-start rendezvous; mid-sweep recovery — respawning a
-    dead worker at its published progress counter — lives with the
-    counter protocol in :mod:`repro.parallel.blockwave`.
 :mod:`repro.resilience.retry`
     Bounded retry-with-backoff queue receives and payload checksums for
     the message-passing runtime (:mod:`repro.cluster.mpirun`).
@@ -20,10 +15,13 @@ Four cooperating pieces (see ``docs/robustness.md``):
     (full-traceback -> divide-and-conquer -> banded) that replaces a raw
     ``MemoryError`` with a structured fallback.
 
-Every recovery path preserves bit-identical output with the serial
-engine: the wavefront only needs planes ``d-1..d-3``, which survive a
-worker death in the shared buffers, so replaying plane ``d`` is
-idempotent.
+The parallel executor's own recovery — the supervision policy, and
+respawning a dead worker at its published progress counter, whether it
+died mid-sweep or idle between jobs — lives with the counter protocol
+in :mod:`repro.parallel.blockwave`. Every recovery path preserves
+bit-identical output with the serial engine: the wavefront only needs
+planes ``d-1..d-3``, which survive a worker death in the shared
+buffers, so replaying plane ``d`` is idempotent.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Typed failures shared by the fault-tolerance layer.
 
-These live in their own module (rather than in :mod:`supervise` /
-:mod:`degrade`) so that the CLI and the engines can import the types
-without pulling in multiprocessing machinery.
+These live in their own module (rather than with the parallel
+executor or :mod:`degrade`) so that the CLI and the engines can import
+the types without pulling in multiprocessing machinery.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.resilience.errors import WorkerFailure
+from repro.util.validation import env_seconds
 
 #: Environment knob for the total receive deadline (seconds).
 ENV_DEADLINE = "REPRO_COMM_TIMEOUT"
@@ -32,31 +33,15 @@ DEFAULT_DEADLINE = 60.0
 
 
 def comm_deadline(environ=None) -> float:
-    """The receive deadline: ``REPRO_COMM_TIMEOUT`` when set and numeric
-    (floored at 0.1s), else :data:`DEFAULT_DEADLINE`.
+    """The receive deadline: ``REPRO_COMM_TIMEOUT`` when set to a finite
+    number (floored at 0.1s), else :data:`DEFAULT_DEADLINE`.
 
-    A malformed value falls back with a warning rather than raising —
-    this is read deep inside worker receive loops, where a typo'd
-    environment would otherwise surface as a crash mid-alignment
-    instead of at startup.
+    A malformed or non-finite value falls back with a warning rather
+    than raising or waiting forever — this is read deep inside worker
+    receive loops, where a typo'd environment would otherwise surface
+    as a crash (or a hang) mid-alignment instead of at startup.
     """
-    import os
-    import sys
-
-    env = environ if environ is not None else os.environ
-    raw = env.get(ENV_DEADLINE, "").strip()
-    if not raw:
-        return DEFAULT_DEADLINE
-    try:
-        return max(0.1, float(raw))
-    except ValueError:
-        print(
-            f"# warning: ignoring non-numeric {ENV_DEADLINE}={raw!r}; "
-            f"using default {DEFAULT_DEADLINE:.0f}s",
-            file=sys.stderr,
-            flush=True,
-        )
-        return DEFAULT_DEADLINE
+    return env_seconds(ENV_DEADLINE, DEFAULT_DEADLINE, 0.1, environ)
 
 
 class BackoffPolicy:

@@ -5,10 +5,10 @@ One :class:`~repro.router.app.RouterServer` sits in front of N
 with a bigger cache and no single point of compute failure:
 
 :mod:`repro.router.ring`
-    Consistent hashing of content-addressed cache keys
-    (:func:`repro.cache.request_key`) over the replica set, so a hot
-    key always lands on the replica whose memory LRU already holds it
-    and a membership change remaps only ~1/N of the key space.
+    Consistent hashing of content-addressed request digests over the
+    replica set, so a hot request always lands on the replica whose
+    memory LRU already holds it and a membership change remaps only
+    ~1/N of the key space.
 :mod:`repro.router.health`
     Per-replica health: ``/healthz`` polling plus response outcomes
     drive a HEALTHY → EJECTED → HALF_OPEN state machine with a typed
@@ -17,8 +17,9 @@ with a bigger cache and no single point of compute failure:
 :mod:`repro.router.backend`
     The async per-exchange replica client with typed transport errors.
 :mod:`repro.router.routing`
-    Key derivation (bit-identical to the scheduler's own) and the
-    scatter plan that splits a multi-request body by ring owner.
+    Key derivation (one key for every method and row order of a
+    triple) and the scatter plan that splits a multi-request body by
+    ring owner.
 :mod:`repro.router.app`
     The server: scatter/merge forwarding, bounded failover along each
     key's preference list, job-id namespacing for async jobs, and the

@@ -46,13 +46,9 @@ from repro.resilience.retry import BackoffPolicy
 from repro.router import backend
 from repro.router.health import ReplicaHealth
 from repro.router.ring import HashRing
-from repro.router.routing import (
-    normalise_items,
-    parse_items,
-    plan_scatter,
-    routing_keys,
-)
+from repro.router.routing import parse_items, plan_scatter, routing_keys
 from repro.serve import protocol
+from repro.serve.app import parse_align_items
 from repro.serve.httpd import JsonHttpServer, run_blocking
 
 #: Default router port (one above the serve default).
@@ -436,7 +432,7 @@ class RouterServer(JsonHttpServer):
             ), [("Retry-After", "1")]
         obj = request.json()
         items = parse_items(obj)
-        requests = normalise_items(items)  # raises BadRequest → 400
+        requests = parse_align_items(items)  # raises BadRequest → 400
         keys = routing_keys(requests)
 
         want_async = bool(obj.get("async", False)) if isinstance(obj, dict) \

@@ -1,4 +1,4 @@
-"""Consistent hashing of cache keys over the replica set.
+"""Consistent hashing of request keys over the replica set.
 
 The router's affinity goal: a given request key should hit the same
 replica every time (so that replica's memory LRU stays hot for it),

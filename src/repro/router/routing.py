@@ -1,13 +1,15 @@
 """Key derivation and scatter planning for the router.
 
-Affinity only works if the router and the replicas compute the *same*
-key for a request, so :func:`routing_keys` goes through the exact
-pipeline the batch scheduler uses — ``BatchScheduler._normalise`` then
-:func:`repro.core.api.resolve_scheme` then
-:func:`repro.cache.request_key` — rather than a lookalike hash. A
-drift here would not be a correctness bug (results are
-content-addressed either way) but would silently destroy cache
-locality, which is the router's whole point.
+The router spreads requests over replicas by a consistent hash of
+:func:`routing_keys`, a digest of what decides a request's answer up to
+row order and engine: the sequences in canonical (sorted) order, the
+resolved scheme, the mode and the anchor chain, and no method. Every
+request a replica could serve from another's result therefore lands on
+the same replica: ``auto`` next to the engine it resolves to (the
+scheduler's exact-class dedup and cache sharing), and every row order
+of one triple (its permutation reuse). The key is only an affinity
+hint — results are content-addressed either way — so it needs none of
+the scheduler's method resolution.
 
 :func:`plan_scatter` splits a multi-request ``POST /v1/align`` body by
 ring owner: each group keeps the original item dicts (so caller ids
@@ -23,22 +25,33 @@ from typing import Any
 
 from repro.batch.scheduler import AlignmentRequest
 from repro.cache import request_key
+from repro.cache.key import canonical_order
 from repro.core.api import resolve_scheme
 from repro.router.ring import HashRing
 from repro.serve import protocol
-from repro.serve.app import parse_align_items
+
+#: The method component of every routing key: routing ignores methods.
+_ANY_METHOD = "*"
 
 
 def routing_keys(requests: list[AlignmentRequest]) -> list[str]:
-    """The content-addressed cache key of each (normalised) request —
-    bit-identical to what the replica's scheduler will derive."""
+    """The ring key of each normalised request: one key for every
+    method and every row order of a triple."""
     keys = []
     for req in requests:
-        scheme = resolve_scheme(req.seqs, req.scheme)
+        canonical, perm = canonical_order(req.seqs)
+        # Anchor coordinates follow their sequences into canonical order.
+        chain = sorted(
+            (c[perm[0]], c[perm[1]], c[perm[2]], c[3])
+            for c in req.constraints or ()
+        )
         keys.append(
             request_key(
-                req.seqs, scheme, req.mode, req.method,
-                constraints=req.constraints,
+                canonical,
+                resolve_scheme(req.seqs, req.scheme),
+                req.mode,
+                _ANY_METHOD,
+                constraints=chain,
             )
         )
     return keys
@@ -109,9 +122,3 @@ def plan_scatter(
         group.indices.append(i)
         group.items.append(item)
     return [groups[name] for name in order]
-
-
-def normalise_items(items: list[dict]) -> list[AlignmentRequest]:
-    """Validate and normalise raw item dicts exactly as the serve tier
-    does (same normalisation → same keys, same error text)."""
-    return parse_align_items(items)

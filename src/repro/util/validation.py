@@ -8,7 +8,43 @@ caller's mistake.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+import math
+import os
+import sys
+from typing import Any, Iterable, Mapping, Sequence
+
+
+def env_seconds(
+    name: str,
+    default: float,
+    floor: float,
+    environ: Mapping[str, str] | None = None,
+) -> float:
+    """A duration in seconds read from environment variable ``name``.
+
+    Unset or empty gives ``default``; a finite number is raised to at
+    least ``floor``. A non-numeric or non-finite value (``abc``,
+    ``nan``, ``inf``) warns on stderr and gives ``default``: these are
+    read when a worker pool or a rank starts, where a typo should
+    neither crash the run nor turn a bounded wait into an unbounded one.
+    """
+    env = os.environ if environ is None else environ
+    raw = env.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        print(
+            f"# warning: ignoring {name}={raw!r} (not a finite number); "
+            f"using default {default:g}s",
+            file=sys.stderr,
+            flush=True,
+        )
+        return default
+    return max(floor, value)
 
 
 def check_positive(name: str, value: float) -> None:

@@ -357,6 +357,48 @@ class TestBatch:
         assert "multiple of three" in capsys.readouterr().err
 
 
+class TestMixedAlphabets:
+    """A DNA + protein input has no default scheme: exit 2, no result."""
+
+    MIXED = ("ACGTACGT", "ACGTACGA", "MKVLWQ")
+
+    @pytest.fixture
+    def mixed3(self, tmp_path):
+        path = tmp_path / "mixed.fasta"
+        write_fasta(path, [(f"s{i}", s) for i, s in enumerate(self.MIXED)])
+        return str(path)
+
+    @pytest.mark.parametrize("matrix", ["auto", "unit"])
+    @pytest.mark.parametrize("command", ["align", "score", "count"])
+    def test_rejected_with_exit_2(self, mixed3, command, matrix, capsys):
+        assert main([command, mixed3, "--matrix", matrix]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mixed alphabets" in captured.err
+
+    def test_explicit_matrix_is_the_callers_choice(self, mixed3, capsys):
+        assert main(["score", mixed3, "--matrix", "blosum62"]) == 0
+
+    def test_batch_names_the_line_and_runs_nothing(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "reqs.jsonl"
+        good = json.dumps({"seqs": ["GATTACA", "GATCA", "GTTACA"]})
+        path.write_text(
+            "\n".join([good, json.dumps({"seqs": list(self.MIXED)}), good])
+            + "\n"
+        )
+        assert main(["batch", str(path), "--workers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:2: " in captured.err
+        assert "mixed alphabets" in captured.err
+        assert main(
+            ["batch", str(path), "--workers", "1", "--matrix", "blosum62"]
+        ) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 class TestBatchOutputFormats:
     @pytest.fixture
     def reqs_jsonl(self, tmp_path):

@@ -1,7 +1,10 @@
 """Tests for the fault-tolerance layer (repro.resilience) and its wiring
 into the parallel engines, the cluster runtime, the API and the CLI."""
 
+import os
 import queue
+import signal
+import threading
 import warnings
 
 import numpy as np
@@ -9,7 +12,9 @@ import pytest
 
 from repro.core.api import align3
 from repro.core.dp3d import align3_dp3d, score3_dp3d
+from repro.core.wavefront import align3_wavefront
 from repro.parallel.blocks import align3_blocks
+from repro.parallel.blockwave import SupervisionPolicy
 from repro.parallel.executor import WavefrontPool, fork_available
 from repro.resilience import faults
 from repro.resilience.degrade import (
@@ -37,6 +42,30 @@ from repro.resilience.retry import (
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
 )
+
+#: Detects a dead worker within 0.2 s, so recovery tests take ~1 s.
+FAST_POLICY = SupervisionPolicy(scan_interval=0.2, straggler_grace=0.6)
+
+
+def within(seconds: float, fn, *args):
+    """``fn(*args)`` on a daemon thread: its result, or its exception —
+    or a failure, instead of a hung suite, when it is still blocked
+    after ``seconds``."""
+    box: dict = {}
+
+    def target() -> None:
+        try:
+            box["value"] = fn(*args)
+        except BaseException as exc:  # re-raised on the calling thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still blocked after {seconds}s"
+    if "error" in box:
+        raise box["error"]
+    return box.get("value")
 
 
 @pytest.fixture(autouse=True)
@@ -155,6 +184,34 @@ class TestRetryHelpers:
         err = capsys.readouterr().err
         assert "warning" in err and "sixty" in err
 
+    @pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-inf"])
+    def test_timeout_env_vars_fall_back_on_non_finite(self, capsys, raw):
+        # Neither crash (abc), nor wait forever (inf), nor silently pick
+        # the floor (nan): warn and keep the default.
+        assert comm_deadline({"REPRO_COMM_TIMEOUT": raw}) == DEFAULT_DEADLINE
+        policy = SupervisionPolicy.from_env({"REPRO_SUPERVISE_TIMEOUT": raw})
+        assert policy == SupervisionPolicy()
+        err = capsys.readouterr().err
+        assert err.count("warning") == 2
+        assert "REPRO_COMM_TIMEOUT" in err
+        assert "REPRO_SUPERVISE_TIMEOUT" in err
+
+    def test_supervise_timeout_scales_with_floor(self):
+        policy = SupervisionPolicy.from_env({"REPRO_SUPERVISE_TIMEOUT": "0.5"})
+        assert (policy.scan_interval, policy.straggler_grace) == (0.5, 1.5)
+        floored = SupervisionPolicy.from_env({"REPRO_SUPERVISE_TIMEOUT": "0"})
+        assert floored.scan_interval == 0.05
+        assert SupervisionPolicy.from_env({}) == SupervisionPolicy()
+
+    @needs_fork
+    def test_bad_supervise_timeout_still_builds_a_pool(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_SUPERVISE_TIMEOUT", "abc")
+        with WavefrontPool((4, 4, 4), workers=2) as pool:
+            assert pool.policy == SupervisionPolicy()
+        assert "REPRO_SUPERVISE_TIMEOUT" in capsys.readouterr().err
+
 
 @pytest.mark.chaos
 class TestPoolRecovery:
@@ -184,6 +241,31 @@ class TestPoolRecovery:
         pool._procs[1].kill()
         pool._procs[1].join()
         pool.close()
+        from multiprocessing import shared_memory
+
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+    @needs_fork
+    def test_idle_death_respawns_at_plane_0(self, dna_scheme, family_small):
+        # A child killed while idle between jobs is found by the next
+        # job's counter scan, like a mid-sweep death, and replays that
+        # job from plane 0.
+        ref = align3_wavefront(*family_small, dna_scheme)
+        pool = WavefrontPool((25, 25, 25), workers=2, policy=FAST_POLICY)
+        names = list(pool._names.values())
+        try:
+            assert pool.align3(*family_small, dna_scheme).rows == ref.rows
+            victim = pool._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            aln = within(30, pool.align3, *family_small, dna_scheme)
+            assert aln.rows == ref.rows and aln.score == ref.score
+            assert [(r.worker, r.plane) for r in pool.failures] == [(1, 0)]
+            assert pool.failures[0].respawned
+        finally:
+            within(30, pool.close)
         from multiprocessing import shared_memory
 
         for name in names:

@@ -10,6 +10,7 @@ AlignServer replicas on ephemeral ports. The replica-kill chaos test
 from __future__ import annotations
 
 import asyncio
+import itertools
 import queue
 import threading
 
@@ -17,7 +18,7 @@ import pytest
 
 from repro.batch.scheduler import AlignmentRequest
 from repro.cache import request_key
-from repro.core.api import align3, resolve_scheme
+from repro.core.api import align3
 from repro.core.scoring import default_scheme_for
 from repro.resilience.retry import BackoffPolicy
 from repro.router import HashRing, ReplicaHealth, RouterConfig, RouterServer
@@ -27,15 +28,11 @@ from repro.router.health import (
     STATE_HALF_OPEN,
     STATE_HEALTHY,
 )
-from repro.router.routing import (
-    normalise_items,
-    parse_items,
-    plan_scatter,
-    routing_keys,
-)
+from repro.router.routing import parse_items, plan_scatter, routing_keys
 from repro.seqio.alphabet import DNA
 from repro.seqio.generate import mutated_family
 from repro.serve import ServeClient
+from repro.serve.app import parse_align_items
 from repro.serve.protocol import BadRequest
 
 from tests.test_serve import ServerThread
@@ -236,15 +233,35 @@ class TestBackoffPolicy:
 
 
 class TestRouting:
-    def test_routing_keys_match_the_scheduler_derivation(self):
-        items = [{"seqs": list(TRIPLE)}, {"a": "AC", "b": "AG", "c": "AT"}]
-        reqs = normalise_items(items)
-        keys = routing_keys(reqs)
-        for req, key in zip(reqs, keys):
-            scheme = resolve_scheme(req.seqs, req.scheme)
-            assert key == request_key(req.seqs, scheme, req.mode, req.method)
-        # Same request twice -> same key (affinity).
-        assert routing_keys(normalise_items(items)) == keys
+    def test_every_method_and_row_order_of_a_triple_gets_one_key(self):
+        # A replica serves all of these from one computed result (exact-
+        # class dedup, permutation reuse), so they must share a replica.
+        chain = (2, 1, 0, 2)
+        items = [
+            {
+                "seqs": [TRIPLE[p] for p in order],
+                "method": method,
+                "constraints": [[chain[p] for p in order] + [chain[3]]],
+            }
+            for order in itertools.permutations(range(3))
+            for method in ("auto", "wavefront", "dp3d", "pruned", "blocks")
+        ]
+        keys = routing_keys(parse_align_items(items))
+        assert len(set(keys)) == 1
+        plain = [{"seqs": [TRIPLE[p] for p in order], "method": method}
+                 for order in itertools.permutations(range(3))
+                 for method in ("auto", "hirschberg", "banded")]
+        plain_keys = routing_keys(parse_align_items(plain))
+        assert len(set(plain_keys)) == 1
+        # What changes the answer changes the key.
+        others = [
+            {"seqs": list(TRIPLE), "mode": "local"},
+            {"seqs": [TRIPLE[0], TRIPLE[1], TRIPLE[2][:-1]]},
+        ]
+        distinct = routing_keys(parse_align_items(others))
+        assert len({keys[0], plain_keys[0], *distinct}) == 4
+        # The same request twice: the same key.
+        assert routing_keys(parse_align_items(items)) == keys
 
     def test_parse_items_shapes(self):
         assert parse_items({"seqs": ["A", "C", "G"]}) == [
@@ -258,15 +275,15 @@ class TestRouting:
 
     def test_normalise_rejects_bad_items(self):
         with pytest.raises(BadRequest):
-            normalise_items([{"seqs": ["A", "C"]}])
+            parse_align_items([{"seqs": ["A", "C"]}])
         with pytest.raises(BadRequest):
-            normalise_items([{"nope": 1}])
+            parse_align_items([{"nope": 1}])
 
     def test_scatter_groups_by_owner_preserving_positions(self):
         ring = HashRing(["r0", "r1", "r2"])
         items = [{"seqs": ["AC" + "G" * (i + 1), "ACG", "AGT"]}
                  for i in range(12)]
-        keys = routing_keys(normalise_items(items))
+        keys = routing_keys(parse_align_items(items))
         groups = plan_scatter(ring, items, keys,
                               routable={"r0", "r1", "r2"})
         covered = sorted(i for g in groups for i in g.indices)
@@ -280,7 +297,7 @@ class TestRouting:
         ring = HashRing(["r0", "r1"])
         items = [{"seqs": ["AC" + "G" * (i + 1), "ACG", "AGT"]}
                  for i in range(8)]
-        keys = routing_keys(normalise_items(items))
+        keys = routing_keys(parse_align_items(items))
         groups = plan_scatter(ring, items, keys, routable={"r1"})
         assert {g.owner for g in groups} == {"r1"}
 
@@ -459,6 +476,11 @@ class TestRouterServer:
             resp = client._request("POST", "/v1/align", {"seqs": ["A", "C"]})
             assert resp.status == 400
             assert resp.body["error"]["type"] == "bad_request"
+            mixed = {"seqs": ["ACGTACGT", "ACGTACGA", "MKVLWQ"]}
+            resp = client._request("POST", "/v1/align", mixed)
+            assert resp.status == 400
+            assert "mixed alphabets" in resp.body["error"]["message"]
+            assert srv.server.batcher.requests_served == 0
 
     def test_all_replicas_dead_is_a_typed_503(self):
         # Grab a port nothing listens on.

@@ -8,6 +8,8 @@ recovery contract from ``docs/robustness.md``:
   ``blocks`` run (a one-job pool) -> the worker is respawned, its
   blocks replayed, and the output is **bit-identical** to the serial
   engine;
+* a pool worker SIGKILLed while idle between jobs -> the next job
+  respawns it at plane 0 and its output is bit-identical;
 * a straggler is tolerated (or killed and replayed) without changing
   the output;
 * a corrupted ghost payload in ``mpirun`` is caught by the CRC32
@@ -19,7 +21,7 @@ recovery contract from ``docs/robustness.md``:
 * supervision overhead on the fault-free path stays within
   ``--tolerance`` (default 10%).
 
-Every counter/barrier/queue wait in the engines is bounded, so the whole suite
+Every counter/queue wait in the engines is bounded, so the whole suite
 must finish inside ``--budget`` wall-clock seconds — exceeding it is
 itself a failure (it means something waited unsupervised).
 
@@ -35,7 +37,9 @@ arguments).
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
+import signal
 import sys
 import time
 import warnings
@@ -93,6 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.core.api import align3
     from repro.core.scoring import default_scheme_for
     from repro.parallel.blocks import align3_blocks
+    from repro.parallel.blockwave import SupervisionPolicy
     from repro.parallel.executor import WavefrontPool
     from repro.resilience import faults
     from repro.resilience.errors import WorkerFailure
@@ -134,6 +139,20 @@ def main(argv: list[str] | None = None) -> int:
                 "output differs after recovery"
             )
             assert aln.meta["recoveries"] >= 1, "no recovery recorded"
+
+    def pool_idle_kill() -> None:
+        fast = SupervisionPolicy(scan_interval=0.2, straggler_grace=0.6)
+        with WavefrontPool((args.n + 5,) * 3, workers=2, policy=fast) as pool:
+            pool.align3(*seqs, scheme)
+            victim = pool._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            aln = pool.align3(*seqs, scheme)
+            assert aln.rows == ref.rows and aln.score == ref.score, (
+                "output differs after recovery"
+            )
+            seen = [(r.worker, r.plane) for r in pool.failures]
+            assert seen == [(1, 0)], f"expected one respawn at plane 0: {seen}"
 
     def blocks_crash() -> None:
         faults.install(f"worker_crash@pool:worker=1,plane={mid}")
@@ -179,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         assert "degraded_from" in aln.meta, "run did not degrade"
 
     scenario("pool worker_crash -> respawn + plane replay", pool_crash)
+    scenario(
+        "pool worker killed while idle -> respawn at plane 0", pool_idle_kill
+    )
     scenario("blocks worker_crash -> respawn + plane replay", blocks_crash)
     scenario("blocks straggler tolerated", blocks_straggler)
     scenario("mpirun corrupt_ghost -> checksum + resend", mpirun_corrupt)
