@@ -1,18 +1,15 @@
-"""Request batching over persistent workers (``repro.batch``).
+"""Request batching through a shared result cache (``repro.batch``).
 
 The throughput layer: :class:`BatchScheduler` serves many alignment
 requests at once — deduplicating identical and permutation-equivalent
-requests through :mod:`repro.cache`, grouping the remaining misses by
-cube shape, and executing them over one long-lived
-:class:`~repro.parallel.executor.WavefrontPool` instead of spawning
-workers per call. ``repro batch`` is the CLI front end; see
-``docs/batching.md`` and ``tools/check_batch.py`` (the throughput gate).
+requests through :mod:`repro.cache` and computing each remaining miss
+in-process with :func:`~repro.core.api.align3`. ``repro batch`` is the
+CLI front end; see ``docs/batching.md`` and ``tools/check_batch.py``
+(the throughput gate).
 """
 
 from repro.batch.scheduler import (
-    DEFAULT_MAX_POOL_CELLS,
     PERM_PREFIX,
-    POOL_METHODS,
     AlignmentRequest,
     BatchReport,
     BatchScheduler,
@@ -27,9 +24,7 @@ from repro.batch.io import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_POOL_CELLS",
     "PERM_PREFIX",
-    "POOL_METHODS",
     "AlignmentRequest",
     "BatchReport",
     "BatchScheduler",

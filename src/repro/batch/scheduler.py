@@ -1,4 +1,4 @@
-"""Batch scheduler: many alignment requests, one set of workers.
+"""Batch scheduler: many alignment requests, one cache, one compute path.
 
 A serving stack does not treat each request as a cold start. This
 scheduler accepts a whole batch of :class:`AlignmentRequest`\\ s and
@@ -16,22 +16,17 @@ serves it in stages, cheapest first:
    order by permuting rows: score-identical by the symmetry of SP
    scoring, though tie-breaking means the rows may legitimately differ
    from a cold compute (marked ``meta["permuted_from"]``).
-3. **Grouped compute** — true misses are grouped by cube shape and run
-   largest-first over one long-lived :class:`WavefrontPool` sized to the
-   batch (pool-eligible jobs: global mode, linear scheme, *resolved*
-   wavefront-class method), so worker spawn is paid once per pool
-   lifetime instead of once per request. Everything else — affine
-   schemes, explicit engines, local/semiglobal modes, and requests the
-   similarity cost model routes to ``pruned``/``banded``/``hirschberg``
-   — dispatches per request to the engine ``auto`` resolved to when
-   the batch derived its keys (``select_method`` runs once per request).
+3. **Compute** — each true miss runs in this process, in request
+   order, on the engine ``auto`` resolved to when the batch derived its
+   keys (``select_method`` runs once per request): :func:`align3` for
+   global mode, the single sweep of a local or semiglobal mode. Only
+   ``blocks`` forks workers (a one-job pool of ``workers``); on two
+   cores a pool pays only from n≈140 (``docs/performance.md``).
    Results are cached under both keys for the next batch.
 
-The pool outlives ``run()``: a :class:`BatchScheduler` reuses its workers
-across batches (growing capacity on demand) until :meth:`close`.
 Metrics land in :mod:`repro.obs` — cache hit/miss counters, a
-per-request latency histogram, the batch dedup ratio and the estimated
-pool-reuse savings — and render via ``repro report`` / ``--metrics``.
+per-request latency histogram and the batch dedup ratio — and render
+via ``repro report`` / ``--metrics``.
 """
 
 from __future__ import annotations
@@ -62,20 +57,12 @@ from repro.obs import trace as _trace
 from repro.seqio.alphabet import guess_common_alphabet
 from repro.util.validation import check_sequences
 
-#: *Resolved* methods the long-lived pool serves (its workers run the
-#: wavefront kernel, which reproduces these bit-identically). ``auto``
-#: is resolved before this check, so a request the cost model routes to
-#: ``pruned``/``banded``/``hirschberg`` dispatches to ``align3`` instead
-#: of losing its pruning to the pool.
-POOL_METHODS = ("wavefront",)
-
 #: Namespace prefix for order-insensitive secondary cache entries, kept
 #: disjoint from exact digests so a permutation-derived alignment can
 #: never masquerade as a bit-identical exact hit.
 PERM_PREFIX = "p:"
 
-#: Largest cube served from the pool; beyond this the full move cube
-#: would dominate memory and ``align3``'s degradation ladder should rule.
+#: Unused here; ``perfbench/sut.py`` still imports it.
 DEFAULT_MAX_POOL_CELLS = 2_000_000
 
 
@@ -129,10 +116,8 @@ class BatchStats:
     dedup_hits: int = 0
     permutation_hits: int = 0
     computed: int = 0
+    #: Misses computed by ``blocks``, the one engine on a WavefrontPool.
     pool_jobs: int = 0
-    pool_setup_s: float = 0.0
-    pool_savings_s: float = 0.0
-    shape_groups: int = 0
     wall_s: float = 0.0
 
     @property
@@ -156,9 +141,6 @@ class BatchStats:
             "computed": self.computed,
             "dedup_ratio": self.dedup_ratio,
             "pool_jobs": self.pool_jobs,
-            "pool_setup_s": self.pool_setup_s,
-            "pool_savings_s": self.pool_savings_s,
-            "shape_groups": self.shape_groups,
             "wall_s": self.wall_s,
         }
 
@@ -175,7 +157,7 @@ class BatchReport:
 
 
 class BatchScheduler:
-    """Serve batches of alignment requests over shared workers and a cache.
+    """Serve batches of alignment requests through a shared cache.
 
     Parameters
     ----------
@@ -183,12 +165,11 @@ class BatchScheduler:
         Result cache shared across batches; None disables caching (the
         in-batch dedup stages still apply).
     workers:
-        Worker count for the pool (1 = serial sweeps, no forking).
-    max_pool_cells:
-        Cube-size ceiling for pool execution; larger jobs fall back to
-        :func:`align3`, whose degradation ladder knows about memory.
+        Worker count for ``blocks`` requests, the one engine that forks
+        (a one-job pool per miss). Every other miss runs in this process.
 
-    Use as a context manager, or call :meth:`close` to release the pool::
+    Holds no processes, so :meth:`close` and the context manager only
+    scope its use::
 
         with BatchScheduler(cache=ResultCache()) as sched:
             report = sched.run(requests)
@@ -198,20 +179,16 @@ class BatchScheduler:
         self,
         cache: ResultCache | None = None,
         workers: int = 2,
-        max_pool_cells: int = DEFAULT_MAX_POOL_CELLS,
         cells_per_s_hint: "float | Callable[[], float | None] | None" = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.cache = cache
         self.workers = int(workers)
-        self.max_pool_cells = int(max_pool_cells)
         #: Observed plain-sweep throughput for admission-informed method
         #: selection: a number, or a zero-arg callable read per request
         #: (the serve tier binds the admission controller's live EWMA).
         self.cells_per_s_hint = cells_per_s_hint
-        self._pool = None  # lazily created WavefrontPool
-        self._pool_capacity = (0, 0, 0)
 
     def _hint(self) -> float | None:
         hint = self.cells_per_s_hint
@@ -219,41 +196,8 @@ class BatchScheduler:
             hint = hint()
         return float(hint) if hint else None
 
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-
-    def _ensure_pool(self, dims_list: list[tuple[int, int, int]]):
-        """A pool whose capacity covers ``dims_list``, reusing the live one
-        when it already fits (the whole point: spawn workers once)."""
-        from repro.parallel.executor import WavefrontPool
-
-        needed = tuple(
-            max(d[i] for d in dims_list) for i in range(3)
-        )
-        if self._pool is not None and all(
-            n <= c for n, c in zip(needed, self._pool_capacity)
-        ):
-            return self._pool, 0.0
-        if self._pool is not None:
-            # Grow: never shrink below what earlier batches needed.
-            needed = tuple(
-                max(n, c) for n, c in zip(needed, self._pool_capacity)
-            )
-            self._pool.close()
-            self._pool = None
-        t0 = time.perf_counter()
-        self._pool = WavefrontPool(needed, workers=self.workers)
-        setup_s = time.perf_counter() - t0
-        self._pool_capacity = needed
-        return self._pool, setup_s
-
     def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self._pool_capacity = (0, 0, 0)
+        """Nothing to release; kept so callers can scope a scheduler."""
 
     def __enter__(self) -> "BatchScheduler":
         return self
@@ -275,11 +219,15 @@ class BatchScheduler:
                 )
             req = AlignmentRequest(seqs=seqs)  # type: ignore[arg-type]
         check_sequences(req.seqs, count=3)
+        # No default scheme fits a mixed triple, and an explicit scheme
+        # cannot score a residue outside its alphabet. Rejecting either
+        # here, where every entry point normalises, keeps it out of a
+        # batch whose other requests it would fail.
         if req.scheme is None:
-            # No default scheme fits a mixed triple. Rejecting it here,
-            # where every entry point normalises, keeps it out of a
-            # micro-batch whose other requests it would fail.
             guess_common_alphabet(req.seqs)
+        else:
+            for seq in req.seqs:
+                req.scheme.alphabet.encode(seq)
         if req.mode not in MODES:
             raise ValueError(f"unknown mode {req.mode!r}; available: {MODES}")
         if req.method not in AVAILABLE_METHODS:
@@ -320,11 +268,11 @@ class BatchScheduler:
         and reports the selection as ``meta["auto"]``.
 
         Chain-mode requests (constraints, or ``method="anchored"``)
-        resolve to the sentinel engine ``"chain"`` — never pool-eligible,
-        always dispatched through ``align3`` which owns the per-sub-cube
-        selection. Constrained results are engine-independent (every
-        segment engine is exact), so they key as ``"exact"`` plus the
-        constraint digest; anchored results key as their own class.
+        resolve to the sentinel engine ``"chain"``: ``align3`` gets the
+        request's own method and owns the per-sub-cube selection.
+        Constrained results are engine-independent (every segment
+        engine is exact), so they key as ``"exact"`` plus the constraint
+        digest; anchored results key as their own class.
         """
         if req.mode != "global":
             return req.method, req.method, None
@@ -342,19 +290,7 @@ class BatchScheduler:
                 )
         return method, method_key_class(method), selection
 
-    def _pool_eligible(
-        self, req: AlignmentRequest, scheme: ScoringScheme, resolved: str
-    ) -> bool:
-        if req.mode != "global" or scheme.is_affine:
-            return False
-        if resolved not in POOL_METHODS:
-            return False
-        n1, n2, n3 = (len(s) for s in req.seqs)
-        if min(n1, n2, n3) == 0:
-            return False  # degenerate cubes run serially in microseconds
-        return (n1 + 1) * (n2 + 1) * (n3 + 1) <= self.max_pool_cells
-
-    def _compute_direct(
+    def _compute(
         self,
         req: AlignmentRequest,
         scheme: ScoringScheme,
@@ -384,16 +320,6 @@ class BatchScheduler:
         aln.meta.setdefault("scheme", scheme.name)
         return aln
 
-    def _compute_pooled(
-        self, pool, req: AlignmentRequest, scheme: ScoringScheme,
-        resolved: str,
-    ) -> Alignment3:
-        aln = pool.align3(*req.seqs, scheme)
-        aln.meta["method"] = resolved
-        aln.meta["mode"] = req.mode
-        aln.meta["scheme"] = scheme.name
-        return aln
-
     # ------------------------------------------------------------------
     # The batch pipeline
     # ------------------------------------------------------------------
@@ -406,9 +332,9 @@ class BatchScheduler:
         """Serve ``requests``; results come back in request order.
 
         ``on_result`` is invoked with each :class:`RequestResult` the
-        moment its group is served (cache hits first, then computes as
-        each shape group finishes) — completion order, not request
-        order; ``RequestResult.index`` maps back.
+        moment its group is served (cache hits first, then each compute
+        as it finishes) — completion order, not request order;
+        ``RequestResult.index`` maps back.
         """
         t_batch = time.perf_counter()
         reqs = [self._normalise(r) for r in requests]
@@ -440,8 +366,6 @@ class BatchScheduler:
             deduped=stats.dedup_hits + stats.permutation_hits,
             computed=stats.computed,
             seconds=stats.wall_s,
-            pool_jobs=stats.pool_jobs,
-            pool_savings_s=stats.pool_savings_s,
         )
         return BatchReport(results=final, stats=stats)
 
@@ -452,8 +376,8 @@ class BatchScheduler:
     ) -> BatchReport:
         """Like :meth:`run`, but built for arbitrarily long batches: each
         result goes to ``on_result`` as it completes and its alignment is
-        then **released** (set to None), so peak memory holds one shape
-        group's alignments instead of the whole batch's. The returned
+        then **released** (set to None), so peak memory holds one
+        compute's alignments instead of the whole batch's. The returned
         report still carries full stats and per-request accounting
         (index, rid, key, source, latency) — just no alignment rows.
         """
@@ -542,59 +466,18 @@ class BatchScheduler:
                 bucket.append((key, idxs))
                 to_compute.append((key, idxs))
 
-        # Stage 3: group misses by cube shape, largest first, and run them
-        # over one pool; ineligible jobs dispatch per request.
-        by_shape: dict[tuple[int, int, int], list[tuple[str, list[int]]]] = {}
-        direct: list[tuple[str, list[int]]] = []
+        # Stage 3: compute the true misses in request order.
         for key, idxs in to_compute:
             req, scheme = reqs[idxs[0]], schemes[idxs[0]]
-            if self._pool_eligible(req, scheme, resolved[idxs[0]][0]):
-                dims = tuple(len(s) for s in req.seqs)
-                by_shape.setdefault(dims, []).append((key, idxs))
-            else:
-                direct.append((key, idxs))
-        stats.shape_groups = len(by_shape)
-
-        pool = None
-        if by_shape:
-            pool, setup_s = self._ensure_pool(list(by_shape.keys()))
-            stats.pool_setup_s = setup_s
-            n_pool_jobs = sum(len(v) for v in by_shape.values())
-            # Reusing live workers saves roughly one spawn per job after
-            # the first; with a pre-warmed pool (setup 0) every job rides
-            # the previous batch's spawn.
-            per_spawn = setup_s if setup_s > 0 else self._last_setup_s
-            stats.pool_savings_s = per_spawn * max(
-                0, n_pool_jobs - (1 if setup_s > 0 else 0)
-            )
-            if setup_s > 0:
-                self._last_setup_s = setup_s
-
-        for dims in sorted(by_shape, key=lambda d: -(d[0] * d[1] * d[2])):
-            for key, idxs in by_shape[dims]:
-                req, scheme = reqs[idxs[0]], schemes[idxs[0]]
-                t0 = time.perf_counter()
-                aln = self._compute_pooled(
-                    pool, req, scheme, resolved[idxs[0]][0]
-                )
-                dt = time.perf_counter() - t0
-                stats.pool_jobs += 1
-                self._finish_compute(
-                    results, reqs, schemes, resolved, perm_groups, key,
-                    idxs, aln, dt, stats, emit=emit,
-                )
-
-        for key, idxs in direct:
-            req, scheme = reqs[idxs[0]], schemes[idxs[0]]
             t0 = time.perf_counter()
-            aln = self._compute_direct(req, scheme, resolved[idxs[0]])
+            aln = self._compute(req, scheme, resolved[idxs[0]])
             dt = time.perf_counter() - t0
+            if aln.meta.get("engine") == "blocks":
+                stats.pool_jobs += 1
             self._finish_compute(
                 results, reqs, schemes, resolved, perm_groups, key, idxs,
                 aln, dt, stats, emit=emit,
             )
-
-    _last_setup_s: float = 0.0
 
     # ------------------------------------------------------------------
     # Result fan-out
@@ -692,17 +575,6 @@ def run_batch(
     requests: Iterable["AlignmentRequest | Sequence[str]"],
     cache: ResultCache | None = None,
     workers: int = 2,
-    max_pool_cells: int = DEFAULT_MAX_POOL_CELLS,
 ) -> BatchReport:
-    """One-shot convenience: build a scheduler, run one batch, close it.
-
-    Prefer a long-lived :class:`BatchScheduler` when serving repeatedly —
-    this helper still gets the dedup and caching but pays the pool spawn
-    per call.
-    """
-    with BatchScheduler(
-        cache=cache,
-        workers=workers,
-        max_pool_cells=max_pool_cells,
-    ) as sched:
-        return sched.run(requests)
+    """One-shot convenience: run one batch on a fresh scheduler."""
+    return BatchScheduler(cache=cache, workers=workers).run(requests)

@@ -4,9 +4,9 @@ Commands
 --------
 ``align``     align the sequences of a FASTA file (exact 3-way for three
               records, progressive MSA for more)
-``batch``     serve many 3-way requests from one file with caching,
-              dedup and a persistent worker pool (``docs/batching.md``);
-              results stream to stdout as each group completes
+``batch``     serve many 3-way requests from one file with caching
+              and dedup (``docs/batching.md``); results stream to
+              stdout as each one completes
 ``serve``     run the long-lived alignment service: asyncio HTTP/1.1
               JSON API with admission control, micro-batching and
               graceful drain (``docs/serving.md``)
@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "batch",
-        help="serve many 3-way requests with caching, dedup and one pool",
+        help="serve many 3-way requests with caching and dedup",
     )
     p_batch.add_argument(
         "input",
@@ -146,7 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="default alignment mode",
     )
     p_batch.add_argument(
-        "--workers", type=int, default=2, help="pool worker count"
+        "--workers", type=int, default=2,
+        help="worker count for 'blocks' requests (every other request "
+        "runs in this process)",
     )
     p_batch.add_argument(
         "--cache-dir",
@@ -183,7 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "bound address is printed to stderr)",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=2, help="worker pool size"
+        "--workers", type=int, default=2,
+        help="worker count for 'blocks' requests (every other request "
+        "runs in the replica process)",
     )
     p_serve.add_argument(
         "--queue-depth",
@@ -733,10 +737,10 @@ def _cmd_batch(args) -> int:
         max_entries=args.max_entries, cache_dir=args.cache_dir
     )
 
-    # Results stream out as each shape-group completes rather than being
+    # Results stream out as each one completes rather than being
     # buffered until the whole batch is done: long batches show progress,
     # and run_stream releases each alignment after its line is written so
-    # resident memory stays bounded by one shape-group, not the batch.
+    # resident memory stays bounded by one result, not the batch.
     if args.output == "jsonl":
         def emit(res) -> None:
             print(

@@ -235,10 +235,8 @@ def record_batch(
     deduped: int,
     computed: int,
     seconds: float,
-    pool_jobs: int = 0,
-    pool_savings_s: float = 0.0,
 ) -> None:
-    """One completed batch: dedup ratio and pool-reuse accounting."""
+    """One completed batch: dedup ratio and compute count."""
     if trace.enabled:
         trace.event(
             "batch",
@@ -247,8 +245,6 @@ def record_batch(
             deduped=deduped,
             computed=computed,
             seconds=seconds,
-            pool_jobs=pool_jobs,
-            pool_savings_s=pool_savings_s,
         )
     if metrics.enabled:
         reg = metrics.registry()
@@ -258,9 +254,6 @@ def record_batch(
             reg.gauge("batch_dedup_ratio").set(
                 (requests - computed) / requests
             )
-        if pool_jobs:
-            reg.counter("pool_jobs").inc(pool_jobs)
-            reg.counter("pool_spawn_savings_s").inc(pool_savings_s)
 
 
 def record_serve_request(*, route: str, status: int, seconds: float) -> None:

@@ -11,8 +11,8 @@ written by :mod:`repro.obs.trace` into per-family views:
 * **workers** — per ``(engine, pid, worker)`` busy vs barrier-wait time
   and the busy ratio, the load-imbalance signal the parallel engines are
   tuned against;
-* **batches** — one row per batch event: dedup ratio and pool-reuse
-  accounting from :mod:`repro.batch` (plus **simulated executions** for
+* **batches** — one row per batch event: dedup ratio and compute
+  count from :mod:`repro.batch` (plus **simulated executions** for
   cluster-simulator traces).
 """
 
@@ -164,15 +164,13 @@ def _batch_table(batches: list[dict]) -> str:
             if b.get("requests")
             else 0.0,
             b.get("seconds", 0.0),
-            b.get("pool_jobs", 0),
-            b.get("pool_savings_s", 0.0),
         )
         for b in batches
     ]
     return format_table(
-        "batches (request dedup and pool reuse)",
+        "batches (request dedup)",
         ["requests", "cache_hits", "deduped", "computed", "dedup_ratio",
-         "wall_s", "pool_jobs", "pool_savings_s"],
+         "wall_s"],
         rows,
     )
 

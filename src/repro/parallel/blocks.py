@@ -8,8 +8,9 @@ stream plane bands synchronised by per-worker readiness counters
 (:mod:`repro.parallel.blockwave`) — the CPU analogue of the coarse 3-D
 blocks TrioSeq uses to keep GPU SMs saturated.
 
-Callers with many jobs should hold a :class:`WavefrontPool` instead and
-pay the worker spawn once (the batch scheduler does).
+Callers with many jobs can hold a :class:`WavefrontPool` instead and
+pay the worker spawn once (``python -m repro.bench --exp f3pool`` times
+that against the serial sweep).
 
 Determinism: scores and rows are bit-identical to
 :func:`repro.core.wavefront.wavefront_sweep`, with or without mid-sweep

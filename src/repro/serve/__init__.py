@@ -2,10 +2,9 @@
 
 A stdlib-only asyncio HTTP/1.1 JSON front-end (``repro serve``) that
 funnels concurrent clients through admission control and a micro-batcher
-into one long-lived :class:`~repro.batch.BatchScheduler`, so the cache,
-dedup and persistent worker pool amortise across the whole request
-stream. See ``docs/serving.md`` for the endpoint and backpressure
-contract.
+into one long-lived :class:`~repro.batch.BatchScheduler`, so its cache
+and dedup amortise across the whole request stream. See
+``docs/serving.md`` for the endpoint and backpressure contract.
 """
 
 from repro.serve.admission import AdmissionController, Decision, estimate_cells

@@ -3,8 +3,8 @@
 ``repro serve`` turns the existing stack — :mod:`repro.obs` metrics,
 :mod:`repro.resilience` supervision, the :mod:`repro.cache` result store
 and the :mod:`repro.batch` scheduler — into a long-running HTTP/1.1 JSON
-service. One process, one event loop, one compute thread, one worker
-pool:
+service. One process, one event loop, one compute thread; only a
+``blocks`` request forks workers:
 
 * **POST /v1/align** — a single triple or a list; admitted requests join
   the micro-batch queue and block until served (or add ``"async": true``
@@ -17,10 +17,10 @@ pool:
 
 Backpressure is explicit: a full queue or cell budget sheds with **429**
 and a ``Retry-After`` derived from the measured compute throughput; a
-request whose deadline lapses gets **504**; a worker failure that
-supervision could not absorb degrades to a typed **503** for that batch
-only. ``SIGTERM``/``SIGINT`` trigger a graceful drain — stop accepting,
-flush the queue, finish in-flight responses, close the pool — and the
+request whose deadline lapses gets **504**; a ``blocks`` worker failure
+that recovery could not absorb degrades to a typed **503** for that
+batch only. ``SIGTERM``/``SIGINT`` trigger a graceful drain — stop
+accepting, flush the queue, finish in-flight responses — and the
 process exits 0. See ``docs/serving.md``.
 """
 
@@ -266,7 +266,6 @@ class AlignServer(JsonHttpServer):
         self.scheduler = scheduler or BatchScheduler(
             cache=self.cache,
             workers=self.config.workers,
-            max_pool_cells=self.config.max_pool_cells,
         )
         self.admission = AdmissionController(
             max_queued_requests=self.config.queue_depth,
@@ -302,9 +301,6 @@ class AlignServer(JsonHttpServer):
         self.batcher.drain()
         if self._batch_task is not None:
             await self._batch_task
-
-    async def _on_drained(self) -> None:
-        self.scheduler.close()
 
     def _map_exception(self, exc: Exception) -> tuple[int, Any] | None:
         if isinstance(exc, DeadlineExceeded):

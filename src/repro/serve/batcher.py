@@ -1,23 +1,22 @@
 """Micro-batching: many concurrent clients, one scheduler.
 
 The whole point of fronting :class:`~repro.batch.BatchScheduler` with a
-service is that its amortisations — exact dedup, permutation reuse, the
-persistent :class:`~repro.parallel.executor.WavefrontPool` — apply
-*across clients*, not just within one CLI invocation. The micro-batcher
-is the funnel that makes that true: every admitted request joins an
-asyncio queue; a collector coalesces the queue into batches bounded by
-**size** (``max_requests`` triples) and **age** (the first job in a
-window waits at most ``max_age_s``), and each batch runs through one
-long-lived scheduler on a dedicated single worker thread.
+service is that its amortisations — the result cache, exact dedup,
+permutation reuse — apply *across clients*, not just within one CLI
+invocation. The micro-batcher is the funnel that makes that true: every
+admitted request joins an asyncio queue; a collector coalesces the
+queue into batches bounded by **size** (``max_requests`` triples) and
+**age** (the first job in a window waits at most ``max_age_s``), and
+each batch runs through one long-lived scheduler on a dedicated single
+worker thread.
 
-One thread, deliberately: the scheduler owns one worker pool, batches
-serialise behind it, and the event loop stays free to accept, shed and
-answer health checks while a batch computes. Results come back through
-per-job futures; a batch-level failure (e.g. a
-:class:`~repro.resilience.errors.WorkerFailure` past what supervision
-can absorb) fails only the jobs in that batch and closes the pool so
-the next batch starts from a clean spawn — the server itself never
-dies with a worker.
+One thread, deliberately: batches compute in-process, one at a time,
+and the event loop stays free to accept, shed and answer health checks
+while a batch computes. Results come back through per-job futures; a
+batch-level failure (e.g. a
+:class:`~repro.resilience.errors.WorkerFailure` from a ``blocks``
+request's pool past what recovery can absorb) fails only the jobs in
+that batch — the server itself never dies with a worker.
 """
 
 from __future__ import annotations
@@ -205,17 +204,12 @@ class MicroBatcher:
                 self._executor, self.scheduler.run, flat
             )
         except Exception as exc:
-            # Fail this batch's jobs, not the server; drop the pool so
-            # the next batch respawns clean workers.
+            # Fail this batch's jobs, not the server.
             for job in live:
                 if not job.future.done():
                     job.future.set_exception(exc)
                 self.admission.on_complete(job.cost_cells)
             _obs.record_serve_batch_failure(type(exc).__name__)
-            try:
-                self.scheduler.close()
-            except Exception:
-                pass
             return
 
         self.batches_run += 1

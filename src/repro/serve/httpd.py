@@ -103,7 +103,7 @@ class JsonHttpServer:
 
     async def drain(self) -> None:
         """Flip to draining, close the listener, flush, finish in-flight
-        responses, release resources. Idempotent."""
+        responses. Idempotent."""
         if self.draining:
             return
         self.draining = True
@@ -129,7 +129,6 @@ class JsonHttpServer:
         for task in list(self._conn_tasks):
             if not task.done():
                 task.cancel()
-        await self._on_drained()
 
     # Hooks ------------------------------------------------------------
 
@@ -139,9 +138,6 @@ class JsonHttpServer:
     async def _on_listener_closed(self) -> None:
         """Runs after the listener closes, before in-flight waits
         (flush queues, stop background tasks feeding responses)."""
-
-    async def _on_drained(self) -> None:
-        """Runs last: release pools and background resources."""
 
     def uptime_s(self) -> float:
         return round(time.time() - self._started_at, 3)

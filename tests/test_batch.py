@@ -1,8 +1,10 @@
 """Unit tests for the batch scheduler and request IO (repro.batch)."""
 
 import json
+import multiprocessing
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.batch import (
     AlignmentRequest,
@@ -13,12 +15,63 @@ from repro.batch import (
     run_batch,
 )
 from repro.cache import ResultCache, comparable_meta
-from repro.core.api import align3
+from repro.core.api import AVAILABLE_METHODS, align3
+from repro.core.scoring import default_scheme_for
+from repro.seqio.alphabet import DNA, PROTEIN
 from repro.seqio.fasta import write_fasta
+from repro.seqio.generate import mutated_family
 
 T1 = ("GATTACA", "GATCA", "GTTACA")
 T2 = ("ACGTAC", "ACTAC", "AGTAC")
 T1_PERM = (T1[1], T1[0], T1[2])
+FAMILY_40 = tuple(mutated_family(40, seed=3))
+
+#: Every global method but ``anchored``, whose chain solver
+#: ``tests/test_anchor.py`` covers.
+GLOBAL_METHODS = tuple(m for m in AVAILABLE_METHODS if m != "anchored")
+SCHEMES = {
+    "dna": default_scheme_for(DNA),
+    "protein": default_scheme_for(PROTEIN),
+}
+LETTERS = {"dna": "ACGT", "protein": "ACDEFGHIKLMNPQRSTVWY"}
+
+
+def _child_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+@st.composite
+def scheme_triples(draw):
+    """``(alphabet, triple)``: up to 12 residues each, empty included."""
+    alphabet = draw(st.sampled_from(sorted(SCHEMES)))
+    seq = st.text(alphabet=LETTERS[alphabet], min_size=0, max_size=12)
+    return alphabet, draw(st.tuples(seq, seq, seq))
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=scheme_triples())
+@example(case=("dna", FAMILY_40))
+@example(case=("dna", ("", "", "")))
+@example(case=("protein", ("W", "", "WKV")))
+def test_batch_matches_align3_every_method(case):
+    """Each global method but ``anchored``, at one and two workers:
+    the cold compute and the warm re-run's cache hit both return the
+    engine, rows and score of ``align3(method=m)``, and the rows score
+    that."""
+    alphabet, seqs = case
+    scheme = SCHEMES[alphabet]
+    for method in GLOBAL_METHODS:
+        want = align3(*seqs, scheme, method=method)
+        req = AlignmentRequest(seqs=seqs, scheme=scheme, method=method)
+        for workers in (1, 2):
+            with BatchScheduler(cache=ResultCache(), workers=workers) as sched:
+                served = sched.run([req]).results + sched.run([req]).results
+            assert [r.source for r in served] == ["computed", "memory_hit"]
+            for res in served:
+                aln = res.alignment
+                assert aln.meta["engine"] == want.meta["engine"]
+                assert (aln.rows, aln.score) == (want.rows, want.score)
+                assert abs(scheme.sp_score(aln.rows) - aln.score) < 1e-9
 
 
 class TestScheduling:
@@ -129,12 +182,9 @@ class TestScheduling:
 
         monkeypatch.setattr(api_mod, "select_method", spy)
         monkeypatch.setattr(scheduler_mod, "select_method", spy)
-        # max_pool_cells=1 routes the resolved job down the direct path,
-        # which hands align3 the engine the scheduler already chose.
+        # The compute hands align3 the engine the scheduler already chose.
         report = run_batch(
-            [AlignmentRequest(seqs=T1, scheme=dna_scheme)],
-            workers=1,
-            max_pool_cells=1,
+            [AlignmentRequest(seqs=T1, scheme=dna_scheme)], workers=1
         )
         assert len(calls) == 1
         method, selection = calls[0]
@@ -142,27 +192,42 @@ class TestScheduling:
         assert aln.meta["auto"] == selection
         assert aln.meta["method"] == method
 
-    def test_pool_path_matches_align3(self, dna_scheme):
+    def test_two_workers_compute_global_triples_in_process(self, dna_scheme):
+        before = _child_pids()
+        with BatchScheduler(workers=2) as sched:
+            report = sched.run(
+                [
+                    AlignmentRequest(seqs=t, scheme=dna_scheme)
+                    for t in (T1, T2, FAMILY_40)
+                ]
+            )
+            assert _child_pids() == before
+        assert report.stats.computed == 3
+        assert report.stats.pool_jobs == 0
+
+    def test_blocks_request_runs_on_a_pool(self, dna_scheme):
+        from repro.core.wavefront import align3_wavefront
+
         report = run_batch(
-            [AlignmentRequest(seqs=T1, scheme=dna_scheme)], workers=1
+            [AlignmentRequest(seqs=T1, scheme=dna_scheme, method="blocks")],
+            workers=2,
         )
         assert report.stats.pool_jobs == 1
-        want = align3(*T1, dna_scheme)
         got = report.results[0].alignment
-        assert got.rows == want.rows
-        assert got.score == want.score
+        assert got.meta["engine"] == "blocks"
+        want = align3_wavefront(*T1, dna_scheme)
+        assert (got.rows, got.score) == (want.rows, want.score)
 
-    def test_degenerate_seqs_bypass_pool(self, dna_scheme):
+    def test_degenerate_seqs_match_align3(self, dna_scheme):
         report = run_batch(
             [AlignmentRequest(seqs=("", "AC", "GT"), scheme=dna_scheme)],
             workers=1,
         )
-        assert report.stats.pool_jobs == 0
         assert report.results[0].alignment.score == align3(
             "", "AC", "GT", dna_scheme
         ).score
 
-    def test_affine_and_serial_methods_bypass_pool(
+    def test_affine_and_explicit_methods_keep_their_engine(
         self, dna_scheme, affine_dna_scheme
     ):
         report = run_batch(
@@ -172,7 +237,6 @@ class TestScheduling:
             ],
             workers=1,
         )
-        assert report.stats.pool_jobs == 0
         assert report.stats.computed == 2
         assert report.results[0].alignment.meta["method"] == "affine"
         assert report.results[1].alignment.meta["method"] == "dp3d"
@@ -224,22 +288,24 @@ class TestScheduling:
         with pytest.raises(ValueError):
             BatchScheduler(workers=0)
 
-    def test_pool_reused_and_grown_across_batches(self, dna_scheme):
-        with BatchScheduler(workers=1) as sched:
-            sched.run([AlignmentRequest(seqs=T2, scheme=dna_scheme)])
-            first_pool = sched._pool
-            # smaller job: the live pool must be reused, not respawned
-            sched.run(
-                [AlignmentRequest(seqs=("ACG", "ACG", "AG"), scheme=dna_scheme)]
+    def test_explicit_scheme_rejects_foreign_residues_before_computing(
+        self, dna_scheme
+    ):
+        # The DNA scheme cannot encode the protein triple; the batch
+        # must fail as it is normalised, before the good triple runs.
+        cache = ResultCache()
+        with pytest.raises(ValueError, match="'M' is not in alphabet 'dna'"):
+            run_batch(
+                [
+                    AlignmentRequest(seqs=T1, scheme=dna_scheme),
+                    AlignmentRequest(
+                        seqs=("MKV", "MKV", "MK"), scheme=dna_scheme
+                    ),
+                ],
+                cache=cache,
+                workers=1,
             )
-            assert sched._pool is first_pool
-            # larger job: capacity grows, covering both old and new dims
-            sched.run([AlignmentRequest(seqs=T1, scheme=dna_scheme)])
-            assert all(
-                c >= n
-                for c, n in zip(sched._pool_capacity, (len(s) for s in T1))
-            )
-        assert sched._pool is None  # closed by the context manager
+        assert len(cache) == 0
 
     def test_empty_batch(self):
         report = run_batch([], workers=1)

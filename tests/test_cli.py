@@ -398,6 +398,21 @@ class TestMixedAlphabets:
         ) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
 
+    def test_batch_explicit_matrix_rejects_a_foreign_line(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        path = tmp_path / "reqs.jsonl"
+        good = json.dumps({"seqs": ["GATTACA", "GATCA", "GTTACA"]})
+        protein = json.dumps({"seqs": ["MKVLWQ", "MKVLW", "MKLWQ"]})
+        path.write_text("\n".join([good, protein, good]) + "\n")
+        assert main(["batch", str(path), "--matrix", "dna"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:2: " in captured.err
+        assert "not in alphabet 'dna'" in captured.err
+
 
 class TestBatchOutputFormats:
     @pytest.fixture

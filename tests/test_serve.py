@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
+import multiprocessing
 import queue
-import signal
 import threading
 
 import pytest
@@ -409,30 +408,18 @@ class TestAlignServer:
             sources = {r["source"] for r in resp.body["results"]}
             assert "dedup" in sources or "memory_hit" in sources
 
-    def test_pool_worker_killed_between_posts(self, monkeypatch):
-        # workers=2: the scheduler's pool has one child. Killing it while
-        # idle costs the next POST one scan interval, not a 504.
-        monkeypatch.setenv("REPRO_SUPERVISE_TIMEOUT", "0.2")
-        first = list(mutated_family(20, seed=5))
-        second = [s[:-1] for s in first]  # a miss that fits the pool
-        scheme = default_scheme_for(DNA)
+    def test_two_workers_serve_global_triples_in_process(self):
+        before = {p.pid for p in multiprocessing.active_children()}
         with ServerThread(workers=2) as srv, ServeClient(
             "127.0.0.1", srv.port
         ) as client:
-            resp = client.align(seqs=first, method="wavefront")
+            resp = client.align(seqs=list(TRIPLE))
             assert resp.status == 200
-            pool = srv.server.scheduler._pool
-            assert pool is not None and not pool._serial
-            victim = pool._procs[1]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=10)
-            assert not victim.is_alive()
-            resp = client.align(seqs=second, method="wavefront", deadline_s=20)
-            assert resp.status == 200, resp.body
-            got = resp.body["results"][0]
-            assert got["source"] == "computed"
-            assert tuple(got["rows"]) == align3(*second, scheme).rows
-            assert [(r.worker, r.plane) for r in pool.failures] == [(1, 0)]
+            assert {p.pid for p in multiprocessing.active_children()} == before
+        got = resp.body["results"][0]
+        assert got["engine"] == "wavefront"
+        want = align3(*TRIPLE, default_scheme_for(DNA))
+        assert tuple(got["rows"]) == want.rows
 
     def test_healthz_and_metrics(self):
         with ServerThread() as srv, ServeClient(

@@ -21,10 +21,10 @@ Usage::
         [--unique 40] [--n 24] [--min-speedup 2.0] [--repeats 2]
 
 Exit status 0 when all bounds hold, 1 on violation (2 on bad arguments).
-``--workers 1`` (the default) keeps the pool serial so the measurement is
-about batching and caching, not fork timing noise. The dedup ratio and
-speedup self-record as one ``check_batch`` row in the run-record
-database (``RUNS.jsonl``; disable with ``--no-record``).
+Both sides compute every miss in this process; ``--workers`` only sizes
+the pool of ``blocks`` requests, which this batch does not make. The
+dedup ratio and speedup self-record as one ``check_batch`` row in the
+run-record database (``RUNS.jsonl``; disable with ``--no-record``).
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats", type=int, default=2, help="timed repeats per side"
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="pool workers (1 = serial)"
+        "--workers", type=int, default=1,
+        help="scheduler worker count (used by 'blocks' requests only)"
     )
     parser.add_argument(
         "--no-record",
@@ -135,8 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     # Every request must reproduce the serial loop's rows and score
-    # exactly (meta provenance legitimately differs: the pool records
-    # engine="pool" where serial align3 records the sweep engine).
+    # exactly; both sides run the same align3 path.
     mismatches = 0
     for res, want in zip(report.results, serial_alns):
         got = res.alignment
