@@ -54,6 +54,7 @@ from repro.core.scoring import ScoringScheme
 from repro.core.types import Alignment3
 from repro.obs import hooks as _obs
 from repro.obs import trace as _trace
+from repro.resilience import degrade as _degrade
 from repro.seqio.alphabet import guess_common_alphabet
 from repro.util.validation import check_sequences
 
@@ -259,8 +260,10 @@ class BatchScheduler:
         """``(resolved engine, cache-key method component, selection)``.
 
         Mirrors ``align3``'s resolution order: the key must be derived
-        from the method that will actually run, not the request string,
-        so ``auto`` and its resolved engine share one entry. Non-global
+        from the engine that will actually run, after ``auto`` and the
+        memory plan, not the request string, so ``auto`` and its
+        resolved engine share one entry and a run that degrades to
+        ``hirschberg`` keys as ``hirschberg``. Non-global
         modes have a single engine each, so their raw ``auto`` keys are
         already canonical. ``selection`` is :func:`select_method`'s
         record when it ran (else None); this is the request's only
@@ -288,7 +291,11 @@ class BatchScheduler:
                 method, selection = select_method(
                     *req.seqs, scheme, cells_per_s=self._hint()
                 )
-        return method, method_key_class(method), selection
+        engine = method
+        if method in _degrade.LADDER:
+            dims = tuple(len(s) for s in req.seqs)
+            engine = _degrade.plan_method(method, dims).method
+        return method, method_key_class(engine), selection
 
     def _compute(
         self,
@@ -509,10 +516,17 @@ class BatchScheduler:
             )
             return
         canonical, perm = canonical_order(req.seqs)
+        key_class = resolved[idxs[0]][1]
         pkey = PERM_PREFIX + permutation_key(
-            req.seqs, scheme, req.mode, resolved[idxs[0]][1]
+            req.seqs, scheme, req.mode, key_class
         )
-        if self.cache is not None:
+        # The key names the engine planned when the batch resolved; if
+        # the memory budget moved since and align3 ran another key class,
+        # its rows are served but not cached under that key.
+        if self.cache is not None and (
+            req.mode != "global"
+            or method_key_class(aln.meta["method"]) == key_class
+        ):
             self.cache.put(key, aln)
             self.cache.put(pkey, permute_rows(aln, perm))
         self._fill(

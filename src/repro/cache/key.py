@@ -9,21 +9,16 @@ an engine would be handed the same inputs. The digest therefore covers
   and wildcard, the raw ``float64`` bytes of the substitution matrix, and
   both gap parameters (the ``name`` is presentation only and excluded);
 * the alignment ``mode`` (``global``/``local``/``semiglobal``); and
-* the **equivalence class** of the *resolved* method
-  (:func:`method_key_class`), not the raw request string. Every exact
-  linear-gap engine (``dp3d``, ``wavefront``, ``hirschberg``, ``pruned``,
-  ``banded``, ``blocks``) returns an optimal alignment with the same
-  score. All but ``hirschberg`` share one tie-break and so return the
-  same rows; ``hirschberg`` can return another co-optimal alignment on
-  ties. Their results are interchangeable as optimal answers and share
-  the single class ``"exact"``. Keying on
-  the raw string was a bug: ``align3(method="auto")`` hashed ``"auto"``
-  *before* resolution, so the same triple computed as ``auto`` and as
-  ``wavefront`` was solved and stored twice — and a run degraded from
-  ``wavefront`` to ``hirschberg`` was stored under the un-degraded key.
-  Callers must resolve ``auto`` (and any degradation) first, then key on
-  ``method_key_class(resolved)``. Entries persisted under the old raw
-  keys are never found again; a miss recomputes the same answer.
+* the **equivalence class** of the method that will run
+  (:func:`method_key_class`), not the raw request string. The exact
+  linear-gap engines ``dp3d``, ``wavefront``, ``pruned``, ``banded`` and
+  ``blocks`` share one tie-break and so return the same rows: they share
+  the class ``"exact"``. ``hirschberg`` returns the same optimal score
+  but, on ties, another co-optimal alignment, so it keys as itself — a
+  hit must return the rows its engine would have computed. Callers must
+  resolve ``auto`` and plan any degradation first, then key on
+  ``method_key_class(engine)``: a ``wavefront`` run degraded to
+  ``hirschberg`` stores its rows under ``"hirschberg"``.
 
 Permutation equivalence
 -----------------------
@@ -47,23 +42,19 @@ from repro.core.scoring import ScoringScheme
 # MODES (the alignment modes a key may carry) lives with the core types.
 from repro.core.types import MODES, Alignment3
 
-#: Exact linear-gap engines: each returns an optimal alignment with the
-#: same score. All but ``hirschberg`` share the kernel's tie-break (moves
-#: 1..7, first of equals) and so the same rows; ``hirschberg`` may pick
-#: another co-optimal alignment on ties. Their cached results are
-#: interchangeable as optimal answers.
-EXACT_METHODS = frozenset(
-    {"dp3d", "wavefront", "hirschberg", "pruned", "banded", "blocks"}
-)
+#: Exact linear-gap engines that share the kernel's tie-break (moves
+#: 1..7, first of equals), and so return the same rows: their cached
+#: results are interchangeable.
+EXACT_METHODS = frozenset({"dp3d", "wavefront", "pruned", "banded", "blocks"})
 
 
 def method_key_class(method: str) -> str:
-    """Cache-key equivalence class of a *resolved* method.
+    """Cache-key equivalence class of the engine that will run.
 
-    All exact linear-gap engines collapse to ``"exact"``; anything
-    else (``affine``, future approximate engines) keys as itself.
-    ``auto`` must be resolved before calling this — passing it through
-    would recreate the aliasing bug this class exists to fix.
+    The engines of :data:`EXACT_METHODS` collapse to ``"exact"``;
+    anything else (``hirschberg``, ``affine``) keys as itself. ``auto``
+    must be resolved before calling this — passing it through would key
+    the same answer twice.
     """
     if method == "auto":
         raise ValueError("resolve method='auto' before deriving a cache key")

@@ -211,13 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch-max",
         type=int,
         default=None,
-        help="micro-batch flush size (triples)",
-    )
-    p_serve.add_argument(
-        "--batch-age-ms",
-        type=float,
-        default=None,
-        help="micro-batch flush age in milliseconds",
+        help="max triples per micro-batch",
     )
     p_serve.add_argument(
         "--deadline",
@@ -799,8 +793,6 @@ def _cmd_serve(args) -> int:
         "instance": args.instance,
         "drain_grace_s": args.drain_grace,
     }
-    if args.batch_age_ms is not None:
-        overrides["batch_max_age_s"] = args.batch_age_ms / 1000.0
     config = ServeConfig(
         **{k: v for k, v in overrides.items() if v is not None}
     )

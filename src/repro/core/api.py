@@ -46,10 +46,10 @@ also share one tie-break (moves in code order 1..7, first of equals; pruning
 keeps every cell of every optimal path), so they return the same rows;
 ``hirschberg`` returns a co-optimal alignment whose rows can differ on
 ties, because its split points choose among optimal paths. The result
-cache treats all of them as one answer: keys carry the
-*equivalence class* of the resolved method
-(:func:`repro.cache.method_key_class`), so a request served as ``auto``,
-``wavefront`` or ``pruned`` shares one cache entry.
+cache keys on the *equivalence class* of the engine that runs
+(:func:`repro.cache.method_key_class`), after ``auto`` and any
+degradation: a request served as ``auto``, ``wavefront`` or ``pruned``
+shares one entry, and ``hirschberg`` results key apart.
 """
 
 from __future__ import annotations
@@ -275,11 +275,11 @@ def align3(
         is looked up by its content digest before any engine runs; a hit
         returns the stored alignment (bit-identical rows/score, meta
         modulo timing, ``meta["cache"]["hit"] = True``) and a miss stores
-        the computed result. Keys are built from the *resolved* method's
-        equivalence class (:func:`repro.cache.method_key_class`) — all
-        exact linear-gap engines share one entry, so ``auto`` and
-        ``wavefront`` requests for the same triple no longer compute and
-        store the same alignment twice.
+        the computed result. Keys are built from the equivalence class
+        (:func:`repro.cache.method_key_class`) of the engine that will
+        run, after ``auto`` and any degradation, so ``auto`` and
+        ``wavefront`` requests for the same triple share one entry and a
+        hit returns the rows that engine computes.
     constraints:
         Optional anchor chain the alignment must pass through — an
         iterable of ``(i, j, k, length)`` tuples (or ``{"i": ...}``
@@ -356,10 +356,13 @@ def align3(
         )
 
     plan = None
+    engine = method
     if chain_mode is None and method in _degrade.LADDER:
         plan = _degrade.plan_method(
             method, (len(sa), len(sb), len(sc))
         )
+        if allow_degrade:
+            engine = plan.method
 
     cache_key = None
     if cache is not None:
@@ -377,7 +380,7 @@ def align3(
             # digest below separates it from unconstrained entries.
             key_method = "exact"
         else:
-            key_method = method_key_class(method)
+            key_method = method_key_class(engine)
         cache_key = request_key(
             (sa, sb, sc), scheme, "global", key_method,
             constraints=constraints,

@@ -14,11 +14,8 @@ supply the lower bound that drives Carrillo–Lipman pruning
 
 from repro.heuristics.centerstar import align3_centerstar
 from repro.heuristics.progressive import align3_progressive
-from repro.heuristics.profile import Profile, align_profile_sequence
 
 __all__ = [
     "align3_centerstar",
     "align3_progressive",
-    "Profile",
-    "align_profile_sequence",
 ]

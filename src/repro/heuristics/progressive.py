@@ -1,18 +1,18 @@
 """Progressive (profile-based) heuristic for three sequences.
 
 Align the closest pair exactly (pairwise NW), freeze that alignment into a
-profile, then align the third sequence against the profile
-(:mod:`repro.heuristics.profile`). Mistakes made in the first pairwise step
-are never revisited — the canonical failure mode that exact three-way
-alignment avoids, and the reason the optimality gap of experiment T3 grows
-with divergence.
+profile, then align the third sequence against it as a one-row profile
+(:func:`repro.msa.profilealign.align_profiles`). Mistakes made in the first
+pairwise step are never revisited — the canonical failure mode that exact
+three-way alignment avoids, and the reason the optimality gap of experiment
+T3 grows with divergence.
 """
 
 from __future__ import annotations
 
 from repro.core.scoring import ScoringScheme
 from repro.core.types import Alignment3
-from repro.heuristics.profile import Profile, align_profile_sequence
+from repro.msa.profilealign import align_profiles
 from repro.pairwise.nw import align2, score2
 from repro.util.validation import check_sequences
 
@@ -31,13 +31,10 @@ def align3_progressive(
     (z,) = tuple(set(range(3)) - set(best_pair))
 
     seed = align2(seqs[x], seqs[y], scheme)
-    profile = Profile.from_rows(seed.rows)
-    cols, aligned_z = align_profile_sequence(profile, seqs[z], scheme)
+    merged, _ = align_profiles(seed.rows, [seqs[z]], scheme)
 
     rows: list[str] = [""] * 3
-    rows[x] = "".join(c[0] for c in cols)
-    rows[y] = "".join(c[1] for c in cols)
-    rows[z] = aligned_z
+    rows[x], rows[y], rows[z] = merged
     score = scheme.sp_score(rows)
     return Alignment3(
         rows=tuple(rows),  # type: ignore[arg-type]

@@ -296,7 +296,11 @@ def record_serve_shed(reason: str) -> None:
 
 
 def record_serve_flush(*, reason: str, jobs: int, requests: int) -> None:
-    """One micro-batch window closing (``size``/``age``/``drain``)."""
+    """One micro-batch flush, by the reason its batch closed.
+
+    ``idle``: it took every queued job; ``size``: it reached
+    ``max_requests`` triples; ``drain``: it is the last, at shutdown.
+    """
     if trace.enabled:
         trace.event(
             "serve_flush", reason=reason, jobs=jobs, requests=requests

@@ -412,8 +412,12 @@ class WavefrontPool:
             )
             return res.score, res.move_cube
 
+        # Encoding rejects a sequence the scheme cannot score; doing it
+        # before the failure path keeps that caller error from poisoning
+        # the pool.
+        mats = scheme.profile_matrices(sa, sb, sc)
         try:
-            return self._run_parallel(sa, sb, sc, scheme, score_only)
+            return self._run_parallel(sa, sb, sc, mats, scheme, score_only)
         except Exception:
             # An unrecovered failure (WorkerFailure, broken protocol)
             # leaves buffers in an unknown state; poison the pool so
@@ -427,11 +431,12 @@ class WavefrontPool:
         sa: str,
         sb: str,
         sc: str,
+        mats: tuple[np.ndarray, np.ndarray, np.ndarray],
         scheme: ScoringScheme,
         score_only: bool,
     ) -> tuple[float, np.ndarray | None]:
         n1, n2, n3 = len(sa), len(sb), len(sc)
-        sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
+        sab, sac, sbc = mats
         dims = (n1, n2, n3)
         dmax = n1 + n2 + n3
         slabs = row_slabs(n1, self.workers)

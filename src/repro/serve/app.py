@@ -279,7 +279,6 @@ class AlignServer(JsonHttpServer):
             self.scheduler,
             self.admission,
             max_requests=self.config.batch_max_requests,
-            max_age_s=self.config.batch_max_age_s,
         )
         self.jobs = JobTable(self.config.job_capacity)
         self._batch_task: asyncio.Task | None = None

@@ -4,11 +4,14 @@ The whole point of fronting :class:`~repro.batch.BatchScheduler` with a
 service is that its amortisations — the result cache, exact dedup,
 permutation reuse — apply *across clients*, not just within one CLI
 invocation. The micro-batcher is the funnel that makes that true: every
-admitted request joins an asyncio queue; a collector coalesces the
-queue into batches bounded by **size** (``max_requests`` triples) and
-**age** (the first job in a window waits at most ``max_age_s``), and
-each batch runs through one long-lived scheduler on a dedicated single
-worker thread.
+admitted request joins an asyncio queue, and a collector runs the queue
+through one long-lived scheduler on a dedicated single worker thread.
+
+Batching is continuous, with no timer: when the collector takes a job it
+also takes every job already queued, up to ``max_requests`` triples, and
+flushes at once. A lone job therefore reaches the scheduler without
+waiting, and jobs that arrive while a batch computes flush together as
+soon as it ends — the compute thread never idles while work is queued.
 
 One thread, deliberately: batches compute in-process, one at a time,
 and the event loop stays free to accept, shed and answer health checks
@@ -48,8 +51,6 @@ class Job:
     requests: list[AlignmentRequest]
     cost_cells: int
     future: "asyncio.Future[list[RequestResult]]"
-    #: ``loop.time()`` admission timestamp.
-    enqueued_at: float
     #: Absolute ``loop.time()`` deadline; jobs still queued past it fail
     #: with :class:`DeadlineExceeded` instead of wasting a compute.
     deadline_at: float
@@ -68,7 +69,11 @@ def _consume_exception(fut: "asyncio.Future") -> None:
 
 
 class MicroBatcher:
-    """Coalesce admitted jobs into size/age-bounded scheduler batches."""
+    """Feed admitted jobs to the scheduler in continuous batches.
+
+    Each batch holds what queued while the previous one computed, up to
+    ``max_requests`` triples.
+    """
 
     def __init__(
         self,
@@ -76,16 +81,12 @@ class MicroBatcher:
         admission: AdmissionController,
         *,
         max_requests: int = 32,
-        max_age_s: float = 0.01,
     ):
         if max_requests < 1:
             raise ValueError(f"max_requests must be >= 1, got {max_requests}")
-        if max_age_s <= 0:
-            raise ValueError(f"max_age_s must be > 0, got {max_age_s}")
         self.scheduler = scheduler
         self.admission = admission
         self.max_requests = int(max_requests)
-        self.max_age_s = float(max_age_s)
         self._queue: "asyncio.Queue[Any]" = asyncio.Queue()
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-batch"
@@ -106,13 +107,11 @@ class MicroBatcher:
     ) -> Job:
         """Enqueue one admitted job (admission already accounted it)."""
         loop = asyncio.get_running_loop()
-        now = loop.time()
         job = Job(
             requests=requests,
             cost_cells=cost_cells,
             future=loop.create_future(),
-            enqueued_at=now,
-            deadline_at=now + deadline_s,
+            deadline_at=loop.time() + deadline_s,
         )
         # Mark failures as retrieved even when the waiter gave up (its
         # deadline fired first) so abandoned futures don't log warnings.
@@ -138,31 +137,24 @@ class MicroBatcher:
                 first = await self._queue.get()
                 if first is _SHUTDOWN:
                     break
-                batch, stop = await self._fill_window(loop, first)
+                batch, stop = self._take_queued(first)
                 await self._flush(loop, batch)
                 if stop:
                     break
         finally:
             self._executor.shutdown(wait=True)
 
-    async def _fill_window(
-        self, loop: asyncio.AbstractEventLoop, first: Job
-    ) -> tuple[list[Job], bool]:
-        """Grow a batch from ``first`` until size or age trips."""
+    def _take_queued(self, first: Job) -> tuple[list[Job], bool]:
+        """``first`` plus every job already queued, without waiting,
+        until the batch holds ``max_requests`` triples."""
         batch = [first]
         total = len(first.requests)
-        flush_at = loop.time() + self.max_age_s
-        reason = "age"
+        reason = "idle"
         stop = False
         while total < self.max_requests:
-            remaining = flush_at - loop.time()
-            if remaining <= 0:
-                break
             try:
-                job = await asyncio.wait_for(
-                    self._queue.get(), timeout=remaining
-                )
-            except asyncio.TimeoutError:
+                job = self._queue.get_nowait()
+            except asyncio.QueueEmpty:
                 break
             if job is _SHUTDOWN:
                 reason, stop = "drain", True

@@ -31,10 +31,10 @@ class ServeConfig:
 
     Micro-batching
     --------------
-    An arriving request starts a batch window; the batch flushes to the
-    long-lived :class:`~repro.batch.BatchScheduler` when it holds
-    ``batch_max_requests`` triples or the oldest waits past
-    ``batch_max_age_s``, whichever comes first.
+    Batches flush to the long-lived :class:`~repro.batch.BatchScheduler`
+    as soon as its compute thread is free, with no timer: each takes
+    whatever queued while the previous batch computed, up to
+    ``batch_max_requests`` triples.
     """
 
     host: str = "127.0.0.1"
@@ -64,7 +64,6 @@ class ServeConfig:
 
     # Micro-batching.
     batch_max_requests: int = 32
-    batch_max_age_s: float = 0.01
 
     # Deadlines and connection hygiene.
     default_deadline_s: float = 30.0
@@ -93,8 +92,7 @@ class ServeConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in (
-            "batch_max_age_s", "default_deadline_s", "keepalive_timeout_s",
-            "drain_timeout_s",
+            "default_deadline_s", "keepalive_timeout_s", "drain_timeout_s",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")

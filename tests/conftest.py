@@ -64,3 +64,10 @@ def family_small() -> list[str]:
 def family_medium() -> list[str]:
     """A longer related triple for the vectorised/parallel engines."""
     return mutated_family(45, model=MutationModel(0.15, 0.04, 0.04), seed=78)
+
+
+@pytest.fixture(scope="session")
+def hirschberg_tie_triple() -> tuple[str, str, str]:
+    """An n=80 random DNA triple on which ``hirschberg`` returns another
+    co-optimal alignment than the plane-sweep engines (DNA scheme)."""
+    return tuple(random_sequence(80, seed=s) for s in (3, 4, 5))

@@ -108,6 +108,10 @@ class TestMethodKeyClass:
     def test_affine_keys_as_itself(self):
         assert method_key_class("affine") == "affine"
 
+    def test_hirschberg_keys_as_itself(self):
+        # Its rows can differ from the exact class's on ties.
+        assert method_key_class("hirschberg") == "hirschberg"
+
     def test_auto_rejected(self):
         with pytest.raises(ValueError, match="auto"):
             method_key_class("auto")
@@ -120,10 +124,13 @@ class TestCacheAliasing:
         cold = align3(*seqs, dna_scheme, method="auto", cache=cache)
         assert cold.meta["cache"]["hit"] is False
         # The same triple requested under any exact engine now hits.
-        for method in ("wavefront", "dp3d", "hirschberg", "auto"):
+        for method in ("wavefront", "dp3d", "pruned", "auto"):
             again = align3(*seqs, dna_scheme, method=method, cache=cache)
             assert again.meta["cache"]["hit"] is True, method
             assert again.score == cold.score
+        # hirschberg breaks ties its own way, so it keys apart.
+        own = align3(*seqs, dna_scheme, method="hirschberg", cache=cache)
+        assert own.meta["cache"]["hit"] is False
 
     def test_distinct_triples_do_not_collide(self, dna_scheme, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)

@@ -17,6 +17,7 @@ from repro.batch import (
 from repro.cache import ResultCache, comparable_meta
 from repro.core.api import AVAILABLE_METHODS, align3
 from repro.core.scoring import default_scheme_for
+from repro.resilience.errors import DegradationWarning
 from repro.seqio.alphabet import DNA, PROTEIN
 from repro.seqio.fasta import write_fasta
 from repro.seqio.generate import mutated_family
@@ -217,6 +218,63 @@ class TestScheduling:
         assert got.meta["engine"] == "blocks"
         want = align3_wavefront(*T1, dna_scheme)
         assert (got.rows, got.score) == (want.rows, want.score)
+
+    def test_hirschberg_rows_never_served_to_wavefront(
+        self, dna_scheme, hirschberg_tie_triple
+    ):
+        want = align3(*hirschberg_tie_triple, dna_scheme, method="wavefront")
+        with BatchScheduler(cache=ResultCache()) as sched:
+            for method in ("hirschberg", "wavefront"):
+                req = AlignmentRequest(
+                    seqs=hirschberg_tie_triple, scheme=dna_scheme, method=method
+                )
+                res = sched.run([req]).results[0]
+        assert res.source == "computed"
+        assert res.alignment.rows == want.rows
+
+    def test_degraded_run_keys_as_its_engine(
+        self, dna_scheme, hirschberg_tie_triple, monkeypatch
+    ):
+        want = align3(*hirschberg_tie_triple, dna_scheme, method="wavefront")
+        req = AlignmentRequest(
+            seqs=hirschberg_tie_triple, scheme=dna_scheme, method="wavefront"
+        )
+        with BatchScheduler(cache=ResultCache()) as sched:
+            monkeypatch.setenv("REPRO_MEM_BUDGET", "100000")
+            with pytest.warns(DegradationWarning):
+                degraded = sched.run([req]).results[0]
+            assert degraded.alignment.meta["degraded_from"] == "wavefront"
+            monkeypatch.delenv("REPRO_MEM_BUDGET")
+            res = sched.run([req]).results[0]
+        assert res.source == "computed"
+        assert res.alignment.rows == want.rows
+
+    def test_budget_moved_after_keying_skips_the_cache(
+        self, dna_scheme, hirschberg_tie_triple, monkeypatch
+    ):
+        # The batch keys a wavefront run, then the budget shrinks before
+        # it computes: align3 degrades, and those rows must not land
+        # under the wavefront key.
+        want = align3(*hirschberg_tie_triple, dna_scheme, method="wavefront")
+        req = AlignmentRequest(
+            seqs=hirschberg_tie_triple, scheme=dna_scheme, method="wavefront"
+        )
+        with BatchScheduler(cache=ResultCache()) as sched:
+            compute = sched._compute
+
+            def shrink_budget_then_compute(*args):
+                monkeypatch.setenv("REPRO_MEM_BUDGET", "100000")
+                return compute(*args)
+
+            monkeypatch.setattr(sched, "_compute", shrink_budget_then_compute)
+            with pytest.warns(DegradationWarning):
+                degraded = sched.run([req]).results[0]
+            assert degraded.alignment.rows != want.rows
+            monkeypatch.setattr(sched, "_compute", compute)
+            monkeypatch.delenv("REPRO_MEM_BUDGET")
+            res = sched.run([req]).results[0]
+        assert res.source == "computed"
+        assert res.alignment.rows == want.rows
 
     def test_degenerate_seqs_match_align3(self, dna_scheme):
         report = run_batch(

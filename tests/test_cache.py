@@ -16,6 +16,7 @@ from repro.cache import (
 )
 from repro.core.api import align3
 from repro.core.types import Alignment3
+from repro.resilience.errors import DegradationWarning
 
 TRIPLE = ("GATTACA", "GATCA", "GTTACA")
 
@@ -373,3 +374,31 @@ class TestHitBitIdentity:
         fresh = align3(*triple, dna_scheme, method="wavefront")
         assert hit.rows == stored.rows == fresh.rows
         assert hit.score == fresh.score
+
+    def test_hirschberg_rows_never_served_to_wavefront(
+        self, dna_scheme, hirschberg_tie_triple
+    ):
+        triple = hirschberg_tie_triple
+        fresh = align3(*triple, dna_scheme, method="wavefront")
+        cache = ResultCache()
+        stored = align3(*triple, dna_scheme, method="hirschberg", cache=cache)
+        assert stored.rows != fresh.rows
+        served = align3(*triple, dna_scheme, method="wavefront", cache=cache)
+        assert served.meta["cache"]["hit"] is False
+        assert served.rows == fresh.rows
+
+    def test_degraded_run_keys_as_its_engine(
+        self, dna_scheme, hirschberg_tie_triple, monkeypatch
+    ):
+        triple = hirschberg_tie_triple
+        fresh = align3(*triple, dna_scheme, method="wavefront")
+        cache = ResultCache()
+        monkeypatch.setenv("REPRO_MEM_BUDGET", "100000")
+        with pytest.warns(DegradationWarning):
+            degraded = align3(*triple, dna_scheme, method="wavefront", cache=cache)
+        assert degraded.meta["degraded_from"] == "wavefront"
+        assert degraded.rows != fresh.rows
+        monkeypatch.delenv("REPRO_MEM_BUDGET")
+        served = align3(*triple, dna_scheme, method="wavefront", cache=cache)
+        assert served.meta["cache"]["hit"] is False
+        assert served.rows == fresh.rows

@@ -519,10 +519,18 @@ class TestServeCli:
                 "--workers", "3", "--queue-depth", "64",
                 "--max-inflight-cells", "1000000",
                 "--max-request-cells", "2000000",
-                "--batch-max", "16", "--batch-age-ms", "5",
+                "--batch-max", "16",
                 "--deadline", "10", "--drain-timeout", "5",
                 "--cache-dir", "/tmp/x", "--max-entries", "128",
             ]
         )
         assert args.command == "serve"
-        assert args.batch_age_ms == 5.0
+        assert args.batch_max == 16
+
+    def test_batch_age_flag_rejected(self, capsys):
+        # Batches flush when the compute thread is free; there is no
+        # age window to set.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--batch-age-ms", "5"])
+        assert exc.value.code == 2
+        assert "--batch-age-ms" in capsys.readouterr().err

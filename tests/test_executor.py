@@ -70,6 +70,16 @@ class TestPoolGuards:
         with pytest.raises(ValueError, match="linear"):
             pool.score3("A", "A", "A", dna_scheme.with_gaps(gap=-1, gap_open=-1))
 
+    @needs_fork
+    def test_unencodable_sequence_leaves_pool_usable(self, dna_scheme):
+        with WavefrontPool((30, 30, 30), workers=2) as p:
+            with pytest.raises(ValueError, match="not in alphabet"):
+                p.align3("ACGTACGT", "MKVLLA", "ACGGT", dna_scheme)
+            triple = ("ACGTACGT", "ACGGTA", "ACGGT")
+            got = p.align3(*triple, dna_scheme)
+            assert got.rows == align3_wavefront(*triple, dna_scheme).rows
+            assert p.failures == []
+
     def test_closed_pool_rejects_jobs(self, dna_scheme):
         p = WavefrontPool((5, 5, 5), workers=1)
         p.close()

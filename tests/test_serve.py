@@ -15,17 +15,22 @@ import asyncio
 import json
 import multiprocessing
 import queue
+import statistics
 import threading
+import time
 
 import pytest
 
+from repro.batch import AlignmentRequest, BatchScheduler
 from repro.core.api import align3
 from repro.core.scoring import default_scheme_for
+from repro.obs import hooks as obs_hooks
 from repro.seqio.alphabet import DNA
 from repro.seqio.generate import mutated_family
 from repro.serve import (
     AdmissionController,
     AlignServer,
+    MicroBatcher,
     ServeClient,
     ServeConfig,
     estimate_cells,
@@ -235,7 +240,7 @@ class TestConfig:
             {"queue_depth": 0},
             {"max_inflight_cells": 0},
             {"batch_max_requests": 0},
-            {"batch_max_age_s": -0.1},
+            {"keepalive_timeout_s": 0},
             {"default_deadline_s": 0},
             {"drain_timeout_s": -1},
             {"drain_grace_s": -0.5},
@@ -303,6 +308,127 @@ class TestJobTable:
 
 
 # ----------------------------------------------------------------------
+# micro-batcher
+# ----------------------------------------------------------------------
+
+
+class HeldScheduler(BatchScheduler):
+    """Records each ``run``'s start time and size; with ``hold`` set, a
+    run waits for ``gate`` before it computes."""
+
+    def __init__(self, hold: bool = False):
+        super().__init__()
+        self.hold = hold
+        self.gate = threading.Event()
+        self.running = threading.Event()
+        self.starts: list[float] = []
+        self.sizes: list[int] = []
+
+    def run(self, requests, on_result=None):
+        requests = list(requests)
+        self.starts.append(time.perf_counter())
+        self.sizes.append(len(requests))
+        self.running.set()
+        if self.hold:
+            assert self.gate.wait(timeout=30), "held run never released"
+        return super().run(requests, on_result)
+
+
+def _one_triple(i: int) -> list[AlignmentRequest]:
+    return [AlignmentRequest(seqs=tuple(mutated_family(6, seed=300 + i)))]
+
+
+class TestMicroBatcher:
+    """``MicroBatcher`` driven directly: flushes start as soon as the
+    compute thread is free and take what queued meanwhile."""
+
+    @pytest.fixture
+    def flush_reasons(self, monkeypatch):
+        reasons: list[str] = []
+        real = obs_hooks.record_serve_flush
+
+        def record(*, reason, jobs, requests):
+            reasons.append(reason)
+            real(reason=reason, jobs=jobs, requests=requests)
+
+        monkeypatch.setattr(obs_hooks, "record_serve_flush", record)
+        return reasons
+
+    @staticmethod
+    def _batcher(sched, **kwargs) -> MicroBatcher:
+        admission = AdmissionController(
+            max_queued_requests=64, max_inflight_cells=10**9
+        )
+        return MicroBatcher(sched, admission, **kwargs)
+
+    def test_lone_job_reaches_the_scheduler_at_once(self, flush_reasons):
+        sched = HeldScheduler()
+
+        async def go() -> list[float]:
+            batcher = self._batcher(sched)
+            task = asyncio.create_task(batcher.run())
+            delays = []
+            for i in range(20):
+                t0 = time.perf_counter()
+                job = batcher.submit(_one_triple(i), 1, deadline_s=30)
+                await job.future
+                delays.append(sched.starts[-1] - t0)
+            batcher.drain()
+            await task
+            return delays
+
+        delays = asyncio.run(go())
+        assert statistics.median(delays) < 0.005, delays
+        assert sched.sizes == [1] * 20
+        assert flush_reasons == ["idle"] * 20
+
+    def test_jobs_queued_during_a_batch_flush_together(self, flush_reasons):
+        sched = HeldScheduler(hold=True)
+
+        async def go():
+            batcher = self._batcher(sched, max_requests=3)
+            task = asyncio.create_task(batcher.run())
+            first = batcher.submit(_one_triple(0), 1, deadline_s=30)
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, sched.running.wait, 30)
+            jobs = [
+                batcher.submit(_one_triple(i), 1, deadline_s=30)
+                for i in range(1, 6)
+            ]
+            sched.gate.set()
+            await first.future
+            results = [await job.future for job in jobs]
+            batcher.drain()
+            await task
+            return results
+
+        results = asyncio.run(go())
+        assert sched.sizes == [1, 3, 2]
+        assert flush_reasons == ["idle", "size", "idle"]
+        # The scheduler numbers a batch's results across all its jobs;
+        # each job sees its own, from 0.
+        assert [[r.index for r in res] for res in results] == [[0]] * 5
+
+    def test_drain_flushes_queued_jobs_then_run_returns(self, flush_reasons):
+        sched = HeldScheduler()
+
+        async def go():
+            batcher = self._batcher(sched)
+            jobs = [
+                batcher.submit(_one_triple(i), 1, deadline_s=30)
+                for i in range(3)
+            ]
+            batcher.drain()
+            await asyncio.wait_for(batcher.run(), timeout=30)
+            return [job.future.result() for job in jobs]
+
+        results = asyncio.run(go())
+        assert sched.sizes == [3]
+        assert flush_reasons == ["drain"]
+        assert [len(res) for res in results] == [1, 1, 1]
+
+
+# ----------------------------------------------------------------------
 # live server (in-process, ephemeral port)
 # ----------------------------------------------------------------------
 
@@ -310,10 +436,11 @@ class TestJobTable:
 class ServerThread:
     """An AlignServer on its own thread + event loop, drained on exit."""
 
-    def __init__(self, **overrides):
+    def __init__(self, scheduler: BatchScheduler | None = None, **overrides):
         overrides.setdefault("port", 0)
         overrides.setdefault("workers", 1)
         self.config = ServeConfig(**overrides)
+        self.scheduler = scheduler
         self.server: AlignServer | None = None
         self._ready: queue.Queue = queue.Queue()
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -325,7 +452,7 @@ class ServerThread:
 
     def _run(self) -> None:
         async def amain():
-            self.server = AlignServer(self.config)
+            self.server = AlignServer(self.config, scheduler=self.scheduler)
             try:
                 _host, port = await self.server.start()
             except BaseException as exc:  # pragma: no cover - setup only
@@ -489,9 +616,7 @@ class TestAlignServer:
             assert resp.body["error"]["type"] == "request_too_large"
 
     def test_tiny_queue_sheds_with_retry_after(self):
-        with ServerThread(
-            queue_depth=1, batch_max_requests=1, batch_max_age_s=0.2
-        ) as srv:
+        with ServerThread(queue_depth=1, batch_max_requests=1) as srv:
             seqs = list(mutated_family(30, seed=77))
             statuses, retry_afters = [], []
 
@@ -514,26 +639,36 @@ class TestAlignServer:
             assert all(ra is not None and ra >= 1 for ra in retry_afters)
 
     def test_coalesced_jobs_get_job_relative_indices(self):
-        # Two clients landing in one micro-batch: each response must
-        # number its results from 0 (the scheduler's batch-global
-        # indices are an implementation detail the wire never shows).
-        uniq = [tuple(mutated_family(10, seed=150 + i)) for i in range(4)]
-        with ServerThread(
-            batch_max_requests=16, batch_max_age_s=0.25
-        ) as srv:
-            responses = [None] * 4
+        # Four clients queued behind a held batch flush as one batch:
+        # each response must number its results from 0 (the scheduler's
+        # batch-global indices are an implementation detail the wire
+        # never shows).
+        uniq = [TRIPLE] + [
+            tuple(mutated_family(10, seed=150 + i)) for i in range(4)
+        ]
+        sched = HeldScheduler(hold=True)
+        with ServerThread(scheduler=sched, batch_max_requests=16) as srv:
+            responses = [None] * 5
 
             def hit(i: int) -> None:
                 with ServeClient("127.0.0.1", srv.port) as c:
                     responses[i] = c.align(seqs=list(uniq[i]))
 
             threads = [
-                threading.Thread(target=hit, args=(i,)) for i in range(4)
+                threading.Thread(target=hit, args=(i,)) for i in range(5)
             ]
-            for t in threads:
+            threads[0].start()
+            assert sched.running.wait(timeout=30)
+            for t in threads[1:]:
                 t.start()
+            admission = srv.server.admission
+            give_up = time.monotonic() + 30
+            while admission.queued_requests < 4 and time.monotonic() < give_up:
+                time.sleep(0.01)
+            sched.gate.set()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
+            assert sched.sizes == [1, 4]
             assert all(r.status == 200 for r in responses)
             for r in responses:
                 assert [res["index"] for res in r.body["results"]] == [0]
@@ -562,9 +697,7 @@ class TestAlignServer:
             assert client.job("missing").status == 404
 
     def test_drain_completes_inflight_then_healthz_refuses(self):
-        with ServerThread(
-            batch_max_requests=4, batch_max_age_s=0.05
-        ) as srv:
+        with ServerThread(batch_max_requests=4) as srv:
             seqs = [list(mutated_family(24, seed=60 + i)) for i in range(4)]
             results = [None] * 4
 

@@ -231,7 +231,6 @@ def main(argv: list[str] | None = None) -> int:
             "--workers", "1",
             "--queue-depth", "2",
             "--batch-max", "2",
-            "--batch-age-ms", "200",
         ]
     )
     try:
@@ -260,9 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         srv.kill()
 
     # ---- phase 3: SIGTERM drains in-flight requests to completion ---
-    srv = ServerProc(
-        ["--workers", "1", "--batch-max", "4", "--batch-age-ms", "50"]
-    )
+    srv = ServerProc(["--workers", "1", "--batch-max", "4"])
     try:
         n_inflight = 12
         slow = [
