@@ -20,6 +20,9 @@ workloads that bracket the engine's regimes:
   Carrillo–Lipman tube path — banded lower bound, tube build and
   pruned sweep all inside the timed side — asserting bit-identical
   scores. This is the ≥5x acceptance number for the pruned engine.
+  A traceback leg, with no floor, times ``align3(method="pruned")``
+  against ``align3_hirschberg`` on the same triple and records the
+  pruned run's ``move_store_bytes``.
 * **scaling** — the synchronisation-regime curve: score-only sweeps of
   one mid-size triple through a per-plane-barrier reference sweep
   (:func:`_barrier_score`, local to this benchmark) and the block-tiled
@@ -307,6 +310,17 @@ def _measure_high_similarity(config, scheme):
     )
     assert score_ref == score_new, "pruned/wavefront score mismatch"
     stats = stats_holder["stats"]
+
+    # Traceback leg: the whole pruned engine against the linear-space
+    # engine, the other way to an alignment without a dense move cube.
+    from repro.core.api import align3
+
+    t_hb, t_pr, hb, pr = _ab_min(
+        lambda: align3_hirschberg(*seqs, scheme),
+        lambda: align3(*seqs, scheme, method="pruned"),
+        config["repeats"],
+    )
+    assert hb.score == pr.score == score_ref, "traceback score mismatch"
     return {
         "n": n,
         "cube_cells": stats.total_cells,
@@ -316,6 +330,9 @@ def _measure_high_similarity(config, scheme):
         "new_seconds": t_new,
         "speedup": t_ref / t_new,
         "score": score_ref,
+        "hirschberg_traceback_seconds": t_hb,
+        "pruned_traceback_seconds": t_pr,
+        "move_store_bytes": pr.meta["pruning"]["move_store_bytes"],
     }
 
 
@@ -569,6 +586,14 @@ def summarise(doc: dict) -> str:
             f"speedup {hs['speedup']:.2f}x "
             f"(kept {hs['kept_fraction']:.2%} of the cube)"
         )
+        if "pruned_traceback_seconds" in hs:
+            lines.append(
+                f"  traceback    : pruned "
+                f"{hs['pruned_traceback_seconds'] * 1000:.1f} ms vs "
+                f"hirschberg {hs['hirschberg_traceback_seconds'] * 1000:.1f}"
+                f" ms, move store {hs['move_store_bytes']:,} B "
+                f"(dense cube {hs['cube_cells']:,} B)"
+            )
     sc = doc.get("scaling")
     if sc:
         points = " ".join(

@@ -4,7 +4,7 @@
 ``align3(method="anchored")``. It decomposes the cube along a validated
 anchor chain (:mod:`repro.anchor.chain`), solves every free sub-cube with
 whichever exact engine :func:`repro.core.api.select_method` picks for
-*that sub-cube* (a near-identical 200-residue gap segment gets ``banded``
+*that sub-cube* (a similar 200-residue gap segment gets ``pruned``
 while a diverged one gets ``wavefront``), splices the forced anchor
 columns between the sub-alignments, and scores the stitched rows with
 ``scheme.sp_score`` — the same closing idiom as the Hirschberg engine.
@@ -99,20 +99,9 @@ def _solve_segment(
             engine,
         )
     if engine == "pruned":
-        from repro.core.bounds import carrillo_lipman_tube
-        from repro.core.wavefront import align3_wavefront
+        from repro.core.bounds import align3_pruned
 
-        tube, stats = carrillo_lipman_tube(sa, sb, sc, scheme)
-        aln = align3_wavefront(
-            sa, sb, sc, scheme, workspace=workspace, tube=tube
-        )
-        _obs.record_pruning(
-            "pruned",
-            kept_fraction=stats.kept_fraction,
-            lower_bound=stats.lower_bound,
-            upper_bound=stats.upper_bound_at_origin,
-        )
-        return aln, engine
+        return align3_pruned(sa, sb, sc, scheme, workspace=workspace), engine
     if engine == "banded":
         from repro.core.band import align3_banded
 

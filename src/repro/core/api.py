@@ -7,19 +7,22 @@ method           engine
 ===============  =============================================================
 ``auto``         affine scheme -> ``affine``; otherwise a cost model
                  (:func:`select_method`) estimates pairwise identity from
-                 k-mer sketches and picks ``wavefront`` (small cubes or
-                 diverged triples), ``pruned`` (similar triples, where the
-                 Carrillo–Lipman tube pays for itself), ``banded``
-                 (near-identical, length-matched triples) or
-                 ``hirschberg`` (cubes whose move cube exceeds
-                 :data:`AUTO_HIRSCHBERG_CELLS`). ``blocks`` is never
-                 picked: no benchmark workload shows it beating these
-                 (``docs/performance.md``).
+                 k-mer sketches and picks ``pruned`` for similar triples
+                 at any size (the Carrillo–Lipman tube pays for itself
+                 and its move store holds only the tube's cells),
+                 ``hirschberg`` for diverged triples whose cube exceeds
+                 :data:`AUTO_HIRSCHBERG_CELLS`, and ``wavefront`` for
+                 the rest (small cubes, diverged triples). ``banded``
+                 and ``blocks`` are never picked: ``pruned`` was faster
+                 than ``banded`` on every near-identical triple
+                 measured, and no benchmark workload shows ``blocks``
+                 beating these (``docs/performance.md``).
 ``dp3d``         scalar reference full-matrix DP
 ``wavefront``    vectorised full-matrix plane sweep
 ``hirschberg``   linear-space divide and conquer
-``pruned``       Carrillo–Lipman tube-pruned wavefront (O(n^2) bound
-                 memory; pruned cells are never touched)
+``pruned``       Carrillo–Lipman tube-pruned wavefront: O(n^2) bound
+                 memory, pruned cells are never touched, and the moves
+                 of the kept cells only (:class:`~repro.core.tube.TubeMoves`)
 ``banded``       certified band doubling around the main diagonal
 ``affine``       7-state affine-gap DP (requires ``scheme.gap_open != 0``)
 ``blocks``       block-tiled multiprocess wavefront: a one-job
@@ -70,8 +73,13 @@ from repro.util.validation import check_sequences
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache uses core)
     from repro.cache import ResultCache
 
-#: Cube size above which ``auto`` prefers the linear-space engine (the
-#: full-matrix engines' move cube no longer fits the auto budget).
+#: Cube size above which ``auto`` sends a *diverged* triple to the
+#: linear-space engine: the plain wavefront's dense move cube no longer
+#: fits the auto budget. Similar triples go to ``pruned`` at any size,
+#: because its move store holds only the tube's cells. The value stays
+#: fixed because the end-to-end benchmark's inputs depend on it
+#: (``perfbench/workloads.py`` redraws anchored inputs whose largest
+#: sub-cube exceeds it).
 AUTO_HIRSCHBERG_CELLS = 8_000_000
 
 #: Cube size below which ``auto`` never bothers pruning: the tube build
@@ -83,12 +91,6 @@ AUTO_PRUNE_MIN_CELLS = 250_000
 #: pruned engine. Below this the Carrillo–Lipman bound keeps most of the
 #: cube and the bound build is pure overhead.
 AUTO_PRUNE_MIN_IDENTITY = 0.7
-
-#: Above this identity — with near-equal lengths — the optimum hugs the
-#: scaled diagonal so tightly that the banded engine certifies with its
-#: initial thin band, skipping the heuristic lower-bound alignments the
-#: pruned engine needs.
-AUTO_BANDED_MIN_IDENTITY = 0.96
 
 AVAILABLE_METHODS = (
     "auto",
@@ -176,9 +178,12 @@ def select_method(
     """Resolve ``method="auto"`` to a concrete linear-gap engine.
 
     Estimates the minimum pairwise identity of the triple
-    (:func:`estimate_identity`) and picks the engine whose cost model
-    wins for that regime. Affine schemes are resolved by the caller
-    before this runs.
+    (:func:`estimate_identity`) and routes on it alone once the cube is
+    past the prune threshold: similar triples (identity >=
+    :data:`AUTO_PRUNE_MIN_IDENTITY`) go to ``pruned`` at any size,
+    diverged cubes over :data:`AUTO_HIRSCHBERG_CELLS` to ``hirschberg``,
+    and everything else to ``wavefront``. Affine schemes are resolved
+    by the caller before this runs.
 
     ``cells_per_s`` is an optional *observed* plain-sweep throughput (the
     serve tier passes its admission controller's EWMA): on hardware
@@ -204,21 +209,17 @@ def select_method(
         return "wavefront", selection
     identity = _min_pairwise_identity(sa, sb, sc)
     selection["identity"] = round(identity, 4)
-    if cells > AUTO_HIRSCHBERG_CELLS:
-        # The traceback move cube is dense for every full-matrix engine
-        # (pruning spares work, not the cube), so past the budget only
-        # the linear-space engine is safe regardless of similarity.
-        selection["reason"] = f"cells > {AUTO_HIRSCHBERG_CELLS}"
-        return "hirschberg", selection
-    spread = abs(n1 - n2) + abs(n1 - n3) + abs(n2 - n3)
-    if identity >= AUTO_BANDED_MIN_IDENTITY and spread <= max(n1, n2, n3) // 8:
-        selection["reason"] = (
-            f"identity >= {AUTO_BANDED_MIN_IDENTITY} and near-equal lengths"
-        )
-        return "banded", selection
     if identity >= AUTO_PRUNE_MIN_IDENTITY:
+        # The pruned sweep stores moves only inside its tube, so its
+        # memory follows the kept cells, not the cube: any size goes.
         selection["reason"] = f"identity >= {AUTO_PRUNE_MIN_IDENTITY}"
         return "pruned", selection
+    if cells > AUTO_HIRSCHBERG_CELLS:
+        selection["reason"] = (
+            f"identity < {AUTO_PRUNE_MIN_IDENTITY} and "
+            f"cells > {AUTO_HIRSCHBERG_CELLS}"
+        )
+        return "hirschberg", selection
     selection["reason"] = f"identity < {AUTO_PRUNE_MIN_IDENTITY}"
     return "wavefront", selection
 
@@ -426,25 +427,9 @@ def align3(
 
             aln = align3_hirschberg(sa, sb, sc, scheme)
         elif method == "pruned":
-            from repro.core.bounds import carrillo_lipman_tube
-            from repro.core.wavefront import align3_wavefront
+            from repro.core.bounds import align3_pruned
 
-            tube, stats = carrillo_lipman_tube(sa, sb, sc, scheme)
-            aln = align3_wavefront(sa, sb, sc, scheme, tube=tube)
-            aln.meta["engine"] = "pruned"
-            aln.meta["pruning"] = {
-                "kept_fraction": stats.kept_fraction,
-                "pruned_fraction": stats.pruned_fraction,
-                "lower_bound": stats.lower_bound,
-                "upper_bound_at_origin": stats.upper_bound_at_origin,
-                "tube_bytes": tube.nbytes,
-            }
-            _obs.record_pruning(
-                "pruned",
-                kept_fraction=stats.kept_fraction,
-                lower_bound=stats.lower_bound,
-                upper_bound=stats.upper_bound_at_origin,
-            )
+            aln = align3_pruned(sa, sb, sc, scheme)
         elif method == "banded":
             from repro.core.band import align3_banded
 

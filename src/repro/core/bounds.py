@@ -38,6 +38,9 @@ import numpy as np
 
 from repro.core.scoring import ScoringScheme
 from repro.core.tube import PruningTube
+from repro.core.types import Alignment3
+from repro.core.workspace import PlaneWorkspace
+from repro.obs import hooks as _obs
 from repro.pairwise.matrices2d import through_matrix
 from repro.util.validation import check_sequences
 
@@ -256,6 +259,45 @@ def carrillo_lipman_tube(
         upper_bound_at_origin=u_origin,
     )
     return tube, stats
+
+
+def align3_pruned(
+    sa: str,
+    sb: str,
+    sc: str,
+    scheme: ScoringScheme,
+    workspace: PlaneWorkspace | None = None,
+) -> Alignment3:
+    """Optimal alignment by the ``pruned`` engine: the Carrillo–Lipman
+    tube (:func:`carrillo_lipman_tube`) swept by the wavefront, which
+    keeps only the tube's moves (:class:`~repro.core.tube.TubeMoves`).
+
+    ``workspace`` is shared with the sweep, as the chain solver's
+    sub-cubes share one. ``meta["pruning"]`` records the kept fraction,
+    both bounds and the bytes of the tube and of its move store.
+    """
+    from repro.core import wavefront as _wf
+
+    tube, stats = carrillo_lipman_tube(sa, sb, sc, scheme)
+    aln = _wf.align3_wavefront(
+        sa, sb, sc, scheme, workspace=workspace, tube=tube
+    )
+    aln.meta["engine"] = "pruned"
+    aln.meta["pruning"] = {
+        "kept_fraction": stats.kept_fraction,
+        "pruned_fraction": stats.pruned_fraction,
+        "lower_bound": stats.lower_bound,
+        "upper_bound_at_origin": stats.upper_bound_at_origin,
+        "tube_bytes": tube.nbytes,
+        "move_store_bytes": aln.meta.pop("move_store_bytes"),
+    }
+    _obs.record_pruning(
+        "pruned",
+        kept_fraction=stats.kept_fraction,
+        lower_bound=stats.lower_bound,
+        upper_bound=stats.upper_bound_at_origin,
+    )
+    return aln
 
 
 def pairwise_upper_bound(

@@ -1,21 +1,26 @@
-"""Traceback shared by every engine that records a move cube.
+"""Traceback shared by every engine that records moves.
 
-A move cube ``M`` holds, for each cell, the move (1..7) by which the optimal
+A move store ``M`` holds, for each cell, the move (1..7) by which the optimal
 path arrives there, or 0 at the origin. Traceback simply walks from the
 terminal corner to the origin, reversing each move's (di, dj, dk). In the
 local and semiglobal modes a 0 also marks a cell where the path restarts,
 and the walk stops there.
+
+The walk reads only ``M.shape`` and ``M[i, j, k]``, so ``M`` is either a
+dense int8 cube or a tube sweep's :class:`~repro.core.tube.TubeMoves`,
+which reads 0 outside its tube.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.tube import TubeMoves
 from repro.core.types import move_delta
 
 
 def traceback_moves(
-    M: np.ndarray,
+    M: np.ndarray | TubeMoves,
     start: tuple[int, int, int] | None = None,
     restart: bool = False,
 ) -> list[int]:

@@ -20,6 +20,9 @@ so for it the tube is lossless.
 Empty rows are encoded as ``khi < klo`` (canonically ``(0, -1)``); the
 kernel's ``klo <= k <= khi`` test then rejects every ``k`` without a
 special case.
+
+A traceback sweep over a tube keeps its moves in a :class:`TubeMoves`
+store: one byte per kept cell, not one per cube cell.
 """
 
 from __future__ import annotations
@@ -163,3 +166,93 @@ class PruningTube:
             khi=np.full(shape, n3, dtype=np.intp),
             n3=n3,
         )
+
+
+class TubeMoves:
+    """Int8 move store over the cells a :class:`PruningTube` keeps.
+
+    The kept intervals are laid end to end in C order of ``(i, j)``:
+    with ``off`` the exclusive prefix sum of the interval lengths, cell
+    ``(i, j, k)`` lives at ``arena[off[i, j] + k - klo[i, j]]``. On the
+    plane ``d = i + j + k`` that is ``arena[base(i, j) + d]`` with
+    ``base = off - i - j - klo``, so :meth:`put_block` writes a plane
+    block of :func:`repro.core.wavefront.compute_plane_rows` with one
+    add, one gather and one ``put``. The last arena byte,
+    ``arena[dump]``, takes the writes of the block's pruned cells.
+
+    ``base`` is kept only over each row's hull of non-empty ``(i, j)``:
+    ``base(i, j) = bases[row_at[i] + j]``. A thin tube's hulls are a few
+    cells wide, so the store is ``kept_cells + 1`` bytes plus O(n1 + hull
+    cells) offsets, not an ``(n1+1, n2+1)`` table; the full tube's hulls
+    are whole rows, and its arena is the dense C-order cube.
+
+    Reads go through ``M[i, j, k]`` and ``M.shape``, as on a dense move
+    cube, so :func:`repro.core.traceback.traceback_moves` walks either.
+    A cell outside the tube reads 0, which the walk reports as a broken
+    chain.
+    """
+
+    def __init__(self, tube: PruningTube):
+        n1p, n2p, _ = tube.shape
+        lengths = np.maximum(tube.khi - tube.klo + 1, 0)
+        off = np.cumsum(lengths.ravel()).reshape(n1p, n2p) - lengths
+        i, j = np.arange(n1p), np.arange(n2p)
+        base = off - tube.klo - np.add.outer(i, j)
+        # Row hulls of the non-empty (i, j): [first, last] per row i.
+        kept = lengths > 0
+        row_any = kept.any(axis=1)
+        first = np.where(row_any, kept.argmax(axis=1), 0)
+        last = np.where(row_any, n2p - 1 - kept[:, ::-1].argmax(axis=1), -1)
+        width = last - first + 1
+        in_hull = (first[:, None] <= j) & (j <= last[:, None])
+        self.bases = base[in_hull]
+        self.row_at = (np.cumsum(width) - width - first)[:, None]
+        self.cols = j
+        self.shape = tube.shape
+        self.klo, self.khi = tube.klo, tube.khi
+        self.dump = int(lengths.sum())
+        self.arena = np.zeros(self.dump + 1, dtype=np.int8)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the store owns: the arena and the offset tables."""
+        return (
+            self.arena.nbytes
+            + self.bases.nbytes
+            + self.row_at.nbytes
+            + self.cols.nbytes
+        )
+
+    def put_block(
+        self,
+        d: int,
+        row_lo: int,
+        jlo: int,
+        mv: np.ndarray,
+        pruned: np.ndarray,
+        scratch: np.ndarray,
+    ) -> None:
+        """Store the moves ``mv`` of the plane-``d`` block whose corner
+        cell is ``(row_lo, jlo, d - row_lo - jlo)``.
+
+        Cells marked in ``pruned`` lie outside the tube and write the
+        dump byte. ``scratch`` is a C-contiguous ``(2, h, w)`` intp
+        buffer the call overwrites for the block's addresses.
+        """
+        h, w = mv.shape
+        at, addr = scratch
+        rows = self.row_at[row_lo : row_lo + h]
+        np.add(rows, self.cols[jlo : jlo + w], out=at)
+        # Outside a row's hull the gather index is clipped; those cells
+        # are pruned and get the dump address below.
+        self.bases.take(at, out=addr, mode="clip")
+        addr += d
+        np.copyto(addr, self.dump, where=pruned)
+        self.arena.put(addr, mv)
+
+    def __getitem__(self, cell: tuple[int, int, int]) -> int:
+        i, j, k = cell
+        if self.klo[i, j] <= k <= self.khi[i, j]:
+            b = self.bases[self.row_at[i, 0] + j]
+            return int(self.arena[b + i + j + k])
+        return 0

@@ -78,7 +78,7 @@ from repro.core.dp3d import NEG
 from repro.obs import hooks as _obs
 from repro.core.scoring import ScoringScheme
 from repro.core.traceback import traceback_moves
-from repro.core.tube import PruningTube
+from repro.core.tube import PruningTube, TubeMoves
 from repro.core.types import MODES, Alignment3, moves_to_columns
 from repro.core.workspace import PlaneWorkspace
 from repro.util.validation import check_sequences
@@ -191,7 +191,7 @@ def compute_plane_rows(
     sbc: np.ndarray,
     g2: float,
     dims: tuple[int, int, int],
-    move_cube: np.ndarray | None = None,
+    move_cube: np.ndarray | TubeMoves | None = None,
     mask: np.ndarray | None = None,
     ws: PlaneWorkspace | None = None,
     tube: PruningTube | None = None,
@@ -224,8 +224,12 @@ def compute_plane_rows(
     dims:
         ``(n1, n2, n3)``.
     move_cube:
-        Optional int8 cube ``(n1+1, n2+1, n3+1)``; argmax moves are scattered
-        into it for traceback.
+        Optional move store for traceback; the argmax moves are scattered
+        into it. Without ``tube`` it is the dense int8 cube
+        ``(n1+1, n2+1, n3+1)``, written through one strided view per
+        block. With ``tube`` it is the tube's
+        :class:`~repro.core.tube.TubeMoves`, written through
+        :meth:`~repro.core.tube.TubeMoves.put_block`.
     mask:
         Optional boolean cube; cells that are False are pruned (kept at
         ``NEG``). O(n^3) memory — kept for diagnostics and arbitrary
@@ -481,7 +485,12 @@ def compute_plane_rows(
     np.copyto(best, NEG, where=tmp)
 
     if move_cube is not None:
-        _scatter_moves(move_cube, mv, valid, K, d, row_lo, jlo, dims)
+        if tube is None:
+            _scatter_moves(move_cube, mv, valid, K, d, row_lo, jlo, dims)
+        else:
+            # tmp holds the pruned cells; the AC/BC gather is done, so
+            # its index pair fi2 is free scratch.
+            move_cube.put_block(d, row_lo, jlo, mv, tmp, fi2)
 
     if not pruned:
         # Unmasked traceback sweep: validity is still the pure band
@@ -521,13 +530,17 @@ def _tube_row_ranges(
 class WavefrontResult:
     """Output of a wavefront sweep.
 
+    ``move_cube`` holds the moves for traceback: ``None`` for a
+    score-only sweep, the tube's :class:`~repro.core.tube.TubeMoves`
+    for a tube sweep, and the dense int8 cube otherwise. Both stores
+    read as ``move_cube[i, j, k]``.
     ``end_cell`` is where ``score`` was read: the terminal corner for a
     global sweep, the best answer-region cell otherwise.
     ``captured_slab`` maps each captured ``i`` level to its slab.
     """
 
     score: float
-    move_cube: np.ndarray | None
+    move_cube: np.ndarray | TubeMoves | None
     cells_computed: int
     captured_slab: dict[int, np.ndarray]
     planes_swept: int
@@ -551,12 +564,16 @@ def wavefront_sweep(
     Parameters
     ----------
     score_only:
-        Skip move-cube storage; memory drops from O(n^3) to O(n^2).
+        Skip move storage; memory drops to O(n^2).
     mask:
         Optional Carrillo–Lipman pruning cube (see :mod:`repro.core.bounds`).
+        Diagnostic: the moves still go to a dense cube.
     tube:
         Optional O(n^2) :class:`~repro.core.tube.PruningTube` keep-region
         (the production pruning path); mutually exclusive with ``mask``.
+        A traceback sweep then stores moves only for the tube's cells
+        (:class:`~repro.core.tube.TubeMoves`), so its memory follows the
+        kept cells. Without a tube the moves go to a dense int8 cube.
     capture_levels:
         ``i`` levels whose full slab ``F[level, j, k]`` is collected
         during the sweep (Hirschberg needs one level, the co-optimal
@@ -602,14 +619,17 @@ def wavefront_sweep(
         else workspace.reserve(n1, n2, n3)
     )
     planes = ws.planes_for(n1, n2)
-    move_cube = (
-        None
-        if score_only
-        else np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
-    )
-    # Captured slabs are part of the *result* (Hirschberg holds the
-    # forward slab across the backward sweep), so they must be fresh
-    # allocations, never workspace views the next sweep would clobber.
+    move_cube: np.ndarray | TubeMoves | None
+    if score_only:
+        move_cube = None
+    elif tube is not None:
+        move_cube = TubeMoves(tube)
+    else:
+        move_cube = np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
+    # The move store and captured slabs are part of the *result*
+    # (Hirschberg holds the forward slab across the backward sweep), so
+    # they must be fresh allocations, never workspace views the next
+    # sweep would clobber.
     slabs = {lvl: np.full((n2 + 1, n3 + 1), NEG) for lvl in levels}
 
     observing = _obs.active()
@@ -770,6 +790,7 @@ def align3_wavefront(
         "engine": "wavefront",
         "cells": res.cells_computed,
         "planes": res.planes_swept,
+        "move_store_bytes": res.move_cube.nbytes,
     }
     return Alignment3(rows=rows, score=res.score, meta=meta)  # type: ignore[arg-type]
 

@@ -1,9 +1,12 @@
 """Graceful degradation: estimate the cube, fall back before the OOM.
 
-A full-traceback run at length ``n`` needs the ``(n+1)^3`` move cube;
-past the memory budget that dies with a raw ``MemoryError`` deep inside
-NumPy. This module estimates every engine's footprint *up front* and
-walks a degradation ladder instead::
+A full-traceback run of ``dp3d``, ``wavefront`` or ``blocks`` at length
+``n`` needs the dense ``(n+1)^3`` move cube; past the memory budget that
+dies with a raw ``MemoryError`` deep inside NumPy. ``pruned`` and
+``banded`` store moves only for the cells their tube keeps
+(:class:`~repro.core.tube.TubeMoves`), but a tube can keep the whole
+cube, so they are priced as if it did. This module estimates every
+engine's footprint *up front* and walks a degradation ladder instead::
 
     dp3d ──────────────┐
     wavefront/pruned ──┼──>  hirschberg  (divide & conquer, O(n^2))
@@ -127,10 +130,10 @@ def estimate_bytes(
     if method in ("pruned", "banded"):
         # The keep-region is a tube (two (n1+1)(n2+1) intp planes), not a
         # boolean cube; pruned additionally holds the three O(n^2)
-        # pairwise through-matrices while building the bound. The old
-        # ``+ cube`` term for a dense mask made the planner degrade
-        # pruned runs that comfortably fit — the exact regime where
-        # pruning pays most.
+        # pairwise through-matrices while building the bound. The move
+        # store holds one byte per kept cell, which the tube is not
+        # known to bound before it is built: ``cube`` prices the full
+        # tube, so the estimate stays an upper bound.
         tube = 2 * (n1 + 1) * (n2 + 1) * 8
         through = (
             (n1 + 1) * (n2 + 1) + (n1 + 1) * (n3 + 1) + (n2 + 1) * (n3 + 1)

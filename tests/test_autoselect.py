@@ -16,9 +16,9 @@ from repro.cache import (
     method_key_class,
 )
 from repro.core.api import (
-    AUTO_BANDED_MIN_IDENTITY,
     AUTO_HIRSCHBERG_CELLS,
     AUTO_PRUNE_MIN_CELLS,
+    AUTO_PRUNE_MIN_IDENTITY,
     align3,
     estimate_identity,
     select_method,
@@ -68,11 +68,13 @@ class TestSelectMethod:
         assert method == "wavefront"
         assert sel["cells"] <= AUTO_PRUNE_MIN_CELLS
 
-    def test_high_identity_is_banded(self, dna_scheme):
+    def test_high_identity_is_pruned(self, dna_scheme):
+        # Near-identical, length-matched: the regime ``auto`` used to send
+        # to ``banded``, which ``pruned`` beats on every such triple timed.
         seqs = self._triple(100, 0.01)
         method, sel = select_method(*seqs, dna_scheme)
-        assert method == "banded"
-        assert sel["identity"] >= AUTO_BANDED_MIN_IDENTITY
+        assert method == "pruned"
+        assert sel["identity"] >= 0.96
 
     def test_moderate_identity_is_pruned(self, dna_scheme):
         seqs = self._triple(100, 0.05)
@@ -88,11 +90,42 @@ class TestSelectMethod:
         method, _ = select_method(*seqs, dna_scheme)
         assert method == "wavefront"
 
-    def test_huge_cube_is_hirschberg(self, dna_scheme):
+    def test_huge_similar_cube_is_pruned(self, dna_scheme):
+        # The tube's move store follows the kept cells, so size alone no
+        # longer forces a similar triple onto the linear-space engine.
         seqs = self._triple(260, 0.01)
         assert (261) ** 3 > AUTO_HIRSCHBERG_CELLS
         method, sel = select_method(*seqs, dna_scheme)
+        assert method == "pruned"
+        assert sel["identity"] >= AUTO_PRUNE_MIN_IDENTITY
+
+    def test_huge_diverged_cube_is_hirschberg(self, dna_scheme):
+        seqs = tuple(random_sequence(200, seed=s) for s in (1, 2, 3))
+        assert (201) ** 3 > AUTO_HIRSCHBERG_CELLS
+        method, sel = select_method(*seqs, dna_scheme)
         assert method == "hirschberg"
+        assert sel["identity"] < AUTO_PRUNE_MIN_IDENTITY
+
+    def test_budget_still_guards_the_pruned_route(
+        self, dna_scheme, monkeypatch
+    ):
+        # A budget below pruned's planned footprint must stop an ``auto``
+        # run before any bound or sweep is computed.
+        from repro.core import bounds
+        from repro.resilience.degrade import ENV_BUDGET, estimate_bytes
+        from repro.resilience.errors import DegradedRun
+
+        seqs = self._triple(260, 0.01)
+        dims = tuple(len(s) for s in seqs)
+        monkeypatch.setenv(ENV_BUDGET, str(estimate_bytes("pruned", dims) - 1))
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computed before the memory plan refused")
+
+        monkeypatch.setattr(bounds, "carrillo_lipman_tube", must_not_run)
+        with pytest.raises(DegradedRun) as exc:
+            align3(*seqs, dna_scheme, method="auto", allow_degrade=False)
+        assert exc.value.plan.requested == "pruned"
 
     def test_align3_records_selection(self, dna_scheme):
         seqs = self._triple(70, 0.02)

@@ -17,7 +17,8 @@ recovery contract from ``docs/robustness.md``:
 * a dead rank raises a typed ``WorkerFailure`` carrying the failure log
   (instead of hanging or a bare ``queue.Empty``);
 * a simulated OOM walks the degradation ladder and still returns the
-  optimal score;
+  optimal score, from ``wavefront`` and from ``pruned`` (the engine
+  ``auto`` picks for every similar triple);
 * supervision overhead on the fault-free path stays within
   ``--tolerance`` (default 10%).
 
@@ -102,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.resilience import faults
     from repro.resilience.errors import WorkerFailure
     from repro.seqio.alphabet import DNA
-    from repro.seqio.generate import mutated_family
+    from repro.seqio.generate import MutationModel, mutated_family
     from repro.util.timing import format_seconds
 
     t_start = time.perf_counter()
@@ -197,6 +198,25 @@ def main(argv: list[str] | None = None) -> int:
         assert aln.score == ref.score, "degraded run lost optimality"
         assert "degraded_from" in aln.meta, "run did not degrade"
 
+    def oom_degrade_pruned() -> None:
+        # ``auto`` sends every similar triple to ``pruned``, so its rung of
+        # the ladder must hold too.
+        from repro.resilience.degrade import estimate_bytes
+
+        similar = mutated_family(
+            args.n, model=MutationModel(0.02, 0.005, 0.005), seed=7
+        )
+        want = align3(*similar, scheme, method="wavefront").score
+        dims = tuple(len(s) for s in similar)
+        budget = estimate_bytes("pruned", dims) - 1
+        faults.install(f"oom:budget={budget}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            aln = align3(*similar, scheme, method="pruned")
+        assert aln.score == want, "degraded run lost optimality"
+        assert aln.meta.get("degraded_from") == "pruned", "run did not degrade"
+        assert aln.meta["engine"] == "hirschberg", aln.meta["engine"]
+
     scenario("pool worker_crash -> respawn + plane replay", pool_crash)
     scenario(
         "pool worker killed while idle -> respawn at plane 0", pool_idle_kill
@@ -206,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     scenario("mpirun corrupt_ghost -> checksum + resend", mpirun_corrupt)
     scenario("mpirun rank death -> typed WorkerFailure", mpirun_rank_death)
     scenario("oom -> degradation ladder, optimal score", oom_degrade)
+    scenario(
+        "oom on pruned -> hirschberg, optimal score", oom_degrade_pruned
+    )
 
     # Supervision overhead on the fault-free path, interleaved so drift
     # hits both sides equally; minimum-of-repeats suppresses noise.
