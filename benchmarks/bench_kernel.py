@@ -34,6 +34,13 @@ workloads that bracket the engine's regimes:
   floor, the serial ``wavefront_sweep`` time with ``blocks``' speedup
   and efficiency against it per worker count, and the w=2 speedup over
   serial at a few larger n (where the parallel engine crosses over).
+* **affine** — traceback ``affine_sweep`` (the 7-state affine engine's
+  tournament kernel) against the frozen allocating sweep
+  (``affine_sweep_ref`` in ``tests/reference/affine.py``) at each of
+  :data:`AFFINE_NS`, on medium-identity DNA under gap -2 / open -8 (the
+  affine class of the ``batch_mixed`` perf workload), interleaved A/B.
+  Scores and whole predecessor tables are asserted identical; the gate
+  number is the speedup of the summed times.
 * **long_anchored** — an n≈2000 high-identity triple through
   ``align3(method="anchored")`` (anchor discovery + cube-chain
   decomposition, ``repro.anchor``): end-to-end wall time, chain
@@ -121,6 +128,9 @@ BASELINE_NAME = "BENCH_kernel.json"
 #: workers against the serial sweep: around where the parallel engine
 #: starts to pay on a 2-core host.
 CROSSOVER_NS = (96, 140, 180)
+#: Sequence lengths of the affine section: the range of the affine
+#: triples in the ``batch_mixed`` perf workload.
+AFFINE_NS = (50, 70, 90)
 SCHEMA = "bench-kernel/2"
 
 #: Default workload knobs. ``quick`` halves the repeats for the CI gate.
@@ -489,6 +499,56 @@ def _measure_scaling(config, scheme):
     }
 
 
+def _measure_affine(config, scheme):
+    """Affine traceback: the tournament kernel against the frozen sweep.
+
+    Each size is one medium-identity DNA family (6% substitutions, 1%
+    insertions and deletions) under gap -2 / open -8, swept with the
+    predecessor table by both kernels in the interleaved harness. The
+    two must agree on the score and on every stored predecessor (the
+    reference keeps a never-written slab 0, hence ``[1:]``).
+    """
+    from repro.core.affine import affine_sweep
+    from repro.seqio.generate import MutationModel
+    from tests.reference.affine import affine_sweep_ref
+
+    affine = scheme.with_gaps(gap=-2.0, gap_open=-8.0)
+    points = {}
+    for n in AFFINE_NS:
+        seqs = mutated_family(
+            n,
+            model=MutationModel(
+                substitution=0.06, insertion=0.01, deletion=0.01
+            ),
+            seed=config["seed"] + 6006 + n,
+        )
+        t_ref, t_new, ref, new = _ab_min(
+            lambda: affine_sweep_ref(*seqs, affine),
+            lambda: affine_sweep(*seqs, affine),
+            config["repeats"],
+        )
+        assert ref.score == new.score and np.array_equal(
+            ref.prev_state[1:], new.prev_state
+        ), f"affine score/table mismatch at n={n}"
+        points[str(n)] = {
+            "cells": new.cells_computed,
+            "ref_seconds": t_ref,
+            "new_seconds": t_new,
+            "speedup": t_ref / t_new,
+        }
+    ref_s = sum(p["ref_seconds"] for p in points.values())
+    new_s = sum(p["new_seconds"] for p in points.values())
+    return {
+        "ns": list(AFFINE_NS),
+        "gap": affine.gap,
+        "gap_open": affine.gap_open,
+        "points": points,
+        "ref_seconds": ref_s,
+        "new_seconds": new_s,
+        "speedup": ref_s / new_s,
+    }
+
+
 def _measure_long_anchored(config, scheme):
     """Long-sequence regime: anchored divide-and-conquer end to end.
 
@@ -553,6 +613,7 @@ def run(config: dict | None = None) -> dict:
         "hirschberg_e2e": _measure_hirschberg(cfg, scheme),
         "high_similarity": _measure_high_similarity(cfg, scheme),
         "scaling": _measure_scaling(cfg, scheme),
+        "affine": _measure_affine(cfg, scheme),
         "long_anchored": _measure_long_anchored(cfg, scheme),
     }
 
@@ -620,6 +681,16 @@ def summarise(doc: dict) -> str:
                 for cn, pt in sc["crossover"].items()
             )
             lines.append(f"w=2 vs serial  : {cross}")
+    af = doc.get("affine")
+    if af:
+        points = " ".join(
+            f"n={n}:{pt['speedup']:.2f}x" for n, pt in af["points"].items()
+        )
+        lines.append(
+            f"affine         : traceback {af['new_seconds'] * 1000:.0f} ms "
+            f"vs ref {af['ref_seconds'] * 1000:.0f} ms — speedup "
+            f"{af['speedup']:.2f}x ({points})"
+        )
     la = doc.get("long_anchored")
     if la:
         lines.append(

@@ -47,6 +47,7 @@ from repro.cache.key import MODES, canonical_order
 from repro.core.api import (
     AVAILABLE_METHODS,
     align3,
+    check_gap_model,
     resolve_scheme,
     select_method,
 )
@@ -238,6 +239,12 @@ class BatchScheduler:
         if req.mode != "global" and req.method != "auto":
             raise ValueError(
                 f"mode {req.mode!r} has a single engine; use method='auto'"
+            )
+        if req.scheme is not None:
+            # The default schemes are linear; an explicit affine one
+            # reaches only the global, unconstrained affine engine.
+            check_gap_model(
+                req.scheme, req.mode, req.method, bool(req.constraints)
             )
         if req.constraints:
             if req.mode != "global":

@@ -588,7 +588,7 @@ def _resolve_scheme(args, seqs: Sequence[str]):
 
 
 def _cmd_align(args) -> int:
-    from repro.core.api import align3
+    from repro.core.api import align3, check_gap_model
     from repro.msa import align_msa
     from repro.seqio.fasta import format_fasta, read_fasta
 
@@ -609,6 +609,11 @@ def _cmd_align(args) -> int:
             f"error: --mode {args.mode} requires exactly three sequences",
             file=sys.stderr,
         )
+        return 2
+    try:
+        check_gap_model(scheme, args.mode)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     with _obs_session(args):
         if len(records) == 3:
@@ -675,7 +680,11 @@ def _cmd_align(args) -> int:
             score = aln.score
             engine = aln.meta["engine"]
         else:
-            msa = align_msa(seqs, scheme, names=names)
+            try:
+                msa = align_msa(seqs, scheme, names=names)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             rows = msa.rows
             score = msa.sp_score(scheme)
             engine = msa.meta["engine"]

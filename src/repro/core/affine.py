@@ -24,12 +24,30 @@ where ``T`` is the static pair-gap table
 (:meth:`ScoringScheme.affine_transition_table`) and ``subst`` gathers the
 substitution scores of the pairs the move matches.
 
+Kernel
+------
 The engine sweeps anti-diagonal planes exactly like
-:mod:`repro.core.wavefront`, with an extra leading state axis.
+:mod:`repro.core.wavefront`, with an extra leading state axis, and on the
+same discipline: every buffer is allocated once per sweep, and a plane
+costs about 25 in-place ufunc calls score-only, 45 with the predecessor
+table. A :class:`~repro.core.workspace.PlaneWorkspace` supplies the
+``k`` lattice, validity and the clip-padded substitution tables. The
+seven moves' source blocks, each plus its transition column, go into
+one state-major ``(8, 7, h, w)`` stack, and a three-round pairwise
+tournament over the state axis (states 0-1, 2-3, 4-5, 6-7, then the
+winners in pairs, then the last two) yields every move's maximum and its
+source state at once. The right operand wins a round only when strictly
+greater, so the state is the first maximal one, ``argmax``'s rule, and
+float64 ``max`` is exact: results are bit-identical to the original
+allocating sweep kept in ``tests/reference/affine.py``. The source
+states go into a ``(7, n1+1, n2+1, n3+1)`` int8 table, one slab per
+move, through one strided scatter per plane
+(:func:`repro.core.wavefront._scatter_moves`).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -38,7 +56,9 @@ import numpy as np
 from repro.core.dp3d import NEG
 from repro.core.scoring import ScoringScheme
 from repro.core.types import Alignment3, move_delta, moves_to_columns
-from repro.core.wavefront import plane_bounds
+from repro.core.wavefront import _scatter_moves, plane_bounds
+from repro.core.workspace import PlaneWorkspace
+from repro.obs import hooks as _obs
 from repro.util.validation import check_sequences
 
 #: Number of DP states: index 0 is the pre-alignment start state, 1..7 the
@@ -51,7 +71,11 @@ _MOVE_WEIGHT = [0, 1, 1, 2, 1, 2, 2, 3]
 
 @dataclass
 class AffineResult:
-    """Output of an affine sweep."""
+    """Output of an affine sweep.
+
+    ``prev_state[m - 1, i, j, k]`` is the state the best path into
+    ``(i, j, k)`` by move ``m`` came from (``None`` score-only).
+    """
 
     score: float
     prev_state: np.ndarray | None
@@ -68,84 +92,132 @@ def affine_sweep(
 ) -> AffineResult:
     """Run the 7-state affine wavefront sweep.
 
-    ``score_only`` skips the per-(cell, state) predecessor table, dropping
+    ``score_only`` skips the per-(cell, move) predecessor table, dropping
     memory from O(7 n^3) to O(n^2).
     """
     check_sequences((sa, sb, sc), count=3)
     n1, n2, n3 = len(sa), len(sb), len(sc)
     sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
-    trans = scheme.affine_transition_table()  # (8, 8)
     dims = (n1, n2, n3)
+    ws = PlaneWorkspace(dims)
+    ws.bind_profiles(sab, sac, sbc, dims)
+    # tcol[m] is T[:, m] shaped (8, 1, 1): the cost of entering move m
+    # from each state.
+    tcol = np.ascontiguousarray(
+        scheme.affine_transition_table().T[:, :, None, None]
+    )
 
+    observing = _obs.active()
+    t_sweep = time.perf_counter() if observing else 0.0
     # planes[r] has shape (N_STATES, n1+2, n2+2), padded like the linear
     # engine's buffers.
     planes = [
         np.full((N_STATES, n1 + 2, n2 + 2), NEG) for _ in range(4)
     ]
-    prev_state = (
-        None
-        if score_only
-        else np.zeros((N_STATES, n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
-    )
+    area = (n1 + 1) * (n2 + 1)
+    stack = np.empty(N_STATES * 7 * area)
+    prev_state = None
+    if not score_only:
+        prev_state = np.zeros((7, n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
+        # The tournament's outcomes, 4 + 2 + 1 bool layers of (7, h, w),
+        # and the winning states; each layer padded to whole uint64 words.
+        # Zeroed, so every byte of the layers, padding included, is 0/1.
+        words = -(-7 * area // 8)
+        wins = np.zeros(7 * 8 * words, dtype=bool)
+        states = np.empty(8 * words, dtype=np.int8)
 
-    cells = 0
+    planes[0][0, 1, 1] = 0.0  # plane 0 is the origin, in the start state
     dmax = n1 + n2 + n3
-    for d in range(dmax + 1):
+    for d in range(1, dmax + 1):
         out = planes[d % 4]
         ilo, ihi, jlo, jhi = plane_bounds(d, n1, n2, n3)
-        if ilo > ihi or jlo > jhi:
-            continue
+        # Stale plane d-4 values live in these rows; state 0 stays NEG.
         out[:, ilo + 1 : ihi + 2, :] = NEG
-        if d == 0:
-            out[0, 1, 1] = 0.0
-            cells += 1
-            continue
+        K, kc, valid, invalid, _, fi2, gv2, g7, _, d0, g_ab, rtac, ctbc = (
+            ws.box_views(ilo, ihi, jlo, jhi)
+        )
+        np.subtract(d, d0, out=K)
+        np.maximum(K, 0, out=kc)
+        np.minimum(kc, n3, out=kc)
+        np.not_equal(K, kc, out=invalid)
+        # AC and BC substitution terms: one fused take over the tables.
+        np.add(rtac, kc, out=fi2[0])
+        np.add(ctbc, kc, out=fi2[1])
+        ws._tab_acbc_flat.take(fi2, out=gv2)
 
-        I = np.arange(ilo, ihi + 1)[:, None]
-        J = np.arange(jlo, jhi + 1)[None, :]
-        K = d - I - J
-        valid = (K >= 0) & (K <= n3)
-
-        Ic = np.clip(I - 1, 0, max(n1 - 1, 0))
-        Jc = np.clip(J - 1, 0, max(n2 - 1, 0))
-        Kc = np.clip(K - 1, 0, max(n3 - 1, 0))
-        shape = K.shape
-        g_ab = sab[Ic, Jc] if (n1 and n2) else np.zeros(shape)
-        g_ac = sac[Ic, Kc] if (n1 and n3) else np.zeros(shape)
-        g_bc = sbc[Jc, Kc] if (n2 and n3) else np.zeros(shape)
-        zero = np.zeros(shape)
-        subst = {
-            1: zero,
-            2: zero,
-            3: g_ab,
-            4: zero,
-            5: g_ac,
-            6: g_bc,
-            7: g_ab + g_ac + g_bc,
-        }
-
-        r0, r1 = ilo + 1, ihi + 2
-        c0, c1 = jlo + 1, jhi + 2
+        h, w = ihi - ilo + 1, jhi - jlo + 1
+        r0, r1, c0, c1 = ilo + 1, ihi + 2, jlo + 1, jhi + 2
+        S = stack[: N_STATES * 7 * h * w].reshape(N_STATES, 7, h, w)
         for m in range(1, 8):
             di, dj = m & 1, (m >> 1) & 1
             src = planes[(d - _MOVE_WEIGHT[m]) % 4]
             block = src[:, r0 - di : r1 - di, c0 - dj : c1 - dj]
-            # (8, ri, rj) + per-state transition cost into move m.
-            scored = block + trans[:, m][:, None, None]
-            best_prev = scored.max(axis=0)
-            vals = best_prev + subst[m]
-            np.copyto(vals, NEG, where=~valid)
-            out[m, r0:r1, c0:c1] = vals
-            if prev_state is not None:
-                arg = scored.argmax(axis=0).astype(np.int8)
-                ii, jj = np.nonzero(valid)
-                prev_state[m, ilo + ii, jlo + jj, K[ii, jj]] = arg[ii, jj]
-        # State 0 (start) exists only at the origin.
-        out[0, r0:r1, c0:c1] = NEG
-        if ilo == 0 and jlo == 0 and d == 0:  # pragma: no cover
-            out[0, 1, 1] = 0.0
-        cells += int(valid.sum())
+            np.add(block, tcol[m], out=S[:, m - 1])
 
+        # Tournament over the state axis; the last round's maxima land
+        # in the moves' rows of the output plane.
+        best = out[1:, r0:r1, c0:c1]
+        if score_only:
+            np.maximum(S[0::2], S[1::2], out=S[0::2])
+            np.maximum(S[0::4], S[2::4], out=S[0::4])
+            np.maximum(S[0], S[4], out=best)
+        else:
+            L = -(-7 * h * w // 8) * 8
+            layers = wins[: 7 * L].reshape(7, L)
+            g = layers[:, : 7 * h * w].reshape(7, 7, h, w)
+            np.greater(S[1::2], S[0::2], out=g[:4])
+            np.maximum(S[0::2], S[1::2], out=S[0::2])
+            np.greater(S[2::4], S[0::4], out=g[4:6])
+            np.maximum(S[0::4], S[2::4], out=S[0::4])
+            np.greater(S[4], S[0], out=g[6])
+            np.maximum(S[0], S[4], out=best)
+            # Winner = 4*b3 + 2*b2 + b1 with b3 = g3, b2 = g2[b3] and
+            # b1 = g1[2*b3 + b2]. Every layer byte is 0/1, so each select
+            # a ^ (mask & (a ^ b)) and the final sums run on uint64
+            # words, eight cells per element: no byte exceeds 7, so no
+            # carry crosses a byte, and the padding is never read back.
+            u = layers.view(np.uint64)
+            u1, u2, u3 = u[:4], u[4:6], u[6]
+            np.bitwise_xor(u2[0], u2[1], out=u2[1])
+            u2[1] &= u3
+            u2[0] ^= u2[1]  # b2
+            np.bitwise_xor(u1[:2], u1[2:], out=u1[2:])
+            u1[2:] &= u3
+            u1[:2] ^= u1[2:]  # the two round-1 layers of b3's half
+            np.bitwise_xor(u1[0], u1[1], out=u1[1])
+            u1[1] &= u2[0]
+            u1[0] ^= u1[1]  # b1
+            packed = states[:L].view(np.uint64)
+            np.add(u3, u3, out=packed)
+            packed += u2[0]
+            packed += packed
+            packed += u1[0]
+            state = states[: 7 * h * w].reshape(7, h, w)
+
+        # Substitution terms in the original addition order. Moves 1, 2
+        # and 4 match no pair; the original added 0.0 to them, which is
+        # the identity here, since no state value is ever -0.0.
+        best[2] += g_ab  # move 3: AB
+        best[4] += gv2[0]  # move 5: AC
+        best[5] += gv2[1]  # move 6: BC
+        np.add(g_ab, gv2[0], out=g7)
+        g7 += gv2[1]
+        best[6] += g7  # move 7: ABC
+        np.copyto(best, NEG, where=invalid)
+        if not score_only:
+            np.logical_not(invalid, out=valid)
+            _scatter_moves(prev_state, state, valid, K, d, ilo, jlo, dims)
+
+    # Every cell of the cube lies on exactly one plane.
+    cells = (n1 + 1) * (n2 + 1) * (n3 + 1)
+    if observing:
+        _obs.record_sweep(
+            "affine",
+            cells=cells,
+            seconds=time.perf_counter() - t_sweep,
+            peak_plane_bytes=sum(p.nbytes for p in planes),
+            move_cube_bytes=0 if prev_state is None else prev_state.nbytes,
+        )
     final = planes[dmax % 4][:, n1 + 1, n2 + 1].copy()
     score = float(final.max())
     return AffineResult(
@@ -185,7 +257,7 @@ def align3_affine(
         if state == 0:
             raise RuntimeError("affine traceback reached start state early")
         moves.append(state)
-        prev = int(res.prev_state[state, i, j, k])
+        prev = int(res.prev_state[state - 1, i, j, k])
         di, dj, dk = move_delta(state)
         i, j, k = i - di, j - dj, k - dk
         state = prev
@@ -201,5 +273,6 @@ def align3_affine(
         "engine": "affine",
         "cells": res.cells_computed,
         "states": N_STATES,
+        "move_store_bytes": res.prev_state.nbytes,
     }
     return Alignment3(rows=rows, score=score, meta=meta)  # type: ignore[arg-type]

@@ -239,6 +239,39 @@ def resolve_scheme(
     return default_scheme_for(guess_common_alphabet(seqs))
 
 
+def check_gap_model(
+    scheme: ScoringScheme,
+    mode: str = "global",
+    method: str = "auto",
+    constrained: bool = False,
+) -> None:
+    """Reject an affine ``scheme`` on a request the affine engine cannot run.
+
+    The one affine engine aligns globally and unconstrained, by method
+    ``auto`` or ``affine``; the local and semiglobal sweeps, the chain
+    solver (constraints or ``anchored``) and every other method implement
+    the linear gap model. Raises ``ValueError`` for such a request; entry
+    points call this before any work starts.
+    """
+    if not scheme.is_affine:
+        return
+    if mode != "global":
+        raise ValueError(
+            f"mode {mode!r} implements the linear gap model but the "
+            "scheme has a nonzero gap_open"
+        )
+    if constrained or method == "anchored":
+        raise ValueError(
+            "constrained/anchored alignment implements the linear gap "
+            "model but the scheme has a nonzero gap_open"
+        )
+    if method not in ("auto", "affine"):
+        raise ValueError(
+            f"method {method!r} implements the linear gap model but the "
+            "scheme has a nonzero gap_open; use method='affine'"
+        )
+
+
 def align3(
     sa: str,
     sb: str,
@@ -333,11 +366,7 @@ def align3(
         chain_mode = "constrained"
     elif method == "anchored":
         chain_mode = "anchored"
-    if chain_mode is not None and scheme.is_affine:
-        raise ValueError(
-            "constrained/anchored alignment implements the linear gap "
-            "model but the scheme has a nonzero gap_open"
-        )
+    check_gap_model(scheme, method=method, constrained=bool(constraints))
     # Resolve ``auto`` *before* touching the cache: keys carry the
     # resolved method's equivalence class, so ``auto`` and the engine it
     # resolves to share one entry. Chain-mode requests skip this: engine
@@ -350,11 +379,6 @@ def align3(
             method, selection = select_method(
                 sa, sb, sc, scheme, cells_per_s=cells_per_s_hint
             )
-    if scheme.is_affine and method != "affine":
-        raise ValueError(
-            f"method {method!r} implements the linear gap model but the "
-            "scheme has a nonzero gap_open; use method='affine'"
-        )
 
     plan = None
     engine = method

@@ -151,7 +151,7 @@ def _scatter_moves(
     jlo: int,
     dims: tuple[int, int, int],
 ) -> None:
-    """Write the block's argmax moves into ``move_cube[i, j, d-i-j]``.
+    """Write the block's argmax moves into ``move_cube[..., i, j, d-i-j]``.
 
     The cube addresses of a plane block are affine in ``(i, j)`` —
     ``addr = i*(plane_sz-1) + j*n3 + d`` with ``plane_sz =
@@ -162,18 +162,23 @@ def _scatter_moves(
     and distinct ``(i, j)`` never alias for ``n3 >= 1``; ``n3 == 0``
     would make the ``j`` stride zero, so it falls back to the sparse
     scatter (at most one valid cell per row there).
+
+    A stack of cubes scatters in the same call: ``move_cube`` of shape
+    ``(s, n1+1, n2+1, n3+1)`` takes ``mv`` of shape ``(s, h, w)``, and
+    the view's leading stride is one cube.
     """
     n1, n2, n3 = dims
     if n3 == 0:
         ii, jj = np.nonzero(valid)
-        move_cube[row_lo + ii, jlo + jj, K[ii, jj]] = mv[ii, jj]
+        move_cube[..., row_lo + ii, jlo + jj, K[ii, jj]] = mv[..., ii, jj]
         return
     plane_sz = (n2 + 1) * (n3 + 1)
     start = row_lo * (plane_sz - 1) + jlo * n3 + d
+    strides = (plane_sz - 1, n3)  # itemsize 1 (int8): strides in cells
+    if mv.ndim == 3:
+        strides = ((n1 + 1) * plane_sz,) + strides
     view = np.lib.stride_tricks.as_strided(
-        _flat(move_cube)[start:],
-        shape=mv.shape,
-        strides=(plane_sz - 1, n3),  # itemsize 1 (int8): strides in cells
+        _flat(move_cube)[start:], shape=mv.shape, strides=strides
     )
     np.copyto(view, mv, where=valid)
 

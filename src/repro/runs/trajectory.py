@@ -84,6 +84,10 @@ def kernel_metrics(doc: Mapping[str, Any]) -> dict[str, float]:
                 metrics[f"crossover_serial_speedup_w2_n{n}"] = float(
                     point["serial_speedup"]
                 )
+    # And for documents predating the affine kernel section.
+    affine = doc.get("affine")
+    if affine:
+        metrics["affine_speedup"] = float(affine["speedup"])
     anchored = doc.get("long_anchored")
     if anchored:
         metrics["anchored_seconds"] = float(anchored["seconds"])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.affine import (
     affine_sweep,
@@ -9,8 +10,71 @@ from repro.core.affine import (
     score3_affine,
 )
 from repro.core.dp3d import score3_dp3d
+from repro.core.scoring import default_scheme_for
+from repro.seqio.alphabet import DNA, PROTEIN
 from repro.seqio.generate import random_sequence
-from tests.reference.affine import affine_reference
+from tests.reference.affine import (
+    affine_reference,
+    affine_rows_ref,
+    affine_sweep_ref,
+)
+
+SCHEMES = {
+    "dna": default_scheme_for(DNA),
+    "protein": default_scheme_for(PROTEIN),
+}
+LETTERS = {"dna": "ACGT", "protein": "ACDEFGHIKLMNPQRSTVWY"}
+#: Gap scores off the integers, so float rounding differs from one
+#: addition order to another.
+penalty = st.floats(min_value=-12.0, max_value=-0.05).filter(
+    lambda x: not x.is_integer()
+)
+
+
+@st.composite
+def affine_cases(draw):
+    """``(alphabet, triple, gap, gap_open)``: 0-12 residues each."""
+    alphabet = draw(st.sampled_from(sorted(SCHEMES)))
+    seq = st.text(alphabet=LETTERS[alphabet], min_size=0, max_size=12)
+    triple = draw(st.tuples(seq, seq, seq))
+    return alphabet, triple, draw(penalty), draw(penalty)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(case=affine_cases())
+@example(case=("dna", ("", "", ""), -1.7, -0.7))
+@example(case=("dna", ("ACG", "AG", ""), -2.3, -8.1))
+@example(case=("protein", ("W", "", "WC"), -0.3, -11.3))
+@example(case=("dna", ("", "GATTACA", ""), -6.5, -3.2))
+def test_sweep_matches_frozen_reference(case):
+    """The tournament kernel reproduces the original allocating sweep bit
+    for bit: scores, final states and every stored predecessor, traceback
+    and score-only alike; the rows follow, and rescore to the score."""
+    alphabet, seqs, gap, gap_open = case
+    scheme = SCHEMES[alphabet].with_gaps(gap=gap, gap_open=gap_open)
+    for score_only in (False, True):
+        ref = affine_sweep_ref(*seqs, scheme, score_only=score_only)
+        got = affine_sweep(*seqs, scheme, score_only=score_only)
+        assert _bits(got.score) == _bits(ref.score)
+        assert _bits(got.final_states) == _bits(ref.final_states)
+        assert got.cells_computed == ref.cells_computed
+        if score_only:
+            assert got.prev_state is None
+        else:
+            assert not ref.prev_state[0].any()  # slab 0 is never written
+            assert np.array_equal(got.prev_state, ref.prev_state[1:])
+            rows = affine_rows_ref(ref, *seqs)
+    aln = align3_affine(*seqs, scheme)
+    assert aln.rows == rows
+    assert _bits(aln.score) == _bits(ref.score)
+    # The DP and the rescorer add the same terms in different orders.
+    assert scheme.sp_score_affine_quasinatural(aln.rows) == pytest.approx(
+        aln.score, rel=1e-12, abs=1e-9
+    )
 
 
 class TestAgainstScalarReference:
@@ -61,6 +125,8 @@ class TestAlignment:
         aln = align3_affine("ACG", "AG", "AC", affine_dna_scheme)
         assert aln.meta["engine"] == "affine"
         assert aln.meta["states"] == 8
+        # One int8 predecessor slab per move.
+        assert aln.meta["move_store_bytes"] == 7 * 4 * 3 * 3
 
     def test_empty_inputs(self, affine_dna_scheme):
         aln = align3_affine("", "", "", affine_dna_scheme)

@@ -365,6 +365,41 @@ class TestScheduling:
             )
         assert len(cache) == 0
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"mode": "local"}, "mode 'local'"),
+            ({"mode": "semiglobal"}, "mode 'semiglobal'"),
+            ({"method": "anchored"}, "constrained/anchored"),
+            ({"constraints": [(1, 1, 1, 2)]}, "constrained/anchored"),
+            ({"method": "wavefront"}, "method 'wavefront'"),
+        ],
+    )
+    def test_affine_scheme_rejects_linear_only_requests(
+        self, dna_scheme, fields, match
+    ):
+        # Only the global, unconstrained affine engine runs an affine
+        # scheme; anything else fails as it is normalised, before the
+        # good request runs or is cached.
+        affine = dna_scheme.with_gaps(gap=-2.0, gap_open=-8.0)
+        cache = ResultCache()
+        with pytest.raises(ValueError, match=match):
+            run_batch(
+                [
+                    AlignmentRequest(seqs=T1, scheme=affine),
+                    AlignmentRequest(seqs=T2, scheme=affine, **fields),
+                ],
+                cache=cache,
+                workers=1,
+            )
+        assert len(cache) == 0
+        for method in ("auto", "affine"):
+            report = run_batch(
+                [AlignmentRequest(seqs=T2, scheme=affine, method=method)],
+                workers=1,
+            )
+            assert report.results[0].alignment.meta["engine"] == "affine"
+
     def test_empty_batch(self):
         report = run_batch([], workers=1)
         assert report.results == []

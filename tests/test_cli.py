@@ -211,6 +211,27 @@ class TestAlignModes:
         assert main(["align", path, "--mode", "local"]) == 2
         assert "exactly three" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["local", "semiglobal"])
+    def test_affine_scheme_rejected_before_computing(
+        self, fasta3, mode, capsys
+    ):
+        path, _fam = fasta3
+        assert main(["align", path, "--mode", mode, "--gap-open", "-8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "linear gap model" in captured.err
+
+    def test_affine_msa_rejected_before_computing(self, fasta5, capsys):
+        path, _fam = fasta5
+        assert main(["align", path, "--gap-open", "-8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: align_msa implements the linear gap model\n"
+        )
+
     def test_banded_method(self, fasta3, capsys):
         path, _fam = fasta3
         assert main(["align", path, "--method", "banded"]) == 0
@@ -339,6 +360,23 @@ class TestBatch:
         err = capsys.readouterr().err
         assert "batch_requests" in err
         assert "request_latency_s" in err
+
+    @pytest.mark.parametrize(
+        "fields", [{"mode": "local"}, {"method": "anchored"}]
+    )
+    def test_affine_linear_only_line_exits_2(self, tmp_path, fields, capsys):
+        import json
+
+        path = tmp_path / "reqs.jsonl"
+        good = json.dumps({"seqs": ["GATTACA", "GATCA", "GTTACA"]})
+        bad = json.dumps({"seqs": ["ACGTAC", "ACTAC", "AGTAC"], **fields})
+        path.write_text("\n".join([good, bad]) + "\n")
+        args = ["batch", str(path), "--workers", "1", "--gap-open", "-8"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the first line runs
+        assert f"{path}:2: " in captured.err
+        assert "linear gap model" in captured.err
 
     def test_missing_file(self, capsys):
         assert main(["batch", "/nonexistent/x.jsonl"]) == 2

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.core.affine import align3_affine, score3_affine
 from repro.core.scoring import default_scheme_for
 from repro.core.wavefront import align3_wavefront
 from repro.obs import hooks, metrics, trace
@@ -197,6 +198,30 @@ class TestEngineIntegration:
         assert s["cells_per_s"] > 0
         assert s["peak_plane_bytes"] > 0
         assert s["plane_cells_count"] == n1 + n2 + n3 + 1
+
+    def test_affine_sweep_recorded(self, dna_scheme, tracing):
+        scheme = dna_scheme.with_gaps(gap=-2.0, gap_open=-8.0)
+        seqs = mutated_family(12, seed=5)
+        n1, n2, n3 = (len(x) for x in seqs)
+        cells = (n1 + 1) * (n2 + 1) * (n3 + 1)
+        with metrics.collect() as reg:
+            aln = align3_affine(*seqs, scheme)
+        s = reg.summary()
+        assert s["cells_computed"] == cells and s["sweeps"] == 1.0
+        assert s["cells_per_s"] > 0
+        # Four rotating planes of 8 states, one int8 slab per move.
+        assert s["peak_plane_bytes"] == 4 * 8 * (n1 + 2) * (n2 + 2) * 8
+        assert s["move_cube_bytes"] == aln.meta["move_store_bytes"]
+        assert aln.meta["move_store_bytes"] == 7 * cells
+        score3_affine(*seqs, scheme)  # a score-only sweep stores no moves
+        trace.flush()
+        sweeps = [r for r in read_trace(tracing) if r["type"] == "sweep"]
+        assert [(r["engine"], r["cells"]) for r in sweeps] == [
+            ("affine", cells),
+            ("affine", cells),
+        ]
+        assert [r["move_cube_bytes"] for r in sweeps] == [7 * cells, 0]
+        assert "affine" in render_report(tracing)
 
     def test_hooks_active_tracks_both_flags(self):
         assert not hooks.active()

@@ -51,7 +51,7 @@ class TestCheckPerfGate:
         )
         out = capsys.readouterr().out
         assert rc == 0, out
-        for label in ("small", "large", "pruned", "scaling"):
+        for label in ("small", "large", "pruned", "scaling", "affine"):
             assert f"{label} reference:" in out
 
     def test_missing_scaling_section_fails_loudly(
@@ -72,6 +72,30 @@ class TestCheckPerfGate:
         out = capsys.readouterr().out
         assert rc == 1
         assert "no scaling section" in out
+
+    def test_affine_floor_enforced_on_the_baseline(
+        self, cp, tmp_path, monkeypatch, capsys
+    ):
+        doc = json.loads((ROOT / "BENCH_kernel.json").read_text())
+        assert doc["affine"]["speedup"] >= cp.AFFINE_SPEEDUP_FLOOR
+        doc["affine"]["speedup"] = 1.9
+        mangled = tmp_path / "BENCH_kernel.json"
+        mangled.write_text(json.dumps(doc))
+        monkeypatch.setattr(
+            cp.bench_kernel, "baseline_path", lambda: mangled
+        )
+        rc = cp.main(
+            ["--no-record", "--runs-file", str(tmp_path / "RUNS.jsonl")]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "affine traceback speedup 1.90x is below" in out
+        doc.pop("affine")
+        mangled.write_text(json.dumps(doc))
+        assert cp.main(
+            ["--no-record", "--runs-file", str(tmp_path / "RUNS.jsonl")]
+        ) == 1
+        assert "no affine section" in capsys.readouterr().out
 
     def test_missing_baseline_is_a_hard_error_even_with_trajectory(
         self, cp, tmp_path, monkeypatch, capsys
@@ -102,9 +126,9 @@ class TestCheckPerfGate:
         rc = cp.main(["--trajectory", "--no-record", "--runs-file", str(runs)])
         out = capsys.readouterr().out
         assert rc == 0, out
-        # Every gate — including the new scaling one — reports the
+        # Every gate — the scaling and affine ones included — reports the
         # committed-baseline fallback while the trajectory is thin.
-        assert out.count("from baseline (trajectory has 0") == 4
+        assert out.count("from baseline (trajectory has 0") == 5
         # The baseline was migrated as the seed row, scaling metric
         # included, so the trend view starts non-empty.
         from repro.runs import RunStore

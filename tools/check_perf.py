@@ -10,9 +10,10 @@ kernel has lost its edge:
   repeated-small-plane (Hirschberg-style) workload, no regression
   (≥ 1.0x) on the single large sweep, ≥ 5x end-to-end speedup of
   the Carrillo–Lipman-pruned path over the unpruned wavefront on the
-  high-similarity workload, and the block-tiled engine at least
+  high-similarity workload, the block-tiled engine at least
   matching (≥ 1.0x) the per-plane-barrier reference sweep at ≥ 4 workers on
-  the scaling curve;
+  the scaling curve, and ≥ 2x for the affine traceback kernel over the
+  frozen allocating sweep, summed over n = 50/70/90;
 * the **measured speedups** of the current checkout must not regress
   more than ``--tolerance`` (default 20%) below the reference point.
 
@@ -89,6 +90,9 @@ PRUNED_SPEEDUP_FLOOR = 5.0
 #: the identical serial sweep and the honest ratio is ~1.0; on any host
 #: that actually forks, the barrier wall should put this well above it.
 SCALING_SPEEDUP_FLOOR = 1.0
+#: Affine traceback, tournament kernel vs the frozen allocating sweep,
+#: summed over the affine section's sizes.
+AFFINE_SPEEDUP_FLOOR = 2.0
 
 
 def load_baseline() -> dict:
@@ -235,6 +239,22 @@ def main(argv: list[str] | None = None) -> int:
                 f"{SCALING_SPEEDUP_FLOOR:.1f}x acceptance floor"
             )
 
+    base_affine = baseline.get("affine")
+    if base_affine is None:
+        failures.append(
+            "baseline has no affine section — the affine kernel gate has "
+            "no reference"
+        )
+        base_affine_speedup = float("nan")
+    else:
+        base_affine_speedup = base_affine["speedup"]
+        if base_affine_speedup < AFFINE_SPEEDUP_FLOOR:
+            failures.append(
+                f"baseline affine traceback speedup "
+                f"{base_affine_speedup:.2f}x is below the "
+                f"{AFFINE_SPEEDUP_FLOOR:.1f}x acceptance floor"
+            )
+
     store = RunStore(args.runs_file)
     fp = fingerprint_id()
     if args.trajectory:
@@ -262,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         gates.append(("high_similarity", "pruned_speedup", "pruned"))
     if base_scaling is not None:
         gates.append(("scaling", "scaling_speedup", "scaling"))
+    if base_affine is not None:
+        gates.append(("affine", "affine_speedup", "affine"))
     for name, metric, label in gates:
         now = doc[name]["speedup"]
         ref = baseline[name]["speedup"]
@@ -338,6 +360,8 @@ def main(argv: list[str] | None = None) -> int:
         f"(baseline {base_pruned:.2f}x), "
         f"scaling {doc['scaling']['speedup']:.2f}x "
         f"(baseline {base_scale_speedup:.2f}x), "
+        f"affine {doc['affine']['speedup']:.2f}x "
+        f"(baseline {base_affine_speedup:.2f}x), "
         f"tolerance {args.tolerance:.0%}"
     )
     if args.update:
