@@ -9,7 +9,11 @@ workloads that bracket the engine's regimes:
 
 * **small_repeated** — many score-only sweeps over small cubes, the
   Hirschberg/persistent-pool regime where per-sweep allocation used to
-  rival the arithmetic. This is where the workspace wins big.
+  rival the arithmetic. This is where the workspace wins big. Each side
+  takes only ~0.1–0.3 s, so a minimum per side swings with whichever
+  side caught a quiet moment; the speedup is instead the median of
+  per-pair ``t_ref / t_new`` ratios over four times ``repeats``
+  interleaved pairs (:func:`_ab_pairs`).
 * **large_sweep** — one big full-traceback sweep, the
   bandwidth-dominated regime where allocation amortises; the new kernel
   must simply not regress here.
@@ -122,6 +126,40 @@ def _ab_min(run_ref, run_new, repeats):
         t_new = min(t_new, time.perf_counter() - t0)
     return t_ref, t_new, ref_result, new_result
 
+
+def _ab_pairs(run_ref, run_new, pairs):
+    """Interleaved A/B timing as paired ratios.
+
+    Each pair times both sides back to back, and the side that goes
+    first alternates from pair to pair, so host noise during a pair
+    hits both of its sides and order effects cancel. Each side gets
+    one untimed warmup. Returns ``(ratios, ref_seconds, new_seconds,
+    ref_result, new_result)``: the per-pair ``t_ref / t_new`` and each
+    side's per-pair times.
+    """
+    import time
+
+    def timed(run):
+        t0 = time.perf_counter()
+        result = run()
+        return time.perf_counter() - t0, result
+
+    run_ref()
+    run_new()
+    t_refs, t_news = [], []
+    for p in range(pairs):
+        if p % 2:
+            t_new, new_result = timed(run_new)
+            t_ref, ref_result = timed(run_ref)
+        else:
+            t_ref, ref_result = timed(run_ref)
+            t_new, new_result = timed(run_new)
+        t_refs.append(t_ref)
+        t_news.append(t_new)
+    ratios = [r / n for r, n in zip(t_refs, t_news)]
+    return ratios, t_refs, t_news, ref_result, new_result
+
+
 BASELINE_NAME = "BENCH_kernel.json"
 
 #: Cube sizes at which the scaling section times ``blocks`` at two
@@ -220,17 +258,19 @@ def _measure_small_repeated(config, scheme):
                 total += c
         return total
 
-    t_ref, t_new, cells, cells_new = _ab_min(
-        run_ref, run_new, config["repeats"]
+    ratios, t_refs, t_news, cells, cells_new = _ab_pairs(
+        run_ref, run_new, 4 * config["repeats"]
     )
     assert cells == cells_new
+    t_ref, t_new = min(t_refs), min(t_news)
     return {
         "cells": cells,
+        "pairs": len(ratios),
         "ref_seconds": t_ref,
         "new_seconds": t_new,
         "ref_cells_per_s": cells / t_ref,
         "new_cells_per_s": cells / t_new,
-        "speedup": t_ref / t_new,
+        "speedup": float(np.median(ratios)),
     }
 
 

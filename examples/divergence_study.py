@@ -3,9 +3,10 @@
 
 Sweeps a synthetic family's divergence and reports, per level:
 
-* how much of the O(n^3) lattice Carrillo–Lipman bounds eliminate,
+* how much of the O(n^3) lattice the Carrillo–Lipman tube keeps,
 * how close the heuristics come to the exact optimum, and
-* the wall-time effect of pruning.
+* the wall-time effect of pruning: the tube build (its banded lower
+  bound included) plus the tube sweep, against the full sweep.
 
 This is the workflow behind experiments T3 and F5 (see EXPERIMENTS.md).
 
@@ -15,7 +16,7 @@ Run:  python examples/divergence_study.py
 import time
 
 from repro import MutationModel, default_scheme_for, mutated_family
-from repro.core.bounds import carrillo_lipman_mask
+from repro.core.bounds import carrillo_lipman_tube
 from repro.core.wavefront import score3_wavefront
 from repro.heuristics import align3_centerstar, align3_progressive
 from repro.seqio.alphabet import DNA
@@ -45,9 +46,9 @@ def main() -> None:
             align3_progressive(*fam, scheme).score,
         )
 
-        mask, stats = carrillo_lipman_mask(*fam, scheme, lower_bound=heur)
         t0 = time.perf_counter()
-        pruned = score3_wavefront(*fam, scheme, mask=mask)
+        tube, stats = carrillo_lipman_tube(*fam, scheme)
+        pruned = score3_wavefront(*fam, scheme, tube=tube)
         t_pruned = time.perf_counter() - t0
         assert pruned == exact, "pruning must preserve the optimum"
 

@@ -37,6 +37,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.cache import (
     ResultCache,
+    chain_engines_fit,
+    chain_key_class,
     derive_for_order,
     method_key_class,
     permutation_key,
@@ -279,17 +281,15 @@ class BatchScheduler:
 
         Chain-mode requests (constraints, or ``method="anchored"``)
         resolve to the sentinel engine ``"chain"``: ``align3`` gets the
-        request's own method and owns the per-sub-cube selection.
-        Constrained results are engine-independent (every segment
-        engine is exact), so they key as ``"exact"`` plus the constraint
-        digest; anchored results key as their own class.
+        request's own method and owns the per-sub-cube selection, and
+        the key class is :func:`~repro.cache.key.chain_key_class`'s, as
+        in ``align3``.
         """
         if req.mode != "global":
             return req.method, req.method, None
-        if req.constraints:
-            return "chain", "exact", None
-        if req.method == "anchored":
-            return "chain", "anchored", None
+        if req.constraints or req.method == "anchored":
+            constrained = bool(req.constraints)
+            return "chain", chain_key_class(req.method, constrained), None
         method, selection = req.method, None
         if method == "auto":
             if scheme.is_affine:
@@ -515,7 +515,9 @@ class BatchScheduler:
         stats.computed += 1
         if resolved[idxs[0]][0] == "chain":
             # No permutation key for chain-mode results (see stage 2).
-            if self.cache is not None:
+            if self.cache is not None and chain_engines_fit(
+                resolved[idxs[0]][1], aln.meta["anchor"]["engines"]
+            ):
                 self.cache.put(key, aln)
             self._fill(
                 results, reqs, idxs, key, aln, "computed", dt, stats,

@@ -22,7 +22,7 @@ from repro.cluster import (
 )
 from repro.cluster.metrics import block_sweep, sweep_procs
 from repro.core.affine import align3_affine, score3_affine
-from repro.core.bounds import carrillo_lipman_mask
+from repro.core.bounds import PruningStats, carrillo_lipman_tube
 from repro.core.dp3d import NEG, score3_dp3d
 from repro.core.hirschberg import align3_hirschberg, memory_estimate_bytes
 from repro.core.scoring import default_scheme_for
@@ -359,6 +359,14 @@ def exp_t3(quick: bool) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def _score3_pruned(seqs) -> tuple[float, PruningStats]:
+    """What a score-only ``pruned`` request runs: the Carrillo–Lipman
+    tube build (its banded lower bound included), then the tube sweep.
+    Returns ``(score, stats)``."""
+    tube, stats = carrillo_lipman_tube(*seqs, _DNA)
+    return score3_wavefront(*seqs, _DNA, tube=tube), stats
+
+
 @experiment("f5", "Figure 5: pruned fraction of the lattice vs divergence")
 def exp_f5(quick: bool) -> ExperimentResult:
     n = 40 if quick else 80
@@ -366,12 +374,11 @@ def exp_f5(quick: bool) -> ExperimentResult:
     kept, t_full_s, t_pruned_s = [], [], []
     for scale in scales:
         seqs = _family(n, scale=scale, seed=23)
-        mask, stats = carrillo_lipman_mask(*seqs, _DNA)
         t_full, s_full = repeat_min(
             lambda: score3_wavefront(*seqs, _DNA), repeats=2
         )
-        t_pruned, s_pruned = repeat_min(
-            lambda: score3_wavefront(*seqs, _DNA, mask=mask), repeats=2
+        t_pruned, (s_pruned, stats) = repeat_min(
+            lambda: _score3_pruned(seqs), repeats=2
         )
         assert abs(s_full - s_pruned) < 1e-9, "pruning changed the optimum!"
         kept.append(stats.kept_fraction)
@@ -533,9 +540,8 @@ def exp_a1(quick: bool) -> ExperimentResult:
         t_full, s_full = repeat_min(
             lambda: score3_wavefront(*seqs, _DNA), repeats=2
         )
-        mask, _stats = carrillo_lipman_mask(*seqs, _DNA)
-        t_pruned, s_pruned = repeat_min(
-            lambda: score3_wavefront(*seqs, _DNA, mask=mask), repeats=2
+        t_pruned, (s_pruned, _stats) = repeat_min(
+            lambda: _score3_pruned(seqs), repeats=2
         )
         t_banded, aln = repeat_min(
             lambda: align3_banded(*seqs, _DNA), repeats=2

@@ -13,6 +13,8 @@ from repro.cache.key import (
     MODES,
     VOLATILE_META_KEYS,
     canonical_order,
+    chain_engines_fit,
+    chain_key_class,
     comparable_meta,
     derive_for_order,
     method_key_class,
@@ -36,6 +38,8 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "canonical_order",
+    "chain_engines_fit",
+    "chain_key_class",
     "comparable_meta",
     "decode_alignment",
     "derive_for_order",

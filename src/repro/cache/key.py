@@ -18,7 +18,10 @@ an engine would be handed the same inputs. The digest therefore covers
   hit must return the rows its engine would have computed. Callers must
   resolve ``auto`` and plan any degradation first, then key on
   ``method_key_class(engine)``: a ``wavefront`` run degraded to
-  ``hirschberg`` stores its rows under ``"hirschberg"``.
+  ``hirschberg`` stores its rows under ``"hirschberg"``. Chain-solver
+  requests (constraints, or ``method="anchored"``) pick their engines
+  per sub-cube, so they key on :func:`chain_key_class` instead, and a
+  result is stored only if :func:`chain_engines_fit` its key.
 
 Permutation equivalence
 -----------------------
@@ -36,7 +39,7 @@ distinct (see ``docs/batching.md``).
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.scoring import ScoringScheme
 # MODES (the alignment modes a key may carry) lives with the core types.
@@ -59,6 +62,39 @@ def method_key_class(method: str) -> str:
     if method == "auto":
         raise ValueError("resolve method='auto' before deriving a cache key")
     return "exact" if method in EXACT_METHODS else method
+
+
+def chain_key_class(method: str, constrained: bool) -> str:
+    """Cache-key class of a chain-solver request.
+
+    An unconstrained ``anchored`` request discovers its own chain and
+    keys as ``"anchored"``. A constrained request's ``method`` names the
+    engine of every sub-cube, so it keys as that engine's
+    :func:`method_key_class`: ``hirschberg`` apart from the exact
+    class. ``auto`` (and ``anchored``, which runs ``auto`` per sub-cube)
+    keys apart from both, because it may send a sub-cube to
+    ``hirschberg``. The constraint digest in :func:`request_key` keeps
+    all of these apart from unconstrained entries.
+    """
+    if not constrained:
+        return "anchored"
+    if method in ("auto", "anchored"):
+        return "auto"
+    return method_key_class(method)
+
+
+def chain_engines_fit(key_class: str, engines: Iterable[str]) -> bool:
+    """Whether a chain result may be stored under ``key_class``.
+
+    ``engines`` are the sub-cube engines that ran
+    (``meta["anchor"]["engines"]``). A sub-cube the memory plan
+    degraded ran another engine than the request named, so its rows do
+    not belong under the named class; ``auto`` and ``anchored`` keys
+    take whatever the per-sub-cube selection ran.
+    """
+    if key_class in ("auto", "anchored"):
+        return True
+    return all(method_key_class(e) == key_class for e in engines)
 
 
 def scheme_fingerprint(scheme: ScoringScheme) -> bytes:

@@ -13,10 +13,11 @@ Layout
 ``rolling``    forward/backward ``i``-level slabs from score-only sweeps
 ``hirschberg`` linear-space divide-and-conquer traceback
 ``affine``     7-state quasi-natural affine-gap 3-D DP
-``bounds``     Carrillo–Lipman pruning masks and tubes; the ``pruned``
-               engine (``align3_pruned``)
-``tube``       per-``(i, j)`` ``k``-interval keep-regions and the
-               tube-sparse move store (``TubeMoves``)
+``bounds``     Carrillo–Lipman pruning tubes; the ``pruned`` engine
+               (``align3_pruned``)
+``tube``       per-``(i, j)`` ``k``-interval keep-regions, the one
+               pruning representation, and the tube-sparse move store
+               (``TubeMoves``)
 ``api``        the ``align3`` front door
 """
 

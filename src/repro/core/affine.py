@@ -133,7 +133,7 @@ def affine_sweep(
         ilo, ihi, jlo, jhi = plane_bounds(d, n1, n2, n3)
         # Stale plane d-4 values live in these rows; state 0 stays NEG.
         out[:, ilo + 1 : ihi + 2, :] = NEG
-        K, kc, valid, invalid, _, fi2, gv2, g7, _, d0, g_ab, rtac, ctbc = (
+        K, kc, valid, invalid, fi2, gv2, g7, _, d0, g_ab, rtac, ctbc = (
             ws.box_views(ilo, ihi, jlo, jhi)
         )
         np.subtract(d, d0, out=K)

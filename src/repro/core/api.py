@@ -391,19 +391,15 @@ def align3(
 
     cache_key = None
     if cache is not None:
-        from repro.cache import method_key_class, request_key
+        from repro.cache import (
+            chain_engines_fit,
+            chain_key_class,
+            method_key_class,
+            request_key,
+        )
 
-        if chain_mode == "anchored":
-            # Discovery is deterministic in the sequences, so anchored
-            # results are content-addressable — but they are *not*
-            # interchangeable with the exact class (anchors constrain
-            # the optimum), hence their own key class.
-            key_method = "anchored"
-        elif chain_mode == "constrained":
-            # Every per-segment engine is exact, so a constrained
-            # result's score is engine-independent; the constraint
-            # digest below separates it from unconstrained entries.
-            key_method = "exact"
+        if chain_mode is not None:
+            key_method = chain_key_class(method, bool(constraints))
         else:
             key_method = method_key_class(engine)
         cache_key = request_key(
@@ -480,7 +476,12 @@ def align3(
         ]
         aln.meta["memory_budget_bytes"] = plan.budget
     if cache is not None and cache_key is not None:
-        cache.put(cache_key, aln)
+        # A chain result whose sub-cube was degraded to another engine
+        # class is served but not stored under the requested class.
+        if chain_mode is None or chain_engines_fit(
+            key_method, aln.meta["anchor"]["engines"]
+        ):
+            cache.put(cache_key, aln)
         aln.meta["cache"] = {"hit": False, "key": cache_key}
     return aln
 

@@ -19,15 +19,14 @@ The closer the three sequences, the tighter the pairwise bounds hug the
 3-way optimum and the larger the pruned fraction — the divergence sweep of
 experiment F5 measures exactly this.
 
-Two representations of the kept region are offered:
-:func:`carrillo_lipman_mask` materialises the dense boolean cube
-(O(n^3) memory — diagnostics and the reference kernel's tests), while
-:func:`carrillo_lipman_tube` stores the per-``(i, j)`` interval hull of
-the kept ``k`` values (:class:`~repro.core.tube.PruningTube`, O(n^2)
-memory) — the form the production ``pruned`` engine feeds straight into
-the wavefront kernel's clamp machinery so pruned cells are never
-touched. The hull can only *add* cells relative to the dense mask, so
-its safety guarantee is identical.
+:func:`carrillo_lipman_tube` stores the kept region as the per-``(i, j)``
+interval hull of the kept ``k`` values
+(:class:`~repro.core.tube.PruningTube`, O(n^2) memory), the form the
+``pruned`` engine feeds straight into the wavefront kernel so pruned
+cells are never touched. The hull can only *add* cells to the set
+``U >= L``, so every optimal path survives. The dense O(n^3) boolean
+form of that set is kept only as a test oracle
+(``tests/reference/bounds.py``).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from repro.util.validation import check_sequences
 
 @dataclass
 class PruningStats:
-    """Summary of a pruning mask."""
+    """Summary of a Carrillo–Lipman keep-region."""
 
     total_cells: int
     kept_cells: int
@@ -63,22 +62,6 @@ class PruningStats:
     def pruned_fraction(self) -> float:
         """Fraction of lattice cells eliminated."""
         return 1.0 - self.kept_fraction
-
-
-def heuristic_lower_bound(
-    sa: str, sb: str, sc: str, scheme: ScoringScheme
-) -> float:
-    """A valid lower bound on the optimal SP score.
-
-    Takes the better of the center-star and progressive heuristic
-    alignments' SP scores — both are feasible alignments, so their scores
-    never exceed the optimum.
-    """
-    from repro.heuristics import align3_centerstar, align3_progressive
-
-    cs = align3_centerstar(sa, sb, sc, scheme)
-    pg = align3_progressive(sa, sb, sc, scheme)
-    return max(cs.score, pg.score)
 
 
 def banded_lower_bound(
@@ -113,112 +96,42 @@ def banded_lower_bound(
         band *= 2  # corners disconnected inside the band; widen
 
 
-def _bound_inputs(
-    sa: str,
-    sb: str,
-    sc: str,
-    scheme: ScoringScheme,
-    lower_bound: float | None,
-    slack: float,
-    default_bound=heuristic_lower_bound,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Shared validation + through-matrices + threshold for both builders."""
-    check_sequences((sa, sb, sc), count=3)
-    if scheme.is_affine:
-        raise ValueError(
-            "Carrillo–Lipman bounds are derived for the linear gap model"
-        )
-    if slack < 0:
-        raise ValueError(f"slack must be >= 0, got {slack}")
-    t_ab = through_matrix(sa, sb, scheme)  # (n1+1, n2+1)
-    t_ac = through_matrix(sa, sc, scheme)  # (n1+1, n3+1)
-    t_bc = through_matrix(sb, sc, scheme)  # (n2+1, n3+1)
-    if lower_bound is None:
-        lower_bound = default_bound(sa, sb, sc, scheme)
-    return t_ab, t_ac, t_bc, float(lower_bound), float(lower_bound) - slack
-
-
-def carrillo_lipman_mask(
-    sa: str,
-    sb: str,
-    sc: str,
-    scheme: ScoringScheme,
-    lower_bound: float | None = None,
-    slack: float = 0.0,
-) -> tuple[np.ndarray, PruningStats]:
-    """Build the boolean keep-mask over the DP cube.
-
-    Parameters
-    ----------
-    lower_bound:
-        A known lower bound ``L <= OPT``. When omitted it is computed from
-        the heuristic baselines (:func:`heuristic_lower_bound`).
-    slack:
-        Loosens the test to ``U >= L - slack`` (``slack >= 0``), retaining
-        extra cells; useful to absorb floating-point ties or to study the
-        pruning/safety tradeoff.
-
-    Returns
-    -------
-    (mask, stats):
-        ``mask[i, j, k]`` is True for cells that must be evaluated; origin
-        and terminal cells are always kept.
-    """
-    t_ab, t_ac, t_bc, lower_bound, threshold = _bound_inputs(
-        sa, sb, sc, scheme, lower_bound, slack
-    )
-    n1, n2, n3 = len(sa), len(sb), len(sc)
-
-    # Evaluate U slab-by-slab along i to avoid materialising the float cube.
-    mask = np.empty((n1 + 1, n2 + 1, n3 + 1), dtype=bool)
-    for i in range(n1 + 1):
-        u_slab = (
-            t_ab[i][:, None] + t_ac[i][None, :] + t_bc
-        )  # (n2+1, n3+1)
-        mask[i] = u_slab >= threshold
-    mask[0, 0, 0] = True
-    mask[n1, n2, n3] = True
-
-    u_origin = float(t_ab[0, 0] + t_ac[0, 0] + t_bc[0, 0])
-    stats = PruningStats(
-        total_cells=mask.size,
-        kept_cells=int(mask.sum()),
-        lower_bound=float(lower_bound),
-        upper_bound_at_origin=u_origin,
-    )
-    return mask, stats
-
-
 def carrillo_lipman_tube(
     sa: str,
     sb: str,
     sc: str,
     scheme: ScoringScheme,
     lower_bound: float | None = None,
-    slack: float = 0.0,
 ) -> tuple[PruningTube, PruningStats]:
     """Build the O(n^2) tube (per-``(i, j)`` ``k``-interval hull) of the
-    Carrillo–Lipman keep-region.
+    Carrillo–Lipman keep-region ``U(i, j, k) >= lower_bound``.
 
-    Same parameters and safety guarantee as :func:`carrillo_lipman_mask`
-    — the tube keeps a *superset* of the mask's cells (the interval hull
-    along ``k``), so every cell of an optimal path survives. Peak
-    auxiliary memory is the three O(n^2) through-matrices plus two
-    ``(n1+1, n2+1)`` integer planes; the dense cube is never built.
+    Parameters
+    ----------
+    lower_bound:
+        A known lower bound ``L <= OPT``. When omitted it comes from
+        :func:`banded_lower_bound`: one thin exact sweep, cheap and (on
+        the similar triples that prune well) tight. A lower ``L`` keeps
+        more cells.
 
-    When no ``lower_bound`` is given it comes from
-    :func:`banded_lower_bound` rather than the heuristic alignments the
-    mask builder defaults to: one thin exact sweep is both cheaper and
-    (on the similar triples that prune well) tighter.
-
-    ``stats.kept_cells`` counts the tube's cells (what a pruned sweep
-    will actually evaluate), so it can exceed the dense mask's count
-    when the kept set along ``k`` has holes.
+    The tube keeps a *superset* of the cells with ``U >= L`` (the
+    interval hull along ``k``), so every cell of an optimal path
+    survives. Peak auxiliary memory is the three O(n^2)
+    through-matrices plus two ``(n1+1, n2+1)`` integer planes; the
+    dense cube is never built. ``stats.kept_cells`` counts the tube's
+    cells, what a pruned sweep will actually evaluate.
     """
-    t_ab, t_ac, t_bc, lower_bound, threshold = _bound_inputs(
-        sa, sb, sc, scheme, lower_bound, slack,
-        default_bound=banded_lower_bound,
-    )
+    check_sequences((sa, sb, sc), count=3)
+    if scheme.is_affine:
+        raise ValueError(
+            "Carrillo–Lipman bounds are derived for the linear gap model"
+        )
+    t_ab = through_matrix(sa, sb, scheme)  # (n1+1, n2+1)
+    t_ac = through_matrix(sa, sc, scheme)  # (n1+1, n3+1)
+    t_bc = through_matrix(sb, sc, scheme)  # (n2+1, n3+1)
+    if lower_bound is None:
+        lower_bound = banded_lower_bound(sa, sb, sc, scheme)
+    threshold = float(lower_bound)
     n1, n2, n3 = len(sa), len(sb), len(sc)
 
     klo = np.zeros((n1 + 1, n2 + 1), dtype=np.intp)
@@ -255,7 +168,7 @@ def carrillo_lipman_tube(
     stats = PruningStats(
         total_cells=tube.total_cells,
         kept_cells=tube.kept_cells,
-        lower_bound=float(lower_bound),
+        lower_bound=threshold,
         upper_bound_at_origin=u_origin,
     )
     return tube, stats

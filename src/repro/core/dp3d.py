@@ -49,7 +49,6 @@ def dp3d_matrix(
     sb: str,
     sc: str,
     scheme: ScoringScheme,
-    mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compute the full score cube and move cube.
 
@@ -59,11 +58,6 @@ def dp3d_matrix(
         The three sequences.
     scheme:
         Linear-gap SP scoring scheme (``scheme.is_affine`` must be False).
-    mask:
-        Optional boolean cube of shape ``(len(sa)+1, len(sb)+1, len(sc)+1)``;
-        cells where it is False are excluded from the search (used to
-        cross-check Carrillo–Lipman pruning). The origin and terminal cells
-        must be included.
 
     Returns
     -------
@@ -81,30 +75,16 @@ def dp3d_matrix(
     sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
     g2 = 2.0 * scheme.gap
 
-    if mask is not None:
-        if mask.shape != (n1 + 1, n2 + 1, n3 + 1):
-            raise ValueError(
-                f"mask shape {mask.shape} does not match cube "
-                f"({n1 + 1}, {n2 + 1}, {n3 + 1})"
-            )
-        if not (mask[0, 0, 0] and mask[n1, n2, n3]):
-            raise ValueError("mask must include the origin and terminal cells")
-
     D = np.full((n1 + 1, n2 + 1, n3 + 1), NEG, dtype=np.float64)
     M = np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
 
     observing = _obs.active()
     t0 = time.perf_counter() if observing else 0.0
-    fill_box(D, (0, 0, 0), (n1, n2, n3), sab, sac, sbc, g2, M=M, mask=mask)
+    fill_box(D, (0, 0, 0), (n1, n2, n3), sab, sac, sbc, g2, M=M)
     if observing:
-        cells = (
-            (n1 + 1) * (n2 + 1) * (n3 + 1)
-            if mask is None
-            else int(mask.sum())
-        )
         _obs.record_sweep(
             "dp3d",
-            cells=cells,
+            cells=D.size,
             seconds=time.perf_counter() - t0,
             peak_plane_bytes=D.nbytes,
             move_cube_bytes=M.nbytes,
@@ -122,7 +102,6 @@ def fill_box(
     g2: float,
     origin: tuple[int, int, int] = (0, 0, 0),
     M: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
 ) -> None:
     """Fill cells ``lo..hi`` (inclusive, cube coordinates) of ``D`` in place.
 
@@ -131,8 +110,7 @@ def fill_box(
     hold its value or NEG. Each cell takes the best of moves 1..7 visited
     in code order with strict ``>``, so the first of equals wins — the
     tie-break every vectorised engine shares. ``M`` (indexed like ``D``)
-    receives the winning moves; cells where ``mask`` (cube-indexed) is
-    False are skipped.
+    receives the winning moves.
     """
     o1, o2, o3 = origin
     for i in range(lo[0], hi[0] + 1):
@@ -143,8 +121,6 @@ def fill_box(
                 z = k - o3
                 if i == j == k == 0:
                     D[x, y, z] = 0.0
-                    continue
-                if mask is not None and not mask[i, j, k]:
                     continue
                 best = NEG
                 best_move = 0
@@ -198,17 +174,12 @@ def align3_dp3d(
     sb: str,
     sc: str,
     scheme: ScoringScheme,
-    mask: np.ndarray | None = None,
 ) -> Alignment3:
     """Optimal three-way alignment via the reference full-matrix DP."""
     with _trace.span("dp3d.sweep"):
-        D, M = dp3d_matrix(sa, sb, sc, scheme, mask=mask)
+        D, M = dp3d_matrix(sa, sb, sc, scheme)
     n1, n2, n3 = len(sa), len(sb), len(sc)
     score = float(D[n1, n2, n3])
-    if score <= NEG / 2:
-        raise RuntimeError(
-            "terminal cell unreachable (over-aggressive pruning mask?)"
-        )
     with _trace.span("dp3d.traceback"):
         moves = traceback_moves(M)
         cols = moves_to_columns(moves, sa, sb, sc)

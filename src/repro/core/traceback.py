@@ -63,8 +63,8 @@ def traceback_moves(
 def path_cells(moves: list[int]) -> list[tuple[int, int, int]]:
     """The cells visited by a move sequence, starting at the origin.
 
-    Includes both endpoints; useful for verifying that pruning masks retain
-    the optimal path.
+    Includes both endpoints; useful for verifying that a pruning tube
+    retains the optimal path.
     """
     i = j = k = 0
     cells = [(0, 0, 0)]

@@ -1,21 +1,18 @@
 """Per-row k-interval ("tube") pruning regions in O(n^2) memory.
 
-A dense boolean keep-mask over the DP cube costs ``(n1+1)(n2+1)(n3+1)``
-bytes — for the high-similarity requests that prune best, the mask is
-bigger than every buffer the pruned sweep actually needs. This module
-stores the kept region as one interval ``[klo, khi]`` of ``k`` per
-``(i, j)`` cell instead: two ``(n1+1, n2+1)`` integer planes, O(n^2)
-total, and per plane of the wavefront the validity test is two
-elementwise compares against sliced views — no cube gather at all.
+The one keep-region representation of the 3-D DP: one interval
+``[klo, khi]`` of ``k`` per ``(i, j)`` cell, two ``(n1+1, n2+1)``
+integer planes, O(n^2) total. A dense boolean cube would cost
+``(n1+1)(n2+1)(n3+1)`` bytes, more than every buffer a pruned sweep
+needs; with intervals, the validity test on each wavefront plane is two
+elementwise compares against sliced views, with no cube gather.
 
 An interval per row is the *hull* of an arbitrary kept set along ``k``,
-so converting a mask to a tube can only add cells back, never drop one;
-pruning stays safe (the optimum's cells all survive) while the memory
-blowup disappears. The Carrillo–Lipman builder
+so it can only add cells back, never drop one; pruning stays safe (the
+optimum's cells all survive). The Carrillo–Lipman builder
 (:func:`repro.core.bounds.carrillo_lipman_tube`) constructs the hull
 directly from the bound slabs, and the banded engine's scaled-diagonal
-region (:func:`repro.core.band.band_tube`) is exactly interval-shaped,
-so for it the tube is lossless.
+region (:func:`repro.core.band.band_tube`) is exactly interval-shaped.
 
 Empty rows are encoded as ``khi < klo`` (canonically ``(0, -1)``); the
 kernel's ``klo <= k <= khi`` test then rejects every ``k`` without a
@@ -136,36 +133,6 @@ class PruningTube:
         rlo = np.where(any_rows, live.argmax(axis=0), 1)
         rhi = np.where(any_rows, n1p - 1 - live[::-1].argmax(axis=0), 0)
         return rlo.astype(np.intp), rhi.astype(np.intp)
-
-    def dense_mask(self) -> np.ndarray:
-        """Materialise the equivalent boolean cube (tests/diagnostics
-        only — using this in an engine defeats the representation)."""
-        ks = np.arange(self.n3 + 1)[None, None, :]
-        return (ks >= self.klo[:, :, None]) & (ks <= self.khi[:, :, None])
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "PruningTube":
-        """Interval hull of a dense keep-mask (a superset of its cells)."""
-        if mask.ndim != 3:
-            raise ValueError(f"mask must be 3-D, got shape {mask.shape}")
-        n3 = mask.shape[2] - 1
-        any_k = mask.any(axis=2)
-        first = mask.argmax(axis=2)
-        last = n3 - mask[:, :, ::-1].argmax(axis=2)
-        klo = np.where(any_k, first, 0)
-        khi = np.where(any_k, last, -1)
-        return cls(klo=klo, khi=khi, n3=n3)
-
-    @classmethod
-    def full(cls, dims: tuple[int, int, int]) -> "PruningTube":
-        """A tube that keeps the whole ``(n1, n2, n3)`` cube."""
-        n1, n2, n3 = dims
-        shape = (n1 + 1, n2 + 1)
-        return cls(
-            klo=np.zeros(shape, dtype=np.intp),
-            khi=np.full(shape, n3, dtype=np.intp),
-            n3=n3,
-        )
 
 
 class TubeMoves:

@@ -41,13 +41,12 @@ six candidates and accumulates the running max directly into the output
 plane (``max`` commutes exactly with adding a constant in float64, so
 values are unchanged).
 
-With a workspace supplied, the unmasked hot path performs **zero** array
-allocations per plane; results stay bit-identical to the original
-allocating kernel, which is kept verbatim in ``tests/reference/kernel.py``
-for A/B benchmarking (``benchmarks/bench_kernel.py``) and the
-bit-identity tests (``tests/test_workspace.py``). The masked
-(Carrillo–Lipman) path may allocate a few O(row)/O(col) temporaries
-while tightening the live box.
+The unpruned hot path performs **zero** array allocations per plane;
+results stay bit-identical to the original allocating kernel, which is
+kept verbatim in ``tests/reference/kernel.py`` for A/B benchmarking
+(``benchmarks/bench_kernel.py``) and the bit-identity tests
+(``tests/test_workspace.py``). The tube-pruned path may allocate a few
+O(row)/O(col) temporaries while tightening the live box.
 
 Alignment modes
 ---------------
@@ -196,9 +195,8 @@ def compute_plane_rows(
     sbc: np.ndarray,
     g2: float,
     dims: tuple[int, int, int],
+    ws: PlaneWorkspace,
     move_cube: np.ndarray | TubeMoves | None = None,
-    mask: np.ndarray | None = None,
-    ws: PlaneWorkspace | None = None,
     tube: PruningTube | None = None,
     mode: str = "global",
 ) -> int:
@@ -228,6 +226,8 @@ def compute_plane_rows(
         ``2 * scheme.gap`` (the residue-versus-two-gaps column score).
     dims:
         ``(n1, n2, n3)``.
+    ws:
+        Scratch workspace; one per concurrently-running worker.
     move_cube:
         Optional move store for traceback; the argmax moves are scattered
         into it. Without ``tube`` it is the dense int8 cube
@@ -235,28 +235,19 @@ def compute_plane_rows(
         block. With ``tube`` it is the tube's
         :class:`~repro.core.tube.TubeMoves`, written through
         :meth:`~repro.core.tube.TubeMoves.put_block`.
-    mask:
-        Optional boolean cube; cells that are False are pruned (kept at
-        ``NEG``). O(n^3) memory — kept for diagnostics and arbitrary
-        (non-interval) keep-sets; production pruning passes ``tube``.
-    ws:
-        Scratch workspace; one per concurrently-running worker. When
-        None a transient workspace is built (correct but allocating —
-        every engine in the repo passes one).
     tube:
         Optional :class:`~repro.core.tube.PruningTube`: per-``(i, j)``
         keep-intervals of ``k`` in O(n^2) memory. The validity test is
         two compares against sliced interval views (its intervals are
         clamped to ``[0, n3]``, so it subsumes the cube-bounds check),
-        and the live box is tightened exactly as for ``mask``.
-        Mutually exclusive with ``mask``.
+        and the computed box is tightened to the tube's live cells.
     mode:
         One of :data:`repro.cache.key.MODES`; it sets only the floor a
         cell may restart from. ``"local"`` cells restart at 0 anywhere,
         ``"semiglobal"`` cells on the ``i=0``, ``j=0`` and ``k=0`` faces
         start free. A restart (move 0) wins ties: a cell restarts when
         the best of moves 1..7 is ``<=`` its floor. Global-only with
-        ``mask``/``tube``.
+        ``tube``.
 
     Returns
     -------
@@ -278,16 +269,12 @@ def compute_plane_rows(
     if d == 0:
         # Only the origin exists; it has no predecessors. (Its box is
         # the single cell (0, 0) whenever this call covers row 0.)
-        origin_kept = (mask is None or bool(mask[0, 0, 0])) and (
-            tube is None or tube.contains(0, 0, 0)
-        )
+        origin_kept = tube is None or tube.contains(0, 0, 0)
         if row_lo == 0 and jlo == 0 and origin_kept:
             out[1, 1] = 0.0
             return 1
         return 0
 
-    if ws is None:
-        ws = PlaneWorkspace(dims)
     if not ws.bound_to(sab, sac, sbc, dims):
         # First plane of this sweep: build the per-sweep tables once.
         ws.bind_profiles(sab, sac, sbc, dims)
@@ -297,7 +284,6 @@ def compute_plane_rows(
         kc,
         valid,
         tmp,
-        fi,
         fi2,
         gv2,
         c,
@@ -325,10 +311,9 @@ def compute_plane_rows(
         np.maximum(K, 0, out=kc)
         np.minimum(kc, n3, out=kc)
     all_valid = kc is K
-    pruned = mask is not None or tube is not None
-    fast = move_cube is None and not pruned
+    fast = move_cube is None and tube is None
     if fast:
-        # Score-only, unmasked: only the *invalid* cells are ever
+        # Score-only, unpruned: only the *invalid* cells are ever
         # needed (NEG write-back and the complement count).
         if not all_valid:
             np.not_equal(K, kc, out=tmp)
@@ -345,14 +330,9 @@ def compute_plane_rows(
         valid &= tmp
     else:
         np.equal(K, kc, out=valid)
-        if mask is not None:
-            # Gather mask[i, j, kc] through a flat index buffer.
-            np.add(ws.m0[row_lo : row_hi + 1, jlo : jhi + 1], kc, out=fi)
-            _flat(mask).take(fi, out=tmp)
-            valid &= tmp
 
-    if pruned:
-        # Tighten the computed box to the mask's live cells: with aggressive
+    if tube is not None:
+        # Tighten the computed box to the tube's live cells: with aggressive
         # Carrillo–Lipman pruning the live region is a thin tube around the
         # main diagonal, so this is where the pruning speedup comes from.
         # (The full row range was already reset to NEG above, so skipped
@@ -497,8 +477,8 @@ def compute_plane_rows(
             # its index pair fi2 is free scratch.
             move_cube.put_block(d, row_lo, jlo, mv, tmp, fi2)
 
-    if not pruned:
-        # Unmasked traceback sweep: validity is still the pure band
+    if tube is None:
+        # Unpruned traceback sweep: validity is still the pure band
         # condition, so the closed-form count applies here too.
         return _band_count(kmax, h, w) - _band_count(kmax - n3 - 1, h, w)
     return int(np.count_nonzero(valid))
@@ -558,7 +538,6 @@ def wavefront_sweep(
     sc: str,
     scheme: ScoringScheme,
     score_only: bool = False,
-    mask: np.ndarray | None = None,
     capture_levels: Iterable[int] = (),
     workspace: PlaneWorkspace | None = None,
     tube: PruningTube | None = None,
@@ -570,12 +549,9 @@ def wavefront_sweep(
     ----------
     score_only:
         Skip move storage; memory drops to O(n^2).
-    mask:
-        Optional Carrillo–Lipman pruning cube (see :mod:`repro.core.bounds`).
-        Diagnostic: the moves still go to a dense cube.
     tube:
-        Optional O(n^2) :class:`~repro.core.tube.PruningTube` keep-region
-        (the production pruning path); mutually exclusive with ``mask``.
+        Optional O(n^2) :class:`~repro.core.tube.PruningTube` keep-region,
+        such as the Carrillo–Lipman tube (see :mod:`repro.core.bounds`).
         A traceback sweep then stores moves only for the tube's cells
         (:class:`~repro.core.tube.TubeMoves`), so its memory follows the
         kept cells. Without a tube the moves go to a dense int8 cube.
@@ -591,8 +567,8 @@ def wavefront_sweep(
         thread-safe: never share one across concurrent sweeps.
     mode:
         ``"global"``, ``"semiglobal"`` or ``"local"`` (see the module
-        docstring). The Carrillo–Lipman bounds behind ``mask`` and
-        ``tube`` are global-only.
+        docstring). The Carrillo–Lipman bounds behind ``tube`` are
+        global-only.
     """
     check_sequences((sa, sb, sc), count=3)
     if scheme.is_affine:
@@ -603,12 +579,8 @@ def wavefront_sweep(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; available: {MODES}")
     n1, n2, n3 = len(sa), len(sb), len(sc)
-    if mode != "global" and (mask is not None or tube is not None):
-        raise ValueError(f"mask/tube pruning is global-only, not {mode!r}")
-    if mask is not None and tube is not None:
-        raise ValueError("mask and tube are mutually exclusive")
-    if mask is not None and mask.shape != (n1 + 1, n2 + 1, n3 + 1):
-        raise ValueError(f"mask shape {mask.shape} does not match cube")
+    if mode != "global" and tube is not None:
+        raise ValueError(f"tube pruning is global-only, not {mode!r}")
     if tube is not None and tube.shape != (n1 + 1, n2 + 1, n3 + 1):
         raise ValueError(f"tube shape {tube.shape} does not match cube")
     levels = sorted({int(v) for v in capture_levels})
@@ -666,9 +638,8 @@ def wavefront_sweep(
             sbc,
             g2,
             dims,
+            ws,
             move_cube=move_cube,
-            mask=mask,
-            ws=ws,
             tube=tube,
             mode=mode,
         )
@@ -764,7 +735,6 @@ def align3_wavefront(
     sb: str,
     sc: str,
     scheme: ScoringScheme,
-    mask: np.ndarray | None = None,
     workspace: PlaneWorkspace | None = None,
     tube: PruningTube | None = None,
 ) -> Alignment3:
@@ -778,13 +748,12 @@ def align3_wavefront(
             sc,
             scheme,
             score_only=False,
-            mask=mask,
             workspace=workspace,
             tube=tube,
         )
     if res.score <= NEG / 2:
         raise RuntimeError(
-            "terminal cell unreachable (over-aggressive pruning mask?)"
+            "terminal cell unreachable (over-aggressive pruning tube?)"
         )
     assert res.move_cube is not None
     with _trace.span("wavefront.traceback"):
@@ -805,7 +774,6 @@ def score3_wavefront(
     sb: str,
     sc: str,
     scheme: ScoringScheme,
-    mask: np.ndarray | None = None,
     workspace: PlaneWorkspace | None = None,
     tube: PruningTube | None = None,
 ) -> float:
@@ -816,7 +784,6 @@ def score3_wavefront(
         sc,
         scheme,
         score_only=True,
-        mask=mask,
         workspace=workspace,
         tube=tube,
     ).score

@@ -14,13 +14,13 @@ plane — rivals the arithmetic itself.
 
 * the four padded rotating **plane buffers** (``(n1+2, n2+2)`` each),
 * 2-D **kernel scratch** — the ``k`` lattice, validity masks, gather
-  targets, the running-max buffers and a flat gather-index buffer,
+  targets and the running-max buffers,
 * **per-sweep tables** built once per (profile-matrices, dims) binding
   and reused by every plane of the sweep: clip-padded substitution
   tables (``tab_ab``/``tab_ac``/``tab_bc``, so the AB term becomes a
   plain view and the AC/BC terms one fused flat ``take``), the
   ``i + j`` grid (``K`` in a single subtract) and flat-offset rows for
-  the mask/table gathers.
+  the table gather.
 
 Buffers are sized to the largest shape seen so far and sliced down to
 views per sweep, so *changing cube shapes can safely share one
@@ -100,7 +100,6 @@ class PlaneWorkspace:
         shape = (c1 + 1, c2 + 1)
         self.k = np.empty(shape, dtype=np.intp)
         self.kc = np.empty(shape, dtype=np.intp)
-        self.idx = np.empty(shape, dtype=np.intp)
         self.valid = np.empty(shape, dtype=bool)
         self.tmp = np.empty(shape, dtype=bool)
         self.face = np.empty(shape, dtype=bool)  # semiglobal restart faces
@@ -115,7 +114,6 @@ class PlaneWorkspace:
         # are carved out of one flat allocation (the fused gather's
         # source), with tab_bc's rows offset past tab_ac.
         self.d0 = np.empty(shape, dtype=np.intp)  # i + j
-        self.m0 = np.empty(shape, dtype=np.intp)  # mask flat offsets
         self.tab_ab = np.empty(shape)
         ac_len = (c1 + 1) * (c3 + 1)
         self._tab_acbc_flat = np.empty(ac_len + (c2 + 1) * (c3 + 1))
@@ -147,15 +145,15 @@ class PlaneWorkspace:
     ) -> tuple:
         """The kernel's view bundle for one plane bounding box.
 
-        Slicing ~15 views per plane costs real time at small plane
+        Slicing ~12 views per plane costs real time at small plane
         sizes, and sweeps revisit the same boxes (one per ``d``, and
         identically across repeated same-shape sweeps), so the tuples
         are memoised. Views stay valid across
         :meth:`bind_profiles` (tables are refilled in place); a grow
         reallocates every buffer and clears the cache.
 
-        Returns ``(k, kc, valid, tmp, fi, fi2, gv2, cand, moves, d0,
-        gab, rows_tac, cols_tbc)`` — scratch sliced at the origin to the
+        Returns ``(k, kc, valid, tmp, fi2, gv2, cand, moves, d0, gab,
+        rows_tac, cols_tbc)`` — scratch sliced at the origin to the
         box shape, tables sliced at the box's absolute position. ``fi2``
         and ``gv2`` are the C-contiguous ``(2, h, w)`` index/value pair
         of the fused AC/BC gather (``gv2[0]`` is AC, ``gv2[1]`` BC).
@@ -172,7 +170,6 @@ class PlaneWorkspace:
                 self.kc[:h, :w],
                 self.valid[:h, :w],
                 self.tmp[:h, :w],
-                self.idx[:h, :w],
                 self._idx2_flat[: 2 * h * w].reshape(2, h, w),
                 self._gacbc_flat[: 2 * h * w].reshape(2, h, w),
                 self.cand[:h, :w],
@@ -231,14 +228,6 @@ class PlaneWorkspace:
             self.cols[None, : n2 + 1],
             out=self.d0[: n1 + 1, : n2 + 1],
         )
-        # Flat offsets of (i, j, 0) in a C-order (n1+1, n2+1, n3+1)
-        # cube — the mask-gather index is m0 + clip(k, 0, n3).
-        np.multiply(
-            self.rows[: n1 + 1, None],
-            (n2 + 1) * (n3 + 1),
-            out=self.m0[: n1 + 1, : n2 + 1],
-        )
-        self.m0[: n1 + 1, : n2 + 1] += self.cols[None, : n2 + 1] * (n3 + 1)
         # Clip-padded substitution tables. Where a sequence is empty the
         # old kernel substituted zeros; padding whole-table zeros keeps
         # that bit-identical.

@@ -3,7 +3,9 @@
 :func:`compute_plane_rows_ref` is the original allocating form of
 :func:`repro.core.wavefront.compute_plane_rows`, kept verbatim as the
 bit-identity oracle for the zero-allocation kernel and as the A/B
-baseline of ``benchmarks/bench_kernel.py``.
+baseline of ``benchmarks/bench_kernel.py``. It still takes a dense
+boolean keep-mask, so :func:`sweep_ref` fed ``dense_mask(tube)``
+(``tests/reference/bounds.py``) is the reference for tube sweeps.
 """
 
 from __future__ import annotations
@@ -125,3 +127,60 @@ def compute_plane_rows_ref(
         move_cube[row_lo + ii, jlo + jj, K[ii, jj]] = moves[ii, jj]
 
     return int(valid.sum())
+
+
+def drive_planes(kernel, seqs, scheme, move_cube=None, **kwargs):
+    """Run every plane of a global sweep through ``kernel``, each over
+    its full row range.
+
+    ``kwargs`` go to every call (``mask=`` for the reference kernel,
+    ``ws=``/``tube=`` for the production one). Returns ``(planes,
+    cells)``: each plane buffer as it stood after its plane, and the
+    total cell count the kernel reported.
+    """
+    n1, n2, n3 = (len(s) for s in seqs)
+    sab, sac, sbc = scheme.profile_matrices(*seqs)
+    g2 = 2.0 * scheme.gap
+    dims = (n1, n2, n3)
+    buffers = [np.full((n1 + 2, n2 + 2), NEG) for _ in range(4)]
+    planes, cells = [], 0
+    for d in range(n1 + n2 + n3 + 1):
+        out = buffers[d % 4]
+        cells += kernel(
+            d,
+            0,
+            n1,
+            buffers[(d - 1) % 4],
+            buffers[(d - 2) % 4],
+            buffers[(d - 3) % 4],
+            out,
+            sab,
+            sac,
+            sbc,
+            g2,
+            dims,
+            move_cube=move_cube,
+            **kwargs,
+        )
+        planes.append(out.copy())
+    return planes, cells
+
+
+def sweep_ref(seqs, scheme, mask=None, score_only=False):
+    """The reference masked sweep: :func:`compute_plane_rows_ref` over
+    every plane, restricted to ``mask`` when given.
+
+    Returns ``(planes, move_cube, cells)``; ``move_cube`` is the dense
+    int8 cube (``None`` score-only), and the score is the terminal cell
+    of the last plane, ``planes[-1][n1 + 1, n2 + 1]``.
+    """
+    n1, n2, n3 = (len(s) for s in seqs)
+    move_cube = (
+        None
+        if score_only
+        else np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
+    )
+    planes, cells = drive_planes(
+        compute_plane_rows_ref, seqs, scheme, move_cube, mask=mask
+    )
+    return planes, move_cube, cells

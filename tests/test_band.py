@@ -6,34 +6,35 @@ import pytest
 from repro.core.band import align3_banded, band_tube, score3_banded
 from repro.core.dp3d import score3_dp3d
 from repro.seqio.generate import MutationModel, mutated_family
+from tests.reference.bounds import dense_mask
 
 
 class TestBandMask:
     def test_corners_always_kept(self):
-        mask = band_tube(5, 9, 3, 1).dense_mask()
+        mask = dense_mask(band_tube(5, 9, 3, 1))
         assert mask[0, 0, 0] and mask[5, 9, 3]
 
     def test_band_width_controls_volume(self):
-        narrow = band_tube(20, 20, 20, 2).dense_mask().sum()
-        wide = band_tube(20, 20, 20, 8).dense_mask().sum()
+        narrow = dense_mask(band_tube(20, 20, 20, 2)).sum()
+        wide = dense_mask(band_tube(20, 20, 20, 8)).sum()
         assert narrow < wide
 
     def test_full_coverage_at_large_band(self):
-        assert band_tube(10, 12, 8, 30).dense_mask().all()
+        assert dense_mask(band_tube(10, 12, 8, 30)).all()
 
     def test_diagonal_inside(self):
-        mask = band_tube(10, 20, 10, 2).dense_mask()
+        mask = dense_mask(band_tube(10, 20, 10, 2))
         for i in range(11):
             assert mask[i, 2 * i, i], i
 
     def test_degenerate_first_axis(self):
-        mask = band_tube(0, 6, 6, 2).dense_mask()
+        mask = dense_mask(band_tube(0, 6, 6, 2))
         assert mask[0, 0, 0] and mask[0, 6, 6]
         assert mask[0, 3, 3]
         assert not mask[0, 0, 6]
 
     def test_all_empty(self):
-        assert band_tube(0, 0, 0, 3).dense_mask().shape == (1, 1, 1)
+        assert dense_mask(band_tube(0, 0, 0, 3)).shape == (1, 1, 1)
 
     def test_band_validated(self):
         with pytest.raises(ValueError):

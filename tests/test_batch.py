@@ -232,6 +232,51 @@ class TestScheduling:
         assert res.source == "computed"
         assert res.alignment.rows == want.rows
 
+    def test_constrained_hirschberg_rows_never_served_to_wavefront(
+        self, dna_scheme, hirschberg_tie_triple
+    ):
+        # In one batch the wavefront request must not dedup onto the
+        # hirschberg one: a constraint chain keys by its sub-cube engine.
+        chain = ((0, 0, 0, 1),)
+        want = align3(
+            *hirschberg_tie_triple, dna_scheme, method="wavefront",
+            constraints=chain,
+        )
+        reqs = [
+            AlignmentRequest(
+                seqs=hirschberg_tie_triple, scheme=dna_scheme, method=m,
+                constraints=chain,
+            )
+            for m in ("hirschberg", "wavefront")
+        ]
+        with BatchScheduler(cache=ResultCache()) as sched:
+            res = sched.run(reqs).results[1]
+        assert res.source == "computed"
+        assert res.alignment.rows == want.rows
+
+    def test_degraded_constrained_run_is_not_stored(
+        self, dna_scheme, hirschberg_tie_triple, monkeypatch
+    ):
+        chain = ((0, 0, 0, 1),)
+        want = align3(
+            *hirschberg_tie_triple, dna_scheme, method="wavefront",
+            constraints=chain,
+        )
+        req = AlignmentRequest(
+            seqs=hirschberg_tie_triple, scheme=dna_scheme, method="wavefront",
+            constraints=chain,
+        )
+        with BatchScheduler(cache=ResultCache()) as sched:
+            monkeypatch.setenv("REPRO_MEM_BUDGET", "100000")
+            with pytest.warns(DegradationWarning):
+                degraded = sched.run([req]).results[0]
+            engines = degraded.alignment.meta["anchor"]["engines"]
+            assert engines == {"hirschberg": 1}
+            monkeypatch.delenv("REPRO_MEM_BUDGET")
+            res = sched.run([req]).results[0]
+        assert res.source == "computed"
+        assert res.alignment.rows == want.rows
+
     def test_degraded_run_keys_as_its_engine(
         self, dna_scheme, hirschberg_tie_triple, monkeypatch
     ):

@@ -1,17 +1,24 @@
-"""Unit tests for Carrillo–Lipman pruning (repro.core.bounds)."""
+"""Unit tests for Carrillo–Lipman pruning (repro.core.bounds).
 
-import numpy as np
+``TestMask`` checks the dense mask oracle (``tests/reference/bounds.py``)
+that the production tube is held to: every optimal path survives it.
+"""
+
 import pytest
 
-from repro.core.bounds import (
-    carrillo_lipman_mask,
-    heuristic_lower_bound,
-    pairwise_upper_bound,
-)
+from repro.core.bounds import carrillo_lipman_tube, pairwise_upper_bound
 from repro.core.dp3d import score3_dp3d
 from repro.core.traceback import path_cells
-from repro.core.wavefront import align3_wavefront, score3_wavefront
+from repro.core.wavefront import align3_wavefront
 from repro.seqio.generate import MutationModel, mutated_family
+from tests.reference.bounds import carrillo_lipman_mask, heuristic_lower_bound
+from tests.reference.kernel import sweep_ref
+
+
+def _masked_score(seqs, scheme, mask) -> float:
+    """Optimal score over the cells of ``mask`` (reference masked sweep)."""
+    planes, _, _ = sweep_ref(seqs, scheme, mask=mask, score_only=True)
+    return float(planes[-1][len(seqs[0]) + 1, len(seqs[1]) + 1])
 
 
 class TestBoundsSandwich:
@@ -34,7 +41,7 @@ class TestMask:
         for triple in small_triples:
             mask, _ = carrillo_lipman_mask(*triple, dna_scheme)
             full = score3_dp3d(*triple, dna_scheme)
-            pruned = score3_wavefront(*triple, dna_scheme, mask=mask)
+            pruned = _masked_score(triple, dna_scheme, mask)
             assert pruned == pytest.approx(full), triple
 
     def test_optimal_path_cells_all_kept(self, dna_scheme, family_small):
@@ -59,7 +66,7 @@ class TestMask:
             *family_small, dna_scheme, lower_bound=opt
         )
         assert stats2.kept_cells <= stats.kept_cells
-        pruned = score3_wavefront(*family_small, dna_scheme, mask=mask2)
+        pruned = _masked_score(family_small, dna_scheme, mask2)
         assert pruned == pytest.approx(opt)
 
     def test_slack_keeps_more_cells(self, dna_scheme, family_small):
@@ -100,8 +107,9 @@ class TestPruningEffectiveness:
     def test_pruned_cells_actually_skipped(self, dna_scheme, family_small):
         from repro.core.wavefront import wavefront_sweep
 
-        mask, stats = carrillo_lipman_mask(*family_small, dna_scheme)
+        tube, stats = carrillo_lipman_tube(*family_small, dna_scheme)
+        assert stats.kept_cells < stats.total_cells
         res = wavefront_sweep(
-            *family_small, dna_scheme, score_only=True, mask=mask
+            *family_small, dna_scheme, score_only=True, tube=tube
         )
         assert res.cells_computed == stats.kept_cells

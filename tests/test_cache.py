@@ -5,6 +5,8 @@ import pytest
 from repro.cache import (
     ResultCache,
     canonical_order,
+    chain_engines_fit,
+    chain_key_class,
     comparable_meta,
     decode_alignment,
     derive_for_order,
@@ -54,6 +56,20 @@ class TestRequestKey:
         k = request_key(TRIPLE, dna_scheme, "global", "auto")
         assert request_key(TRIPLE, dna_scheme, "local", "auto") != k
         assert request_key(TRIPLE, dna_scheme, "global", "wavefront") != k
+
+    def test_chain_key_classes(self):
+        # Constrained requests key by their sub-cube engine: the exact
+        # engines share a class, hirschberg and auto key apart.
+        exact = {chain_key_class(m, True) for m in ("dp3d", "wavefront", "pruned")}
+        assert exact == {"exact"}
+        assert chain_key_class("hirschberg", True) == "hirschberg"
+        assert chain_key_class("auto", True) not in ("exact", "hirschberg")
+        assert chain_key_class("anchored", True) == chain_key_class("auto", True)
+        assert chain_key_class("anchored", False) == "anchored"
+        # A sub-cube degraded to hirschberg does not fit the exact class.
+        assert chain_engines_fit("exact", ["wavefront", "pruned"])
+        assert not chain_engines_fit("exact", ["wavefront", "hirschberg"])
+        assert chain_engines_fit("auto", ["hirschberg", "pruned"])
 
     def test_bad_inputs_rejected(self, dna_scheme):
         with pytest.raises(ValueError, match="three sequences"):
@@ -384,6 +400,48 @@ class TestHitBitIdentity:
         stored = align3(*triple, dna_scheme, method="hirschberg", cache=cache)
         assert stored.rows != fresh.rows
         served = align3(*triple, dna_scheme, method="wavefront", cache=cache)
+        assert served.meta["cache"]["hit"] is False
+        assert served.rows == fresh.rows
+
+    def test_constrained_hirschberg_rows_never_served_to_wavefront(
+        self, dna_scheme, hirschberg_tie_triple
+    ):
+        # A constraint chain keys by its sub-cube engine's class too.
+        triple, chain = hirschberg_tie_triple, ((0, 0, 0, 1),)
+        fresh = align3(*triple, dna_scheme, method="wavefront", constraints=chain)
+        cache = ResultCache()
+        stored = align3(
+            *triple, dna_scheme, method="hirschberg", constraints=chain,
+            cache=cache,
+        )
+        assert stored.rows != fresh.rows
+        served = align3(
+            *triple, dna_scheme, method="wavefront", constraints=chain,
+            cache=cache,
+        )
+        assert served.meta["cache"]["hit"] is False
+        assert served.rows == fresh.rows
+
+    def test_degraded_constrained_run_is_not_stored(
+        self, dna_scheme, hirschberg_tie_triple, monkeypatch
+    ):
+        # Under memory pressure the sub-cube runs hirschberg; those rows
+        # must not land under the constrained wavefront key.
+        triple, chain = hirschberg_tie_triple, ((0, 0, 0, 1),)
+        fresh = align3(*triple, dna_scheme, method="wavefront", constraints=chain)
+        cache = ResultCache()
+        monkeypatch.setenv("REPRO_MEM_BUDGET", "100000")
+        with pytest.warns(DegradationWarning):
+            degraded = align3(
+                *triple, dna_scheme, method="wavefront", constraints=chain,
+                cache=cache,
+            )
+        assert degraded.meta["anchor"]["engines"] == {"hirschberg": 1}
+        monkeypatch.delenv("REPRO_MEM_BUDGET")
+        served = align3(
+            *triple, dna_scheme, method="wavefront", constraints=chain,
+            cache=cache,
+        )
         assert served.meta["cache"]["hit"] is False
         assert served.rows == fresh.rows
 

@@ -1,6 +1,5 @@
 """Unit tests for the reference full-matrix 3-D DP (repro.core.dp3d)."""
 
-import numpy as np
 import pytest
 
 from repro.core.dp3d import NEG, align3_dp3d, dp3d_matrix, score3_dp3d
@@ -65,14 +64,6 @@ class TestMatrixProperties:
         with pytest.raises(ValueError, match="linear gap"):
             dp3d_matrix("A", "A", "A", aff)
 
-    def test_mask_validation(self, dna_scheme):
-        bad = np.zeros((2, 2, 2), dtype=bool)
-        with pytest.raises(ValueError, match="origin and terminal"):
-            dp3d_matrix("A", "A", "A", dna_scheme, mask=bad)
-
-    def test_mask_shape_validation(self, dna_scheme):
-        with pytest.raises(ValueError, match="mask shape"):
-            dp3d_matrix("AC", "A", "A", dna_scheme, mask=np.ones((2, 2, 2), bool))
 
 
 class TestAlignment:
@@ -99,12 +90,6 @@ class TestAlignment:
         aln = align3_dp3d("ACGT", "ACGT", "ACGT", dna_scheme)
         assert aln.rows == ("ACGT", "ACGT", "ACGT")
         assert aln.score == pytest.approx(4 * 15.0)
-
-    def test_overpruned_mask_raises(self, dna_scheme):
-        mask = np.zeros((3, 3, 3), dtype=bool)
-        mask[0, 0, 0] = mask[2, 2, 2] = True  # unreachable terminal
-        with pytest.raises(RuntimeError, match="unreachable"):
-            align3_dp3d("AC", "AG", "AT", dna_scheme, mask=mask)
 
     @pytest.mark.parametrize(
         "triple", [("AGTC", "TGTAC", "ACG"), ("GCCTATG", "ATACG", "GACCT")]

@@ -15,7 +15,7 @@ from repro import (
     write_fasta,
 )
 from repro.cluster import BlockGrid, calibrate_t_cell, ethernet_2007, simulate_wavefront
-from repro.core.bounds import carrillo_lipman_mask
+from repro.core.bounds import carrillo_lipman_tube
 from repro.heuristics import align3_centerstar, align3_progressive
 from repro.seqio.datasets import load_dataset
 
@@ -49,7 +49,7 @@ class TestExactVsHeuristicWorkflow:
         assert cs.score <= exact.score + 1e-9
         assert pg.score <= exact.score + 1e-9
         # The heuristic score is the pruning lower bound; tie it together.
-        mask, stats = carrillo_lipman_mask(
+        _tube, stats = carrillo_lipman_tube(
             *fam, dna_scheme, lower_bound=max(cs.score, pg.score)
         )
         pruned = align3(*fam, dna_scheme, method="pruned")

@@ -11,6 +11,7 @@ from repro.core.scoring import default_scheme_for
 from repro.core.wavefront import align3_wavefront, score3_wavefront
 from repro.parallel.executor import WavefrontPool
 from repro.seqio.alphabet import DNA
+from tests.reference.bounds import random_tube
 from tests.reference.bruteforce import memo_optimal_score
 
 SCHEME = default_scheme_for(DNA)
@@ -87,14 +88,12 @@ def test_reversal_invariance(seqs):
 @settings(**COMMON)
 @given(triple, st.integers(0, 2**31 - 1))
 def test_random_pruning_mask_never_beats_optimum(seqs, seed):
+    # The keep-region is a random tube; pruning can only lose paths.
     full = score3_wavefront(*seqs, SCHEME)
     rng = np.random.default_rng(seed)
-    shape = tuple(len(s) + 1 for s in seqs)
-    mask = rng.random(shape) < 0.8
-    mask[0, 0, 0] = True
-    mask[tuple(len(s) for s in seqs)] = True
-    pruned = score3_wavefront(*seqs, SCHEME, mask=mask)
-    assert pruned <= full + 1e-9
+    tube = random_tube(rng, tuple(len(s) for s in seqs))
+    pruned = score3_wavefront(*seqs, SCHEME, tube=tube)
+    assert pruned <= full
 
 
 @settings(**COMMON)

@@ -307,5 +307,5 @@ def test_check_all_rejects_unknown_gate():
 def test_api_doc_mentions_key_entry_points():
     text = (ROOT / "docs" / "api.md").read_text()
     for name in ("align3", "WavefrontPool", "simulate_wavefront",
-                 "carrillo_lipman_mask", "align_msa", "run_distributed"):
+                 "carrillo_lipman_tube", "align_msa", "run_distributed"):
         assert name in text, name

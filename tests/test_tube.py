@@ -10,11 +10,7 @@ nothing-prunes regime), and the memory planner's pruned-path footprint.
 import numpy as np
 import pytest
 
-from repro.core.bounds import (
-    banded_lower_bound,
-    carrillo_lipman_mask,
-    carrillo_lipman_tube,
-)
+from repro.core.bounds import banded_lower_bound, carrillo_lipman_tube
 from repro.core.dp3d import score3_dp3d
 from repro.core.tube import PruningTube
 from repro.core.wavefront import (
@@ -23,6 +19,12 @@ from repro.core.wavefront import (
     wavefront_sweep,
 )
 from repro.seqio.generate import MutationModel, mutated_family
+from tests.reference.bounds import (
+    carrillo_lipman_mask,
+    dense_mask,
+    full_tube,
+    tube_from_mask,
+)
 
 
 class TestPruningTube:
@@ -35,17 +37,17 @@ class TestPruningTube:
         assert tube.kept_cells == 2
 
     def test_full_covers_cube(self):
-        tube = PruningTube.full((3, 4, 5))
+        tube = full_tube((3, 4, 5))
         assert tube.covers_cube
         assert tube.kept_cells == tube.total_cells == 4 * 5 * 6
 
     def test_from_mask_is_interval_hull(self):
         mask = np.zeros((1, 1, 7), dtype=bool)
         mask[0, 0, [1, 5]] = True  # kept set with a hole
-        tube = PruningTube.from_mask(mask)
+        tube = tube_from_mask(mask)
         assert tube.klo[0, 0] == 1 and tube.khi[0, 0] == 5
         # The hull keeps a superset of the mask's cells.
-        assert tube.dense_mask()[mask].all()
+        assert dense_mask(tube)[mask].all()
 
     def test_keep_cell_grows_interval(self):
         tube = PruningTube(
@@ -61,17 +63,17 @@ class TestPruningTube:
 
     def test_nbytes_is_quadratic_not_cubic(self):
         n = 64
-        tube = PruningTube.full((n, n, n))
+        tube = full_tube((n, n, n))
         assert tube.nbytes < (n + 1) ** 3  # dense bool cube size
 
     def test_plane_row_windows_cover_live_rows(self):
         rng = np.random.default_rng(7)
         n1, n2, n3 = 9, 7, 8
         mask = rng.random((n1 + 1, n2 + 1, n3 + 1)) < 0.1
-        tube = PruningTube.from_mask(mask)
+        tube = tube_from_mask(mask)
         rlo, rhi = tube.plane_row_windows()
         assert len(rlo) == n1 + n2 + n3 + 1
-        dense = tube.dense_mask()
+        dense = dense_mask(tube)
         ii, jj, kk = np.nonzero(dense)
         for i, j, k in zip(ii, jj, kk):
             d = i + j + k
@@ -130,8 +132,11 @@ class TestTubeBitIdentity:
         )
 
     def test_slack_keeps_more_and_stays_exact(self, dna_scheme, family_small):
+        # Slack is a lower bound taken below the tight one.
         tight, s0 = carrillo_lipman_tube(*family_small, dna_scheme)
-        loose, s1 = carrillo_lipman_tube(*family_small, dna_scheme, slack=20.0)
+        loose, s1 = carrillo_lipman_tube(
+            *family_small, dna_scheme, lower_bound=s0.lower_bound - 20.0
+        )
         assert s1.kept_cells >= s0.kept_cells
         opt = score3_dp3d(*family_small, dna_scheme)
         assert score3_wavefront(*family_small, dna_scheme, tube=loose) == opt
@@ -157,7 +162,7 @@ class TestTubeBitIdentity:
             dna_scheme,
             lower_bound=banded_lower_bound(*family_small, dna_scheme),
         )
-        assert tube.dense_mask()[mask].all()
+        assert dense_mask(tube)[mask].all()
 
     def test_cells_computed_matches_kept(self, dna_scheme, family_medium):
         tube, stats = carrillo_lipman_tube(*family_medium, dna_scheme)

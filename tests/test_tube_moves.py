@@ -1,12 +1,13 @@
 """The tube-sparse move store (:class:`repro.core.tube.TubeMoves`).
 
 A traceback sweep over a tube keeps moves only for the tube's cells.
-Each case holds it to the dense-cube sweep of the same region
-(``mask=tube.dense_mask()``) bit for bit: score, cell count, every
-stored move and the rows. Comparing with the masked sweep rather than
-the unpruned one isolates the store from a band's own tie choices;
-Carrillo–Lipman tubes keep every optimal path, so there the rows must
-also equal the unpruned sweep's.
+Each case holds it to the reference masked sweep of the same region
+(``sweep_ref(mask=dense_mask(tube))``, the frozen kernel with a dense
+move cube) bit for bit: score, cell count, every stored move and the
+rows. Comparing with the masked sweep rather than the unpruned one
+isolates the store from a band's own tie choices; Carrillo–Lipman tubes
+keep every optimal path, so there the rows must also equal the unpruned
+sweep's.
 """
 
 import numpy as np
@@ -20,10 +21,13 @@ from repro.core.dp3d import NEG
 from repro.core.scoring import default_scheme_for
 from repro.core.traceback import traceback_moves
 from repro.core.tube import PruningTube, TubeMoves
+from repro.core.types import moves_to_columns
 from repro.core.wavefront import align3_wavefront, wavefront_sweep
 from repro.core.workspace import PlaneWorkspace
 from repro.seqio.alphabet import DNA, PROTEIN
 from repro.seqio.generate import MutationModel, mutated_family
+from tests.reference.bounds import dense_mask, full_tube
+from tests.reference.kernel import sweep_ref
 
 SCHEMES = {
     "dna": default_scheme_for(DNA),
@@ -50,16 +54,17 @@ def _tube(kind: str, seqs, scheme, band: int) -> PruningTube:
 
 
 def check_store(seqs, scheme, tube, ws) -> None:
-    mask = tube.dense_mask()
+    mask = dense_mask(tube)
     sparse = wavefront_sweep(*seqs, scheme, tube=tube, workspace=ws)
-    dense = wavefront_sweep(*seqs, scheme, mask=mask, workspace=ws)
+    planes, ref_moves, ref_cells = sweep_ref(seqs, scheme, mask=mask)
+    n1, n2, _ = (len(s) for s in seqs)
     store = sparse.move_cube
     assert isinstance(store, TubeMoves)
-    assert store.shape == dense.move_cube.shape
-    assert sparse.score == dense.score
-    assert sparse.cells_computed == dense.cells_computed
+    assert store.shape == ref_moves.shape
+    assert sparse.score == planes[-1][n1 + 1, n2 + 1]
+    assert sparse.cells_computed == ref_cells
     # Every tube cell's stored move is the masked sweep's move there.
-    assert np.array_equal(_stored(store, mask), dense.move_cube)
+    assert np.array_equal(_stored(store, mask), ref_moves)
     # A walk that starts outside the tube finds no chain.
     outside = np.argwhere(~mask)
     if len(outside):
@@ -67,10 +72,12 @@ def check_store(seqs, scheme, tube, ws) -> None:
             traceback_moves(store, start=tuple(int(v) for v in outside[0]))
     if sparse.score <= NEG / 2:
         return  # a band too thin to connect the corners
-    assert traceback_moves(store) == traceback_moves(dense.move_cube)
+    ref_path = traceback_moves(ref_moves)
+    assert traceback_moves(store) == ref_path
     a = align3_wavefront(*seqs, scheme, tube=tube, workspace=ws)
-    b = align3_wavefront(*seqs, scheme, mask=mask, workspace=ws)
-    assert (a.rows, a.score) == (b.rows, b.score)
+    cols = moves_to_columns(ref_path, *seqs)
+    assert a.rows == tuple("".join(col[r] for col in cols) for r in range(3))
+    assert a.score == sparse.score
     assert a.meta["move_store_bytes"] == store.nbytes
 
 
@@ -129,7 +136,7 @@ def test_full_tube_store_is_the_dense_cube(dna_scheme):
     # the dump byte.
     seqs = ("GATTACAGA", "GATCAGT", "TTACAGGA")
     dims = tuple(len(s) for s in seqs)
-    sparse = wavefront_sweep(*seqs, dna_scheme, tube=PruningTube.full(dims))
+    sparse = wavefront_sweep(*seqs, dna_scheme, tube=full_tube(dims))
     dense = wavefront_sweep(*seqs, dna_scheme)
     assert np.array_equal(sparse.move_cube.arena[:-1], dense.move_cube.ravel())
 

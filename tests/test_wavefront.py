@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.dp3d import dp3d_matrix, score3_dp3d
+from repro.core.tube import PruningTube
 from repro.core.wavefront import (
     align3_wavefront,
     plane_bounds,
     score3_wavefront,
     wavefront_sweep,
 )
+from tests.reference.bounds import full_tube, random_tube, tube_from_mask
 
 
 class TestPlaneBounds:
@@ -110,10 +112,10 @@ class TestSweepOptions:
                 "A", "A", "A", dna_scheme.with_gaps(gap=-1, gap_open=-2)
             )
 
-    def test_mask_shape_validated(self, dna_scheme):
-        with pytest.raises(ValueError, match="mask"):
+    def test_tube_shape_validated(self, dna_scheme):
+        with pytest.raises(ValueError, match="tube shape"):
             wavefront_sweep(
-                "AC", "A", "A", dna_scheme, mask=np.ones((1, 1, 1), bool)
+                "AC", "A", "A", dna_scheme, tube=full_tube((1, 1, 1))
             )
 
 
@@ -137,18 +139,25 @@ class TestAlignment:
         assert aln.sequences() == ("ACGT", "AGT", "")
 
     def test_pruned_unreachable_raises(self, dna_scheme):
-        mask = np.zeros((3, 3, 3), dtype=bool)
-        mask[0, 0, 0] = mask[2, 2, 2] = True
+        tube = PruningTube(
+            klo=np.zeros((3, 3), dtype=np.intp),
+            khi=np.full((3, 3), -1, dtype=np.intp),
+            n3=2,
+        )
+        tube.keep_cell(0, 0, 0)
+        tube.keep_cell(2, 2, 2)
         with pytest.raises(RuntimeError, match="unreachable"):
-            align3_wavefront("AC", "AG", "AT", dna_scheme, mask=mask)
+            align3_wavefront("AC", "AG", "AT", dna_scheme, tube=tube)
 
 
 class TestMaskedSweep:
+    """Sweeps restricted to a keep-region, given as a tube."""
+
     def test_full_true_mask_is_identity(self, dna_scheme, family_small):
-        n1, n2, n3 = (len(s) for s in family_small)
-        mask = np.ones((n1 + 1, n2 + 1, n3 + 1), dtype=bool)
-        assert score3_wavefront(*family_small, dna_scheme, mask=mask) == (
-            pytest.approx(score3_wavefront(*family_small, dna_scheme))
+        dims = tuple(len(s) for s in family_small)
+        tube = full_tube(dims)
+        assert score3_wavefront(*family_small, dna_scheme, tube=tube) == (
+            score3_wavefront(*family_small, dna_scheme)
         )
 
     def test_mask_restricted_to_optimal_path_still_finds_it(
@@ -161,15 +170,18 @@ class TestMaskedSweep:
         mask = np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=bool)
         for cell in path_cells(aln.moves()):
             mask[cell] = True
-        got = score3_wavefront(*family_small, dna_scheme, mask=mask)
-        assert got == pytest.approx(aln.score)
+        # A path's cells at one (i, j) are consecutive in k, so the
+        # interval hull is exactly the path.
+        tube = tube_from_mask(mask)
+        assert tube.kept_cells == int(mask.sum())
+        pruned = align3_wavefront(*family_small, dna_scheme, tube=tube)
+        assert (pruned.rows, pruned.score) == (aln.rows, aln.score)
 
     def test_random_masks_never_beat_optimum(self, dna_scheme):
         rng = np.random.default_rng(0)
         sa, sb, sc = "GATTA", "GTA", "GATA"
         full = score3_wavefront(sa, sb, sc, dna_scheme)
         for _ in range(10):
-            mask = rng.random((6, 4, 5)) < 0.7
-            mask[0, 0, 0] = mask[5, 3, 4] = True
-            got = score3_wavefront(sa, sb, sc, dna_scheme, mask=mask)
-            assert got <= full + 1e-9
+            tube = random_tube(rng, (5, 3, 4))
+            got = score3_wavefront(sa, sb, sc, dna_scheme, tube=tube)
+            assert got <= full

@@ -4,10 +4,11 @@ The zero-allocation kernel slices every buffer out of one grow-only
 :class:`PlaneWorkspace`, so the risk it introduces is *stale state*: a
 sweep over a small cube reading garbage a bigger previous sweep left in
 the shared scratch. These tests hammer heterogeneous shapes — skewed
-cubes, empty sequences, masked/pruned sweeps — through a single
+cubes, empty sequences, tube-pruned sweeps — through a single
 workspace and assert every result is bit-identical to (a) a
 fresh-workspace run and (b) the frozen pre-workspace reference kernel
-``compute_plane_rows_ref`` (``tests/reference/kernel.py``).
+``compute_plane_rows_ref`` (``tests/reference/kernel.py``), which a
+tube sweep meets through the tube's dense mask.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from repro.core.dp3d import NEG, dp3d_matrix
 from repro.core.hirschberg import align3_hirschberg
 from repro.core.rolling import backward_slab, forward_slab
+from repro.core.tube import PruningTube, TubeMoves
 from repro.core.wavefront import (
     align3_wavefront,
     compute_plane_rows,
@@ -23,7 +25,12 @@ from repro.core.wavefront import (
 )
 from repro.core.workspace import PlaneWorkspace
 from repro.parallel.executor import fork_available
-from tests.reference.kernel import compute_plane_rows_ref
+from tests.reference.bounds import dense_mask, random_tube
+from tests.reference.kernel import (
+    compute_plane_rows_ref,
+    drive_planes,
+    sweep_ref,
+)
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -52,50 +59,51 @@ def _random_triple(rng, shape):
     )
 
 
-def _random_mask(rng, shape, density=0.7):
-    n1, n2, n3 = shape
-    mask = rng.random((n1 + 1, n2 + 1, n3 + 1)) < density
-    mask[0, 0, 0] = True
-    mask[n1, n2, n3] = True
-    return mask
-
-
-def _run_kernel(kernel, seqs, scheme, mask=None, score_only=False, ws=None):
-    """Drive a full sweep through ``kernel`` plane by plane, returning
-    every plane buffer state plus the move cube."""
-    n1, n2, n3 = (len(s) for s in seqs)
-    sab, sac, sbc = scheme.profile_matrices(*seqs)
-    g2 = 2.0 * scheme.gap
-    dims = (n1, n2, n3)
-    planes = [np.full((n1 + 2, n2 + 2), NEG) for _ in range(4)]
-    move_cube = (
-        None
-        if score_only
-        else np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
+def _check_unpruned(seqs, scheme, ws, score_only=False):
+    """The production kernel against the reference kernel, plane by
+    plane: every plane buffer and the dense move cube are equal."""
+    ref_planes, ref_mc, _ = sweep_ref(seqs, scheme, score_only=score_only)
+    got_mc = None if ref_mc is None else np.zeros_like(ref_mc)
+    got_planes, _ = drive_planes(
+        compute_plane_rows, seqs, scheme, got_mc, ws=ws
     )
-    kwargs = {} if ws is None else {"ws": ws}
-    plane_states = []
-    for d in range(n1 + n2 + n3 + 1):
-        out = planes[d % 4]
-        kernel(
-            d,
-            0,
-            n1,
-            planes[(d - 1) % 4],
-            planes[(d - 2) % 4],
-            planes[(d - 3) % 4],
-            out,
-            sab,
-            sac,
-            sbc,
-            g2,
-            dims,
-            move_cube=move_cube,
-            mask=mask,
-            **kwargs,
-        )
-        plane_states.append(out.copy())
-    return plane_states, move_cube
+    shape = tuple(len(s) for s in seqs)
+    for d, (a, b) in enumerate(zip(ref_planes, got_planes)):
+        assert np.array_equal(a, b), f"plane {d} differs at {shape}"
+    if not score_only:
+        assert np.array_equal(ref_mc, got_mc), f"moves differ at {shape}"
+
+
+def check_tube_kernel(seqs, scheme, tube, ws):
+    """``compute_plane_rows`` with a :class:`TubeMoves` store against the
+    reference kernel fed ``dense_mask(tube)``: every plane buffer, every
+    kept cell's move and the cell count are equal."""
+    mask = dense_mask(tube)
+    ref_planes, ref_mc, ref_cells = sweep_ref(seqs, scheme, mask=mask)
+    store = TubeMoves(tube)
+    got_planes, got_cells = drive_planes(
+        compute_plane_rows, seqs, scheme, store, ws=ws, tube=tube
+    )
+    shape = tuple(len(s) for s in seqs)
+    for d, (a, b) in enumerate(zip(ref_planes, got_planes)):
+        assert np.array_equal(a, b), f"plane {d} differs at {shape}"
+    assert got_cells == ref_cells, shape
+    for cell in zip(*np.nonzero(mask)):
+        assert store[cell] == ref_mc[cell], (shape, cell)
+
+
+def _cut_tube(tube: PruningTube, d_cut: int) -> PruningTube:
+    """``tube`` without its cells on planes ``d_cut .. dmax - 1``: those
+    planes are empty, and the terminal corner is kept alone."""
+    n1p, n2p, n3p = tube.shape
+    ij = np.add.outer(np.arange(n1p), np.arange(n2p))
+    cut = PruningTube(
+        klo=tube.klo.copy(),
+        khi=np.minimum(tube.khi, d_cut - 1 - ij),
+        n3=tube.n3,
+    )
+    cut.keep_cell(n1p - 1, n2p - 1, n3p - 1)
+    return cut
 
 
 class TestKernelBitIdentity:
@@ -105,79 +113,49 @@ class TestKernelBitIdentity:
         rng = np.random.default_rng(7)
         ws = PlaneWorkspace()
         for shape in SHAPES:
-            seqs = _random_triple(rng, shape)
-            ref_planes, ref_mc = _run_kernel(
-                compute_plane_rows_ref, seqs, dna_scheme
-            )
-            got_planes, got_mc = _run_kernel(
-                compute_plane_rows, seqs, dna_scheme, ws=ws
-            )
-            for d, (a, b) in enumerate(zip(ref_planes, got_planes)):
-                assert np.array_equal(a, b), f"plane {d} differs at {shape}"
-            assert np.array_equal(ref_mc, got_mc), f"moves differ at {shape}"
+            _check_unpruned(_random_triple(rng, shape), dna_scheme, ws)
 
     def test_masked_sweeps_one_workspace(self, dna_scheme):
+        # Random tubes (empty rows included) through one workspace.
         rng = np.random.default_rng(11)
         ws = PlaneWorkspace()
-        for shape in SHAPES:
+        for shape in SHAPES + SHAPES[::-1]:
             seqs = _random_triple(rng, shape)
-            mask = _random_mask(rng, shape)
-            ref_planes, ref_mc = _run_kernel(
-                compute_plane_rows_ref, seqs, dna_scheme, mask=mask
-            )
-            got_planes, got_mc = _run_kernel(
-                compute_plane_rows, seqs, dna_scheme, mask=mask, ws=ws
-            )
-            for d, (a, b) in enumerate(zip(ref_planes, got_planes)):
-                assert np.array_equal(a, b), f"plane {d} differs at {shape}"
-            assert np.array_equal(ref_mc, got_mc), f"moves differ at {shape}"
+            tube = random_tube(rng, shape, corners=bool(rng.integers(2)))
+            check_tube_kernel(seqs, dna_scheme, tube, ws)
 
     def test_score_only_sweeps_one_workspace(self, dna_scheme):
         rng = np.random.default_rng(13)
         ws = PlaneWorkspace()
         for shape in SHAPES:
             seqs = _random_triple(rng, shape)
-            ref_planes, _ = _run_kernel(
-                compute_plane_rows_ref, seqs, dna_scheme, score_only=True
-            )
-            got_planes, _ = _run_kernel(
-                compute_plane_rows, seqs, dna_scheme, score_only=True, ws=ws
-            )
-            for d, (a, b) in enumerate(zip(ref_planes, got_planes)):
-                assert np.array_equal(a, b), f"plane {d} differs at {shape}"
+            _check_unpruned(seqs, dna_scheme, ws, score_only=True)
 
     def test_pruned_to_empty_plane(self, dna_scheme):
-        # A mask that kills whole planes exercises the early-return paths.
+        # Tubes that empty whole planes exercise the early-return paths:
+        # the corners alone, and random tubes cut off after plane d.
         rng = np.random.default_rng(17)
-        seqs = _random_triple(rng, (5, 5, 5))
-        mask = np.zeros((6, 6, 6), dtype=bool)
-        mask[0, 0, 0] = True
-        mask[5, 5, 5] = True
         ws = PlaneWorkspace()
-        ref_planes, ref_mc = _run_kernel(
-            compute_plane_rows_ref, seqs, dna_scheme, mask=mask
-        )
-        got_planes, got_mc = _run_kernel(
-            compute_plane_rows, seqs, dna_scheme, mask=mask, ws=ws
-        )
-        for a, b in zip(ref_planes, got_planes):
-            assert np.array_equal(a, b)
-        assert np.array_equal(ref_mc, got_mc)
+        for shape in [(5, 5, 5), (7, 3, 4), (0, 4, 6)]:
+            seqs = _random_triple(rng, shape)
+            n1, n2, n3 = shape
+            corners = PruningTube(
+                klo=np.zeros((n1 + 1, n2 + 1), dtype=np.intp),
+                khi=np.full((n1 + 1, n2 + 1), -1, dtype=np.intp),
+                n3=n3,
+            )
+            corners.keep_cell(0, 0, 0)
+            corners.keep_cell(n1, n2, n3)
+            check_tube_kernel(seqs, dna_scheme, corners, ws)
+            for d_cut in (1, 4, sum(shape) // 2):
+                tube = _cut_tube(random_tube(rng, shape), d_cut)
+                check_tube_kernel(seqs, dna_scheme, tube, ws)
 
     def test_long_thin_cubes(self, dna_scheme):
         rng = np.random.default_rng(19)
         ws = PlaneWorkspace()
         for shape in [(60, 2, 3), (2, 60, 3), (2, 3, 60)]:
-            seqs = _random_triple(rng, shape)
-            ref_planes, ref_mc = _run_kernel(
-                compute_plane_rows_ref, seqs, dna_scheme
-            )
-            got_planes, got_mc = _run_kernel(
-                compute_plane_rows, seqs, dna_scheme, ws=ws
-            )
-            for a, b in zip(ref_planes, got_planes):
-                assert np.array_equal(a, b)
-            assert np.array_equal(ref_mc, got_mc)
+            _check_unpruned(_random_triple(rng, shape), dna_scheme, ws)
 
     def test_non_contiguous_inputs(self, dna_scheme):
         # Profile matrices arriving as views (e.g. shared-memory slices)
