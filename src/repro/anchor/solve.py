@@ -3,11 +3,14 @@
 :func:`align3_chain` is the engine behind ``align3(constraints=...)`` and
 ``align3(method="anchored")``. It decomposes the cube along a validated
 anchor chain (:mod:`repro.anchor.chain`), solves every free sub-cube with
-whichever exact engine :func:`repro.core.api.select_method` picks for
-*that sub-cube* (a similar 200-residue gap segment gets ``pruned``
-while a diverged one gets ``wavefront``), splices the forced anchor
-columns between the sub-alignments, and scores the stitched rows with
-``scheme.sp_score`` — the same closing idiom as the Hirschberg engine.
+the engine the request names or, for ``auto``, whichever exact engine
+:func:`repro.core.api.select_method` picks for *that sub-cube* (a
+similar 200-residue gap segment gets ``pruned`` while a diverged one
+gets ``wavefront``), splices the forced anchor columns between the
+sub-alignments, and scores the stitched rows with ``scheme.sp_score`` —
+the same closing idiom as the Hirschberg engine. Sub-cubes go through
+``align3``'s resolver and dispatcher (:func:`~repro.core.api.resolve_method`,
+:func:`~repro.core.api.run_method`).
 
 Correctness: every alignment that respects the anchors factors uniquely
 into per-segment alignments plus the fixed anchor columns, and the SP
@@ -25,31 +28,21 @@ the n >> 10^3 regime (see ``degrade.estimate_bytes(..., anchors=...)``).
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Sequence
 
+from repro.core.api import check_gap_model, resolve_method, run_method
+from repro.core.methods import subcube_engine
 from repro.core.scoring import ScoringScheme
 from repro.core.types import Alignment3
 from repro.obs import hooks as _obs
 from repro.obs import trace as _trace
 from repro.resilience import degrade as _degrade
-from repro.resilience.errors import DegradationWarning, DegradedRun
 
 from .chain import Segment, chain_coverage, decompose, max_subcube_dims
 from .discover import discover_anchors
 from .model import Anchor, as_anchors, validate_chain
 
 __all__ = ["align3_chain"]
-
-#: Engines a sub-cube may be solved with (everything exact/linear-gap).
-CHAIN_ENGINES = (
-    "auto",
-    "dp3d",
-    "wavefront",
-    "hirschberg",
-    "pruned",
-    "banded",
-)
 
 
 def _solve_segment(
@@ -65,49 +58,12 @@ def _solve_segment(
     allow_degrade: bool,
 ) -> tuple[Alignment3, str]:
     """Solve one free sub-cube; returns ``(alignment, engine_used)``."""
-    from repro.core.api import select_method
-
-    if engine == "auto":
-        engine, _sel = select_method(
-            sa, sb, sc, scheme, cells_per_s=cells_per_s_hint
-        )
-    dims = (len(sa), len(sb), len(sc))
-    if engine in _degrade.LADDER:
-        plan = _degrade.plan_method(engine, dims, budget=budget)
-        if plan.degraded:
-            if not allow_degrade:
-                raise DegradedRun(plan.describe(), plan)
-            warnings.warn(DegradationWarning(plan.describe()), stacklevel=3)
-            _obs.record_degrade(
-                plan.requested, plan.method, plan.estimate, plan.budget
-            )
-            engine = plan.method
-
-    if engine == "dp3d":
-        from repro.core.dp3d import align3_dp3d
-
-        return align3_dp3d(sa, sb, sc, scheme), engine
-    if engine == "wavefront":
-        from repro.core.wavefront import align3_wavefront
-
-        return align3_wavefront(sa, sb, sc, scheme, workspace=workspace), engine
-    if engine == "hirschberg":
-        from repro.core.hirschberg import align3_hirschberg
-
-        return (
-            align3_hirschberg(sa, sb, sc, scheme, workspace=workspace),
-            engine,
-        )
-    if engine == "pruned":
-        from repro.core.bounds import align3_pruned
-
-        return align3_pruned(sa, sb, sc, scheme, workspace=workspace), engine
-    if engine == "banded":
-        from repro.core.band import align3_banded
-
-        return align3_banded(sa, sb, sc, scheme), engine
-    raise ValueError(
-        f"unknown chain engine {engine!r}; available: {CHAIN_ENGINES}"
+    res = resolve_method(
+        engine, (sa, sb, sc), scheme, hint=cells_per_s_hint, budget=budget
+    )
+    return run_method(
+        res, sa, sb, sc, scheme, allow_degrade=allow_degrade,
+        workspace=workspace,
     )
 
 
@@ -134,8 +90,9 @@ def align3_chain(
         engine — still exact. Pass an explicit (possibly empty) chain
         for *constrained* mode.
     method:
-        Per-sub-cube engine, or ``"auto"`` (default) to let
-        :func:`~repro.core.api.select_method` pick one per segment.
+        Per-sub-cube engine (:data:`~repro.core.methods.CHAIN_ENGINES`);
+        ``"auto"`` (default) lets :func:`~repro.core.api.select_method`
+        pick one per segment.
     cells_per_s_hint:
         Observed throughput forwarded to ``select_method`` (see the
         admission-informed selection notes there).
@@ -144,17 +101,8 @@ def align3_chain(
     counts, chain coverage, the per-segment engine histogram and — in
     anchored mode — the discovery report.
     """
-    if scheme.is_affine:
-        raise ValueError(
-            "constrained/anchored alignment implements the linear gap "
-            "model; affine schemes are not supported"
-        )
-    if method in ("anchored", None):
-        method = "auto"
-    if method not in CHAIN_ENGINES:
-        raise ValueError(
-            f"unknown chain engine {method!r}; available: {CHAIN_ENGINES}"
-        )
+    check_gap_model(scheme, constrained=True)
+    method = subcube_engine(method)
     dims = (len(sa), len(sb), len(sc))
     anchor_meta: dict[str, Any] = {}
     if anchors is None:

@@ -24,6 +24,11 @@ serves it in stages, cheapest first:
    cores a pool pays only from n≈140 (``docs/performance.md``).
    Results are cached under both keys for the next batch.
 
+Normalising runs ``align3``'s check (:func:`~repro.core.api.check_request`),
+so a bad request is refused at every entry point before it can join a
+batch whose other requests it would fail; engines and keys come from
+``align3``'s resolver (:func:`~repro.core.api.resolve_method`).
+
 Metrics land in :mod:`repro.obs` — cache hit/miss counters, a
 per-request latency histogram and the batch dedup ratio — and render
 via ``repro report`` / ``--metrics``.
@@ -38,18 +43,19 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.cache import (
     ResultCache,
     chain_engines_fit,
-    chain_key_class,
     derive_for_order,
     method_key_class,
     permutation_key,
     permute_rows,
     request_key,
 )
-from repro.cache.key import MODES, canonical_order
-from repro.core.api import (
-    AVAILABLE_METHODS,
+from repro.cache.key import canonical_order
+# ``select_method`` stays importable here for callers that patch it.
+from repro.core.api import (  # noqa: F401
+    Resolved,
     align3,
-    check_gap_model,
+    check_request,
+    resolve_method,
     resolve_scheme,
     select_method,
 )
@@ -57,9 +63,6 @@ from repro.core.scoring import ScoringScheme
 from repro.core.types import Alignment3
 from repro.obs import hooks as _obs
 from repro.obs import trace as _trace
-from repro.resilience import degrade as _degrade
-from repro.seqio.alphabet import guess_common_alphabet
-from repro.util.validation import check_sequences
 
 #: Namespace prefix for order-insensitive secondary cache entries, kept
 #: disjoint from exact digests so a permutation-derived alignment can
@@ -222,93 +225,32 @@ class BatchScheduler:
                     f"a request needs exactly three sequences, got {len(seqs)}"
                 )
             req = AlignmentRequest(seqs=seqs)  # type: ignore[arg-type]
-        check_sequences(req.seqs, count=3)
-        # No default scheme fits a mixed triple, and an explicit scheme
-        # cannot score a residue outside its alphabet. Rejecting either
-        # here, where every entry point normalises, keeps it out of a
-        # batch whose other requests it would fail.
-        if req.scheme is None:
-            guess_common_alphabet(req.seqs)
-        else:
-            for seq in req.seqs:
-                req.scheme.alphabet.encode(seq)
-        if req.mode not in MODES:
-            raise ValueError(f"unknown mode {req.mode!r}; available: {MODES}")
-        if req.method not in AVAILABLE_METHODS:
-            raise ValueError(
-                f"unknown method {req.method!r}; available: {AVAILABLE_METHODS}"
-            )
-        if req.mode != "global" and req.method != "auto":
-            raise ValueError(
-                f"mode {req.mode!r} has a single engine; use method='auto'"
-            )
-        if req.scheme is not None:
-            # The default schemes are linear; an explicit affine one
-            # reaches only the global, unconstrained affine engine.
-            check_gap_model(
-                req.scheme, req.mode, req.method, bool(req.constraints)
-            )
-        if req.constraints:
-            if req.mode != "global":
-                raise ValueError(
-                    "constrained alignment supports mode='global' only"
-                )
-            from repro.anchor import normalize_constraints
-
-            dims = tuple(len(s) for s in req.seqs)
-            req = replace(
-                req, constraints=normalize_constraints(req.constraints, dims)
-            )
-        elif req.constraints is not None:
-            req = replace(req, constraints=None)
-        return req
+        chain = check_request(
+            req.seqs, req.scheme, req.mode, req.method, req.constraints
+        )
+        if req.constraints == (chain or None):
+            return req
+        return replace(req, constraints=chain or None)
 
     def _resolve(
         self, req: AlignmentRequest, scheme: ScoringScheme
-    ) -> tuple[str, str, dict | None]:
-        """``(resolved engine, cache-key method component, selection)``.
-
-        Mirrors ``align3``'s resolution order: the key must be derived
-        from the engine that will actually run, after ``auto`` and the
-        memory plan, not the request string, so ``auto`` and its
-        resolved engine share one entry and a run that degrades to
-        ``hirschberg`` keys as ``hirschberg``. Non-global
-        modes have a single engine each, so their raw ``auto`` keys are
-        already canonical. ``selection`` is :func:`select_method`'s
-        record when it ran (else None); this is the request's only
-        engine selection — the compute stage runs the resolved engine
-        and reports the selection as ``meta["auto"]``.
-
-        Chain-mode requests (constraints, or ``method="anchored"``)
-        resolve to the sentinel engine ``"chain"``: ``align3`` gets the
-        request's own method and owns the per-sub-cube selection, and
-        the key class is :func:`~repro.cache.key.chain_key_class`'s, as
-        in ``align3``.
+    ) -> Resolved:
+        """The request's engine, key class and selection: those of
+        :func:`~repro.core.api.resolve_method` for global mode. This is
+        the request's only engine selection; the compute stage hands
+        ``align3`` the resolved method and reports the selection as
+        ``meta["auto"]``. Non-global modes have a single engine each, so
+        their raw ``auto`` keys are already canonical.
         """
         if req.mode != "global":
-            return req.method, req.method, None
-        if req.constraints or req.method == "anchored":
-            constrained = bool(req.constraints)
-            return "chain", chain_key_class(req.method, constrained), None
-        method, selection = req.method, None
-        if method == "auto":
-            if scheme.is_affine:
-                method = "affine"
-            else:
-                method, selection = select_method(
-                    *req.seqs, scheme, cells_per_s=self._hint()
-                )
-        engine = method
-        if method in _degrade.LADDER:
-            dims = tuple(len(s) for s in req.seqs)
-            engine = _degrade.plan_method(method, dims).method
-        return method, method_key_class(engine), selection
+            return Resolved(req.method, req.mode, req.method)
+        return resolve_method(
+            req.method, req.seqs, scheme, constraints=req.constraints,
+            hint=self._hint(),
+        )
 
     def _compute(
-        self,
-        req: AlignmentRequest,
-        scheme: ScoringScheme,
-        resolved: tuple[str, str, dict | None],
+        self, req: AlignmentRequest, scheme: ScoringScheme, resolved: Resolved
     ) -> Alignment3:
         if req.mode == "local":
             from repro.core.local import align3_local
@@ -319,17 +261,16 @@ class BatchScheduler:
 
             aln = align3_semiglobal(*req.seqs, scheme)
         else:
-            engine, _key, selection = resolved
             aln = align3(
                 *req.seqs,
                 scheme,
-                method=req.method if engine == "chain" else engine,
+                method=resolved.method,
                 workers=self.workers,
                 constraints=req.constraints,
                 cells_per_s_hint=self._hint(),
             )
-            if selection is not None:
-                aln.meta["auto"] = selection
+            if resolved.selection is not None:
+                aln.meta["auto"] = resolved.selection
         aln.meta.setdefault("mode", req.mode)
         aln.meta.setdefault("scheme", scheme.name)
         return aln
@@ -406,7 +347,7 @@ class BatchScheduler:
         self,
         reqs: list[AlignmentRequest],
         schemes: list[ScoringScheme],
-        resolved: list[tuple[str, str, dict | None]],
+        resolved: list[Resolved],
         results: list[RequestResult | None],
         stats: BatchStats,
         emit: "Callable[[RequestResult], None] | None" = None,
@@ -418,7 +359,7 @@ class BatchScheduler:
         groups: dict[str, list[int]] = {}
         for i, (req, scheme) in enumerate(zip(reqs, schemes)):
             key = request_key(
-                req.seqs, scheme, req.mode, resolved[i][1],
+                req.seqs, scheme, req.mode, resolved[i].key_class,
                 constraints=req.constraints,
             )
             groups.setdefault(key, []).append(i)
@@ -448,7 +389,7 @@ class BatchScheduler:
         to_compute: list[tuple[str, list[int]]] = []
         for key, idxs in pending:
             req, scheme = reqs[idxs[0]], schemes[idxs[0]]
-            if resolved[idxs[0]][0] == "chain":
+            if resolved[idxs[0]].engine == "chain":
                 # Constrained/anchored requests skip permutation reuse:
                 # anchor coordinates are order-sensitive, and discovery's
                 # chain tie-breaks under a permuted sort order may pick a
@@ -457,7 +398,7 @@ class BatchScheduler:
                 to_compute.append((key, idxs))
                 continue
             pkey = PERM_PREFIX + permutation_key(
-                req.seqs, scheme, req.mode, resolved[idxs[0]][1]
+                req.seqs, scheme, req.mode, resolved[idxs[0]].key_class
             )
             t0 = time.perf_counter()
             canon = (
@@ -474,11 +415,9 @@ class BatchScheduler:
                 )
                 continue
             bucket = perm_groups.setdefault(pkey, [])
-            if bucket:
-                bucket.append((key, idxs))  # follower: derived after compute
-            else:
-                bucket.append((key, idxs))
+            if not bucket:  # followers are derived after this computes
                 to_compute.append((key, idxs))
+            bucket.append((key, idxs))
 
         # Stage 3: compute the true misses in request order.
         for key, idxs in to_compute:
@@ -502,7 +441,7 @@ class BatchScheduler:
         results: list[RequestResult | None],
         reqs: list[AlignmentRequest],
         schemes: list[ScoringScheme],
-        resolved: list[tuple[str, str, dict | None]],
+        resolved: list[Resolved],
         perm_groups: dict[str, list[tuple[str, list[int]]]],
         key: str,
         idxs: list[int],
@@ -513,10 +452,11 @@ class BatchScheduler:
     ) -> None:
         req, scheme = reqs[idxs[0]], schemes[idxs[0]]
         stats.computed += 1
-        if resolved[idxs[0]][0] == "chain":
+        key_class = resolved[idxs[0]].key_class
+        if resolved[idxs[0]].engine == "chain":
             # No permutation key for chain-mode results (see stage 2).
             if self.cache is not None and chain_engines_fit(
-                resolved[idxs[0]][1], aln.meta["anchor"]["engines"]
+                key_class, aln.meta["anchor"]["engines"]
             ):
                 self.cache.put(key, aln)
             self._fill(
@@ -525,7 +465,6 @@ class BatchScheduler:
             )
             return
         canonical, perm = canonical_order(req.seqs)
-        key_class = resolved[idxs[0]][1]
         pkey = PERM_PREFIX + permutation_key(
             req.seqs, scheme, req.mode, key_class
         )

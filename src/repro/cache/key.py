@@ -10,18 +10,19 @@ an engine would be handed the same inputs. The digest therefore covers
   both gap parameters (the ``name`` is presentation only and excluded);
 * the alignment ``mode`` (``global``/``local``/``semiglobal``); and
 * the **equivalence class** of the method that will run
-  (:func:`method_key_class`), not the raw request string. The exact
-  linear-gap engines ``dp3d``, ``wavefront``, ``pruned``, ``banded`` and
-  ``blocks`` share one tie-break and so return the same rows: they share
-  the class ``"exact"``. ``hirschberg`` returns the same optimal score
-  but, on ties, another co-optimal alignment, so it keys as itself — a
-  hit must return the rows its engine would have computed. Callers must
-  resolve ``auto`` and plan any degradation first, then key on
-  ``method_key_class(engine)``: a ``wavefront`` run degraded to
-  ``hirschberg`` stores its rows under ``"hirschberg"``. Chain-solver
-  requests (constraints, or ``method="anchored"``) pick their engines
-  per sub-cube, so they key on :func:`chain_key_class` instead, and a
-  result is stored only if :func:`chain_engines_fit` its key.
+  (:func:`method_key_class`, from :data:`repro.core.methods.METHODS`),
+  not the raw request string. The exact linear-gap engines
+  ``dp3d``, ``wavefront``, ``pruned``, ``banded`` and ``blocks`` share
+  one tie-break and so return the same rows: they share the class
+  ``"exact"``. ``hirschberg`` returns the same optimal score but, on
+  ties, another co-optimal alignment, so it keys as itself — a hit must
+  return the rows its engine would have computed. Callers key on
+  ``repro.core.api.resolve_method``'s class, after ``auto`` and the
+  memory plan: a ``wavefront`` run degraded to ``hirschberg`` stores its
+  rows under ``"hirschberg"``. Chain-solver requests (constraints, or
+  ``method="anchored"``) pick their engines per sub-cube, so they key
+  on :func:`chain_key_class` instead, and a result is stored only if
+  :func:`chain_engines_fit` its key.
 
 Permutation equivalence
 -----------------------
@@ -41,6 +42,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Sequence
 
+from repro.core.methods import METHODS, subcube_engine
 from repro.core.scoring import ScoringScheme
 # MODES (the alignment modes a key may carry) lives with the core types.
 from repro.core.types import MODES, Alignment3
@@ -48,7 +50,9 @@ from repro.core.types import MODES, Alignment3
 #: Exact linear-gap engines that share the kernel's tie-break (moves
 #: 1..7, first of equals), and so return the same rows: their cached
 #: results are interchangeable.
-EXACT_METHODS = frozenset({"dp3d", "wavefront", "pruned", "banded", "blocks"})
+EXACT_METHODS = frozenset(
+    m for m, row in METHODS.items() if row.key_class == "exact"
+)
 
 
 def method_key_class(method: str) -> str:
@@ -61,26 +65,23 @@ def method_key_class(method: str) -> str:
     """
     if method == "auto":
         raise ValueError("resolve method='auto' before deriving a cache key")
-    return "exact" if method in EXACT_METHODS else method
+    return METHODS[method].key_class
 
 
 def chain_key_class(method: str, constrained: bool) -> str:
     """Cache-key class of a chain-solver request.
 
     An unconstrained ``anchored`` request discovers its own chain and
-    keys as ``"anchored"``. A constrained request's ``method`` names the
-    engine of every sub-cube, so it keys as that engine's
-    :func:`method_key_class`: ``hirschberg`` apart from the exact
-    class. ``auto`` (and ``anchored``, which runs ``auto`` per sub-cube)
-    keys apart from both, because it may send a sub-cube to
-    ``hirschberg``. The constraint digest in :func:`request_key` keeps
-    all of these apart from unconstrained entries.
+    keys as ``"anchored"``. A constrained request keys as its sub-cube
+    engine: ``hirschberg`` apart from the exact class, and ``auto``
+    (also named by ``anchored``) apart from both, because it may send a
+    sub-cube to ``hirschberg``. The constraint digest in
+    :func:`request_key` keeps these apart from unconstrained entries.
     """
     if not constrained:
         return "anchored"
-    if method in ("auto", "anchored"):
-        return "auto"
-    return method_key_class(method)
+    engine = subcube_engine(method)
+    return "auto" if engine == "auto" else method_key_class(engine)
 
 
 def chain_engines_fit(key_class: str, engines: Iterable[str]) -> bool:

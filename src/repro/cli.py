@@ -588,7 +588,7 @@ def _resolve_scheme(args, seqs: Sequence[str]):
 
 
 def _cmd_align(args) -> int:
-    from repro.core.api import align3, check_gap_model
+    from repro.core.api import align3, check_request
     from repro.msa import align_msa
     from repro.seqio.fasta import format_fasta, read_fasta
 
@@ -610,11 +610,33 @@ def _cmd_align(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        check_gap_model(scheme, args.mode)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if len(records) == 3:
+        constraints = None
+        spec = args.constraints
+        if spec:
+            try:
+                if spec.startswith("@"):
+                    with open(spec[1:], encoding="utf-8") as fh:
+                        spec = fh.read()
+                constraints = json.loads(spec)
+            except OSError as exc:
+                print(f"error: cannot read constraints: {exc}", file=sys.stderr)
+                return 2
+            except json.JSONDecodeError as exc:
+                print(
+                    f"error: --constraints is not valid JSON: {exc}",
+                    file=sys.stderr,
+                )
+                return 2
+        method = args.method
+        if args.anchored and method == "auto":
+            method = "anchored"
+        # The check batch and serve run: no flag is silently ignored.
+        try:
+            check_request(seqs, scheme, args.mode, method, constraints)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     with _obs_session(args):
         if len(records) == 3:
             if args.mode == "local":
@@ -626,41 +648,14 @@ def _cmd_align(args) -> int:
 
                 aln = align3_semiglobal(*seqs, scheme)
             else:
-                constraints = None
-                spec = getattr(args, "constraints", None)
-                if spec:
-                    try:
-                        if spec.startswith("@"):
-                            with open(spec[1:], encoding="utf-8") as fh:
-                                spec = fh.read()
-                        constraints = json.loads(spec)
-                    except OSError as exc:
-                        print(
-                            f"error: cannot read constraints: {exc}",
-                            file=sys.stderr,
-                        )
-                        return 2
-                    except json.JSONDecodeError as exc:
-                        print(
-                            f"error: --constraints is not valid JSON: {exc}",
-                            file=sys.stderr,
-                        )
-                        return 2
-                method = args.method
-                if getattr(args, "anchored", False) and method == "auto":
-                    method = "anchored"
-                try:
-                    aln = align3(
-                        *seqs,
-                        scheme,
-                        method=method,
-                        workers=args.workers,
-                        allow_degrade=not args.no_degrade,
-                        constraints=constraints,
-                    )
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
+                aln = align3(
+                    *seqs,
+                    scheme,
+                    method=method,
+                    workers=args.workers,
+                    allow_degrade=not args.no_degrade,
+                    constraints=constraints,
+                )
                 anchor = aln.meta.get("anchor")
                 if anchor:
                     print(

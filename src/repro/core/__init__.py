@@ -18,7 +18,8 @@ Layout
 ``tube``       per-``(i, j)`` ``k``-interval keep-regions, the one
                pruning representation, and the tube-sparse move store
                (``TubeMoves``)
-``api``        the ``align3`` front door
+``methods``    the method catalogue every method list is a view of
+``api``        the ``align3`` front door: request check, resolver, dispatcher
 """
 
 from repro.core.types import (

@@ -34,14 +34,15 @@ method           engine
                  (:mod:`repro.anchor`), each sub-cube solved by the
                  engine :func:`select_method` picks for it; low-identity
                  inputs fall back to the unanchored path. Passing
-                 ``constraints=`` to any linear-gap method enters the
-                 same chain solver with a user-supplied chain instead
-                 (*constrained* alignment — optimal subject to the
-                 constraints).
+                 ``constraints=`` enters the same chain solver with a
+                 user-supplied chain instead (*constrained* alignment —
+                 optimal subject to the constraints); ``method`` names
+                 the sub-cube engine, and ``affine`` and ``blocks``,
+                 which cannot solve one, are rejected.
 ===============  =============================================================
 
 (``tests/test_api.py`` asserts every :data:`AVAILABLE_METHODS` entry
-appears in this table, so it cannot drift from the dispatcher again.)
+appears in this table, so it cannot drift from the catalogue again.)
 
 Every method above except ``affine`` solves the same linear-gap DP and
 returns the same optimal score. ``dp3d`` and the plane-kernel engines
@@ -53,16 +54,35 @@ cache keys on the *equivalence class* of the engine that runs
 (:func:`repro.cache.method_key_class`), after ``auto`` and any
 degradation: a request served as ``auto``, ``wavefront`` or ``pruned``
 shares one entry, and ``hirschberg`` results key apart.
+
+Every entry point takes one request path, read from the method
+catalogue (:data:`repro.core.methods.METHODS`). :func:`check_request`
+rejects what no engine can serve, before any cache lookup or compute
+(``align3``, ``BatchScheduler._normalise`` — and so serve, the router
+and ``repro batch`` — and ``repro align``); :func:`resolve_method`
+resolves ``auto``, plans memory and derives the cache-key class
+(``align3``, chain sub-cubes, ``BatchScheduler._resolve``);
+:func:`run_method` steps down the memory ladder and calls the engine
+(``align3``, chain sub-cubes).
 """
 
 from __future__ import annotations
 
+import importlib
 import time
 import warnings
-from typing import TYPE_CHECKING, Sequence
+from typing import NamedTuple, Sequence
 
+from repro.cache import (
+    ResultCache,
+    chain_engines_fit,
+    chain_key_class,
+    method_key_class,
+    request_key,
+)
+from repro.core.methods import AVAILABLE_METHODS, METHODS, subcube_engine
 from repro.core.scoring import ScoringScheme, default_scheme_for
-from repro.core.types import Alignment3
+from repro.core.types import MODES, Alignment3
 from repro.obs import hooks as _obs
 from repro.obs import trace as _trace
 from repro.resilience import degrade as _degrade
@@ -70,8 +90,6 @@ from repro.resilience.errors import DegradationWarning, DegradedRun
 from repro.seqio.alphabet import guess_common_alphabet
 from repro.util.validation import check_sequences
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache uses core)
-    from repro.cache import ResultCache
 
 #: Cube size above which ``auto`` sends a *diverged* triple to the
 #: linear-space engine: the plain wavefront's dense move cube no longer
@@ -91,18 +109,6 @@ AUTO_PRUNE_MIN_CELLS = 250_000
 #: pruned engine. Below this the Carrillo–Lipman bound keeps most of the
 #: cube and the bound build is pure overhead.
 AUTO_PRUNE_MIN_IDENTITY = 0.7
-
-AVAILABLE_METHODS = (
-    "auto",
-    "dp3d",
-    "wavefront",
-    "hirschberg",
-    "pruned",
-    "banded",
-    "affine",
-    "blocks",
-    "anchored",
-)
 
 #: Throughput the :data:`AUTO_PRUNE_MIN_CELLS` constant was tuned at.
 #: ``select_method``'s optional ``cells_per_s`` hint scales the
@@ -240,7 +246,7 @@ def resolve_scheme(
 
 
 def check_gap_model(
-    scheme: ScoringScheme,
+    scheme: ScoringScheme | None,
     mode: str = "global",
     method: str = "auto",
     constrained: bool = False,
@@ -250,10 +256,10 @@ def check_gap_model(
     The one affine engine aligns globally and unconstrained, by method
     ``auto`` or ``affine``; the local and semiglobal sweeps, the chain
     solver (constraints or ``anchored``) and every other method implement
-    the linear gap model. Raises ``ValueError`` for such a request; entry
-    points call this before any work starts.
+    the linear gap model. Raises ``ValueError`` for such a request.
+    ``None`` stands for a default scheme, and every default is linear.
     """
-    if not scheme.is_affine:
+    if scheme is None or not scheme.is_affine:
         return
     if mode != "global":
         raise ValueError(
@@ -272,6 +278,129 @@ def check_gap_model(
         )
 
 
+def check_request(
+    seqs: Sequence[str],
+    scheme: ScoringScheme | None = None,
+    mode: str = "global",
+    method: str = "auto",
+    constraints=None,
+) -> tuple:
+    """Reject a request no engine can serve, before any lookup or compute.
+
+    ``ValueError`` names the first fault among alphabet, mode, method,
+    gap model and chain. Returns the chain normalised by
+    :func:`repro.anchor.normalize_constraints` (``()`` for none).
+    """
+    check_sequences(seqs, count=3)
+    if scheme is None:
+        guess_common_alphabet(seqs)
+    else:
+        for seq in seqs:
+            scheme.alphabet.encode(seq)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; available: {MODES}")
+    if method not in METHODS:
+        raise ValueError(
+            f"unknown method {method!r}; available: {AVAILABLE_METHODS}"
+        )
+    if mode != "global" and method != "auto":
+        raise ValueError(
+            f"mode {mode!r} has a single engine; use method='auto'"
+        )
+    check_gap_model(scheme, mode, method, bool(constraints))
+    if not constraints:
+        return ()
+    if mode != "global":
+        raise ValueError("constrained alignment supports mode='global' only")
+    from repro.anchor.model import normalize_constraints
+
+    constraints = normalize_constraints(constraints, tuple(map(len, seqs)))
+    subcube_engine(method)
+    return constraints
+
+
+class Resolved(NamedTuple):
+    """What :func:`resolve_method` decided for one request."""
+
+    method: str  # after ``auto``; a chain request keeps its own
+    engine: str  # what the memory plan picked, or ``"chain"``
+    key_class: str  # the cache key's method component
+    selection: dict | None = None  # :func:`select_method`'s record
+    plan: _degrade.DegradePlan | None = None
+
+
+def resolve_method(
+    method: str,
+    seqs: Sequence[str],
+    scheme: ScoringScheme,
+    *,
+    constraints=(),
+    hint: float | None = None,
+    budget: int | None = None,
+    allow_degrade: bool = True,
+) -> Resolved:
+    """Resolve ``auto``, plan memory and derive the cache-key class.
+
+    ``auto`` becomes ``affine`` for an affine scheme, else
+    :func:`select_method`'s pick (``hint`` is its ``cells_per_s``). The
+    key class follows the planned engine, or the named one when
+    ``allow_degrade`` is off (that run raises instead). A chain request
+    resolves to ``"chain"``: the solver plans each sub-cube itself.
+    """
+    if constraints or method == "anchored":
+        key_class = chain_key_class(method, bool(constraints))
+        return Resolved(method, "chain", key_class)
+    selection = None
+    if method == "auto":
+        if scheme.is_affine:
+            method = "affine"
+        else:
+            method, selection = select_method(*seqs, scheme, cells_per_s=hint)
+    plan = None
+    engine = method
+    if METHODS[method].rung is not None:
+        dims = tuple(map(len, seqs))
+        plan = _degrade.plan_method(method, dims, budget=budget)
+        if allow_degrade:
+            engine = plan.method
+    return Resolved(method, engine, method_key_class(engine), selection, plan)
+
+
+def _engine(method: str):
+    """The function that runs ``method``, looked up on its module now."""
+    module, name = METHODS[method].runs.rsplit(".", 1)
+    return getattr(importlib.import_module(module), name)
+
+
+def run_method(
+    resolved: Resolved,
+    sa: str,
+    sb: str,
+    sc: str,
+    scheme: ScoringScheme,
+    *,
+    allow_degrade: bool = True,
+    **options,
+) -> tuple[Alignment3, str]:
+    """Run a resolved request; returns ``(alignment, engine_used)``.
+
+    A degrading plan raises :class:`DegradedRun` unless
+    ``allow_degrade``, else warns and runs the lower engine. Each engine
+    gets the ``options`` its catalogue row ``takes``.
+    """
+    method, plan = resolved.method, resolved.plan
+    if plan is not None and plan.degraded:
+        if not allow_degrade:
+            raise DegradedRun(plan.describe(), plan)
+        warnings.warn(DegradationWarning(plan.describe()), stacklevel=3)
+        _obs.record_degrade(
+            plan.requested, plan.method, plan.estimate, plan.budget
+        )
+        method = plan.method
+    kwargs = {k: options[k] for k in METHODS[method].takes if k in options}
+    return _engine(method)(sa, sb, sc, scheme, **kwargs), method
+
+
 def align3(
     sa: str,
     sb: str,
@@ -280,7 +409,7 @@ def align3(
     method: str = "auto",
     workers: int = 2,
     allow_degrade: bool = True,
-    cache: "ResultCache | None" = None,
+    cache: ResultCache | None = None,
     constraints=None,
     cells_per_s_hint: float | None = None,
 ) -> Alignment3:
@@ -309,11 +438,9 @@ def align3(
         is looked up by its content digest before any engine runs; a hit
         returns the stored alignment (bit-identical rows/score, meta
         modulo timing, ``meta["cache"]["hit"] = True``) and a miss stores
-        the computed result. Keys are built from the equivalence class
-        (:func:`repro.cache.method_key_class`) of the engine that will
-        run, after ``auto`` and any degradation, so ``auto`` and
-        ``wavefront`` requests for the same triple share one entry and a
-        hit returns the rows that engine computes.
+        the computed result. Keys carry :func:`resolve_method`'s key
+        class, so ``auto`` and ``wavefront`` requests for the same triple
+        share one entry and a hit returns the rows that engine computes.
     constraints:
         Optional anchor chain the alignment must pass through — an
         iterable of ``(i, j, k, length)`` tuples (or ``{"i": ...}``
@@ -321,8 +448,8 @@ def align3(
         :func:`repro.anchor.normalize_constraints`. A non-empty chain
         switches to *constrained* mode (cube-chain decomposition,
         optimal subject to the constraints, linear-gap only; ``method``
-        then names the per-sub-cube engine or ``"auto"``). ``None`` or
-        ``()`` leaves behaviour — and cache keys — exactly as before.
+        names the per-sub-cube engine). ``None`` or ``()`` leaves
+        behaviour — and cache keys — exactly as before.
         ``meta["anchor"]`` records the decomposition.
     cells_per_s_hint:
         Optional observed plain-sweep throughput forwarded to
@@ -343,143 +470,60 @@ def align3(
     >>> aln.sequences()
     ('GATTACA', 'GATCA', 'GATTA')
     """
-    check_sequences((sa, sb, sc), count=3)
-    if method not in AVAILABLE_METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; available: {AVAILABLE_METHODS}"
-        )
-    scheme = resolve_scheme((sa, sb, sc), scheme)
-
-    # Constraint normalisation decides the dispatch family up front:
-    # a non-empty chain forces the chain solver regardless of ``method``
-    # (which then names the per-sub-cube engine), and ``anchored``
-    # without constraints is the chain solver in discovery mode. Empty
-    # constraints are indistinguishable from no constraints — same
-    # engines, same cache keys, bit-identical results.
-    from repro.anchor.model import normalize_constraints
-
-    constraints = normalize_constraints(
-        constraints, (len(sa), len(sb), len(sc))
+    seqs = (sa, sb, sc)
+    constraints = check_request(seqs, scheme, "global", method, constraints)
+    scheme = resolve_scheme(seqs, scheme)
+    # Resolve before touching the cache: keys carry the class of the
+    # engine that will run, so ``auto`` and its pick share one entry.
+    res = resolve_method(
+        method, seqs, scheme, constraints=constraints,
+        hint=cells_per_s_hint, allow_degrade=allow_degrade,
     )
-    chain_mode = None
-    if constraints:
-        chain_mode = "constrained"
-    elif method == "anchored":
-        chain_mode = "anchored"
-    check_gap_model(scheme, method=method, constrained=bool(constraints))
-    # Resolve ``auto`` *before* touching the cache: keys carry the
-    # resolved method's equivalence class, so ``auto`` and the engine it
-    # resolves to share one entry. Chain-mode requests skip this: engine
-    # selection happens per sub-cube inside the solver.
-    selection = None
-    if method == "auto" and chain_mode is None:
-        if scheme.is_affine:
-            method = "affine"
-        else:
-            method, selection = select_method(
-                sa, sb, sc, scheme, cells_per_s=cells_per_s_hint
-            )
-
-    plan = None
-    engine = method
-    if chain_mode is None and method in _degrade.LADDER:
-        plan = _degrade.plan_method(
-            method, (len(sa), len(sb), len(sc))
-        )
-        if allow_degrade:
-            engine = plan.method
 
     cache_key = None
     if cache is not None:
-        from repro.cache import (
-            chain_engines_fit,
-            chain_key_class,
-            method_key_class,
-            request_key,
-        )
-
-        if chain_mode is not None:
-            key_method = chain_key_class(method, bool(constraints))
-        else:
-            key_method = method_key_class(engine)
         cache_key = request_key(
-            (sa, sb, sc), scheme, "global", key_method,
-            constraints=constraints,
+            seqs, scheme, "global", res.key_class, constraints=constraints
         )
         hit = cache.get(cache_key)
         if hit is not None:
             hit.meta["cache"] = {"hit": True, "key": cache_key}
             return hit
 
-    if plan is not None and plan.degraded:
-        if not allow_degrade:
-            raise DegradedRun(plan.describe(), plan)
-        warnings.warn(
-            DegradationWarning(plan.describe()), stacklevel=2
-        )
-        _obs.record_degrade(
-            plan.requested, plan.method, plan.estimate, plan.budget
-        )
-        method = plan.method
-
     t0 = time.perf_counter()
-    with _trace.span("align3", method=method):
-        if chain_mode is not None:
-            from repro.anchor.solve import align3_chain
-
-            aln = align3_chain(
-                sa, sb, sc, scheme,
-                anchors=constraints if chain_mode == "constrained" else None,
-                method="auto" if method in ("auto", "anchored") else method,
-                cells_per_s_hint=cells_per_s_hint,
+    with _trace.span("align3", method=res.method):
+        if res.engine == "chain":
+            # No constraints: ``anchored`` discovers the chain.
+            aln = _engine("anchored")(
+                sa, sb, sc, scheme, anchors=constraints or None,
+                method=method, cells_per_s_hint=cells_per_s_hint,
                 allow_degrade=allow_degrade,
             )
-        elif method == "dp3d":
-            from repro.core.dp3d import align3_dp3d
+            engine = method
+        else:
+            aln, engine = run_method(
+                res, sa, sb, sc, scheme, allow_degrade=allow_degrade,
+                workers=workers,
+            )
 
-            aln = align3_dp3d(sa, sb, sc, scheme)
-        elif method == "wavefront":
-            from repro.core.wavefront import align3_wavefront
-
-            aln = align3_wavefront(sa, sb, sc, scheme)
-        elif method == "hirschberg":
-            from repro.core.hirschberg import align3_hirschberg
-
-            aln = align3_hirschberg(sa, sb, sc, scheme)
-        elif method == "pruned":
-            from repro.core.bounds import align3_pruned
-
-            aln = align3_pruned(sa, sb, sc, scheme)
-        elif method == "banded":
-            from repro.core.band import align3_banded
-
-            aln = align3_banded(sa, sb, sc, scheme)
-        elif method == "affine":
-            from repro.core.affine import align3_affine
-
-            aln = align3_affine(sa, sb, sc, scheme)
-        else:  # blocks
-            from repro.parallel.blocks import align3_blocks
-
-            aln = align3_blocks(sa, sb, sc, scheme, workers=workers)
-
-    aln.meta.setdefault("engine", method)
-    aln.meta["method"] = method
+    plan = res.plan
+    aln.meta.setdefault("engine", engine)
+    aln.meta["method"] = engine
     aln.meta["wall_time_s"] = time.perf_counter() - t0
     aln.meta["scheme"] = scheme.name
-    if selection is not None:
-        aln.meta["auto"] = selection
+    if res.selection is not None:
+        aln.meta["auto"] = res.selection
     if plan is not None and plan.degraded:
         aln.meta["degraded_from"] = plan.requested
         aln.meta["degrade_steps"] = [
             {"method": m, "estimate_bytes": e} for m, e in plan.steps
         ]
         aln.meta["memory_budget_bytes"] = plan.budget
-    if cache is not None and cache_key is not None:
+    if cache_key is not None:
         # A chain result whose sub-cube was degraded to another engine
         # class is served but not stored under the requested class.
-        if chain_mode is None or chain_engines_fit(
-            key_method, aln.meta["anchor"]["engines"]
+        if res.engine != "chain" or chain_engines_fit(
+            res.key_class, aln.meta["anchor"]["engines"]
         ):
             cache.put(cache_key, aln)
         aln.meta["cache"] = {"hit": False, "key": cache_key}

@@ -13,6 +13,7 @@ engine's footprint *up front* and walks a degradation ladder instead::
     blocks ────────────┤
     banded ────────────┘
 
+The rungs are the ``rung`` column of :data:`repro.core.methods.METHODS`.
 Each rung preserves exactness: Hirschberg's divide-and-conquer returns
 an optimal alignment in quadratic memory (cf. the low-memory line of
 work in PAPERS.md), so a degraded run still produces the optimal score
@@ -30,22 +31,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.core.methods import METHODS
 from repro.resilience import faults
 from repro.resilience.errors import DegradationWarning, DegradedRun
 
 ENV_BUDGET = "REPRO_MEM_BUDGET"
 
 FALLBACK_BUDGET = 2 << 30
-
-#: Next lower-memory engine for each degradable method.
-LADDER = {
-    "dp3d": "wavefront",
-    "wavefront": "hirschberg",
-    "pruned": "hirschberg",
-    "banded": "hirschberg",
-    "blocks": "hirschberg",
-    "hirschberg": None,
-}
 
 __all__ = [
     "DegradationWarning",
@@ -191,7 +183,7 @@ def plan_method(
     steps: list[tuple[str, int]] = [(method, first_estimate)]
     current, estimate = method, first_estimate
     while estimate > budget:
-        lower = LADDER.get(current)
+        lower = METHODS[current].rung
         if lower is None:
             break
         current = lower

@@ -237,6 +237,28 @@ class TestAlignModes:
         assert main(["align", path, "--method", "banded"]) == 0
         assert "engine=banded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mode", "local", "--method", "pruned"],
+             "mode 'local' has a single engine; use method='auto'"),
+            (["--mode", "local", "--constraints", "[[0, 0, 0, 1]]"],
+             "constrained alignment supports mode='global' only"),
+            (["--mode", "semiglobal", "--anchored"],
+             "mode 'semiglobal' has a single engine; use method='auto'"),
+        ],
+        ids=["local-method", "local-constraints", "semiglobal-anchored"],
+    )
+    def test_flag_the_mode_cannot_honour_rejected(
+        self, fasta3, flags, message, capsys
+    ):
+        # The same requests repro batch and POST /v1/align reject.
+        path, _fam = fasta3
+        assert main(["align", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestBenchOut:
     def test_out_dir_written(self, tmp_path, capsys):

@@ -244,7 +244,7 @@ class TestRouting:
                 "constraints": [[chain[p] for p in order] + [chain[3]]],
             }
             for order in itertools.permutations(range(3))
-            for method in ("auto", "wavefront", "dp3d", "pruned", "blocks")
+            for method in ("auto", "wavefront", "dp3d", "pruned", "banded")
         ]
         keys = routing_keys(parse_align_items(items))
         assert len(set(keys)) == 1

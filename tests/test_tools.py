@@ -309,3 +309,39 @@ def test_api_doc_mentions_key_entry_points():
     for name in ("align3", "WavefrontPool", "simulate_wavefront",
                  "carrillo_lipman_tube", "align_msa", "run_distributed"):
         assert name in text, name
+
+
+#: Imports ``sut`` (and so ``tracer`` and ``workloads``), resolves every
+#: ``repro`` name either module imports, even inside a function, then
+#: installs the span recorder of one process role.
+_BENCH_HOOKS = """
+import ast, importlib, sys
+import sut, tracer, workloads
+for mod in (sut, workloads):
+    with open(mod.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \\
+                (node.module or "").startswith("repro"):
+            target = importlib.import_module(node.module)
+            for alias in node.names:
+                getattr(target, alias.name)
+tracer.install(sys.argv[1])
+"""
+
+
+@pytest.mark.parametrize("role", ["caller", "replica", "router"])
+def test_benchmark_hooks_resolve(role):
+    # perfbench/tracer.py wraps repro functions by module attribute and
+    # perfbench/sut.py imports repro names, so a rename under src/ would
+    # otherwise surface only in a traced benchmark run. A subprocess,
+    # because install() rebinds module attributes for the whole process.
+    result = subprocess.run(
+        [sys.executable, "-c", _BENCH_HOOKS, role],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT / "perfbench")])},
+    )
+    assert result.returncode == 0, result.stderr
