@@ -4,7 +4,7 @@
 ``align3(method="anchored")``. It decomposes the cube along a validated
 anchor chain (:mod:`repro.anchor.chain`), solves every free sub-cube with
 the engine the request names or, for ``auto``, whichever exact engine
-:func:`repro.core.api.select_method` picks for *that sub-cube* (a
+:func:`repro.core.api.select_method` picks from *that sub-cube* alone (a
 similar 200-residue gap segment gets ``pruned`` while a diverged one
 gets ``wavefront``), splices the forced anchor columns between the
 sub-alignments, and scores the stitched rows with ``scheme.sp_score`` —
@@ -52,15 +52,12 @@ def _solve_segment(
     scheme: ScoringScheme,
     engine: str,
     *,
-    cells_per_s_hint: float | None,
     workspace,
     budget: int,
     allow_degrade: bool,
 ) -> tuple[Alignment3, str]:
     """Solve one free sub-cube; returns ``(alignment, engine_used)``."""
-    res = resolve_method(
-        engine, (sa, sb, sc), scheme, hint=cells_per_s_hint, budget=budget
-    )
+    res = resolve_method(engine, (sa, sb, sc), scheme, budget=budget)
     return run_method(
         res, sa, sb, sc, scheme, allow_degrade=allow_degrade,
         workspace=workspace,
@@ -75,7 +72,6 @@ def align3_chain(
     anchors: Sequence[Any] | None = None,
     *,
     method: str = "auto",
-    cells_per_s_hint: float | None = None,
     allow_degrade: bool = True,
 ) -> Alignment3:
     """Optimal three-way alignment through an anchor chain.
@@ -92,10 +88,7 @@ def align3_chain(
     method:
         Per-sub-cube engine (:data:`~repro.core.methods.CHAIN_ENGINES`);
         ``"auto"`` (default) lets :func:`~repro.core.api.select_method`
-        pick one per segment.
-    cells_per_s_hint:
-        Observed throughput forwarded to ``select_method`` (see the
-        admission-informed selection notes there).
+        pick one per segment, from that sub-cube alone.
 
     The result's ``meta["anchor"]`` records the mode, anchor/segment
     counts, chain coverage, the per-segment engine histogram and — in
@@ -135,7 +128,6 @@ def align3_chain(
             # to calling align3 without anchoring).
             aln, engine = _solve_segment(
                 sa, sb, sc, scheme, method,
-                cells_per_s_hint=cells_per_s_hint,
                 workspace=None, budget=budget,
                 allow_degrade=allow_degrade,
             )
@@ -162,7 +154,6 @@ def align3_chain(
                 (i0, j0, k0), (i1, j1, k1) = seg.start, seg.end
                 sub, engine = _solve_segment(
                     sa[i0:i1], sb[j0:j1], sc[k0:k1], scheme, method,
-                    cells_per_s_hint=cells_per_s_hint,
                     workspace=workspace, budget=budget,
                     allow_degrade=allow_degrade,
                 )

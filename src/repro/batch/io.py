@@ -1,13 +1,16 @@
-"""Reading batch request files for the ``repro batch`` CLI.
+"""Reading alignment requests: the request object and the batch files.
 
-Two formats:
+:func:`request_from_json` is the one reader of the request object, the
+schema shared by ``POST /v1/align`` (:mod:`repro.serve.app`, and so the
+router) and ``repro batch``: ``{"seqs": ["...", "...", "..."]}`` or
+``{"a": ..., "b": ..., "c": ...}``, with optional ``"id"``, ``"mode"``,
+``"method"`` and ``"constraints"`` (a list of ``[i, j, k, length]``
+anchor triples, see :mod:`repro.anchor`) fields.
 
-* **JSONL** (``*.jsonl``/``*.ndjson``) — one request object per line,
-  either ``{"seqs": ["...", "...", "..."]}`` or ``{"a": ..., "b": ...,
-  "c": ...}``, with optional ``"id"``, ``"mode"``, ``"method"`` and
-  ``"constraints"`` (a list of ``[i, j, k, length]`` anchor triples,
-  see :mod:`repro.anchor`) fields. Blank lines and ``#`` comment lines
-  are skipped.
+``repro batch`` reads two file formats:
+
+* **JSONL** (``*.jsonl``/``*.ndjson``) — one request object per line.
+  Blank lines and ``#`` comment lines are skipped.
 * **FASTA-of-many** — a plain FASTA file whose record count is a
   multiple of three; consecutive triples form the requests, identified
   by their first record's header.
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
 from typing import Any, Callable, Sequence
 
 from repro.batch.scheduler import AlignmentRequest, BatchScheduler
@@ -37,14 +39,59 @@ JSONL_SUFFIXES = (".jsonl", ".ndjson", ".json")
 SchemeFor = Callable[[Sequence[str]], ScoringScheme]
 
 
-def _normalised(
-    where: str, req: AlignmentRequest, scheme_for: SchemeFor | None
+def request_from_json(
+    obj: Any,
+    *,
+    mode: str = "global",
+    method: str = "auto",
+    rid: str | None = None,
+    scheme_for: SchemeFor | None = None,
 ) -> AlignmentRequest:
+    """Build and normalise one request from its JSON object.
+
+    ``mode``, ``method`` and ``rid`` stand where the object sets no
+    ``mode``, ``method`` or ``id``; ``scheme_for`` gives the request a
+    scheme. The request is normalised as the scheduler normalises it
+    (:meth:`BatchScheduler._normalise`). Any fault raises ``ValueError``
+    without a position; each caller prefixes its own.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    if "seqs" in obj:
+        seqs = obj["seqs"]
+    elif all(k in obj for k in ("a", "b", "c")):
+        seqs = [obj["a"], obj["b"], obj["c"]]
+    else:
+        raise ValueError("a request needs 'seqs' or 'a'/'b'/'c'")
+    if not (
+        isinstance(seqs, list)
+        and len(seqs) == 3
+        and all(isinstance(s, str) for s in seqs)
+    ):
+        raise ValueError("'seqs' must be three strings")
+    constraints = None
+    if obj.get("constraints"):
+        from repro.anchor import constraints_from_jsonable
+
+        constraints = constraints_from_jsonable(obj["constraints"])
+    seqs = tuple(seqs)
     try:
-        if scheme_for is not None:
-            req = replace(req, scheme=scheme_for(req.seqs))
-        return BatchScheduler._normalise(req)
-    except (ValueError, TypeError) as exc:
+        return BatchScheduler._normalise(AlignmentRequest(
+            seqs=seqs,  # type: ignore[arg-type]
+            scheme=scheme_for(seqs) if scheme_for is not None else None,
+            mode=obj.get("mode", mode),
+            method=obj.get("method", method),
+            rid=str(obj["id"]) if "id" in obj else rid,
+            constraints=constraints,
+        ))
+    except TypeError as exc:  # e.g. an unhashable method name
+        raise ValueError(str(exc)) from None
+
+
+def _read(where: str, obj: Any, **defaults: Any) -> AlignmentRequest:
+    try:
+        return request_from_json(obj, **defaults)
+    except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -54,10 +101,11 @@ def requests_from_jsonl(
     method: str = "auto",
     scheme_for: SchemeFor | None = None,
 ) -> list[AlignmentRequest]:
-    """Parse a JSONL request file (see module docs for the line schema).
+    """Parse a JSONL request file, one request object per line.
 
-    ``mode`` and ``method`` apply where a line leaves the default
-    (``global``/``auto``); ``scheme_for`` gives every request a scheme.
+    ``mode`` and ``method`` apply where a line names none; a line
+    without an ``id`` is ``req<line number>``; ``scheme_for`` gives
+    every request a scheme.
     """
     out: list[AlignmentRequest] = []
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
@@ -71,47 +119,10 @@ def requests_from_jsonl(
                 raise ValueError(
                     f"{path}:{lineno}: not valid JSON: {exc}"
                 ) from None
-            if not isinstance(obj, dict):
-                raise ValueError(
-                    f"{path}:{lineno}: expected a JSON object, got "
-                    f"{type(obj).__name__}"
-                )
-            if "seqs" in obj:
-                seqs = obj["seqs"]
-            elif all(k in obj for k in ("a", "b", "c")):
-                seqs = [obj["a"], obj["b"], obj["c"]]
-            else:
-                raise ValueError(
-                    f"{path}:{lineno}: request needs 'seqs' or 'a'/'b'/'c'"
-                )
-            if not (
-                isinstance(seqs, list)
-                and len(seqs) == 3
-                and all(isinstance(s, str) for s in seqs)
-            ):
-                raise ValueError(
-                    f"{path}:{lineno}: 'seqs' must be three strings"
-                )
-            constraints = None
-            if obj.get("constraints"):
-                from repro.anchor import constraints_from_jsonable
-
-                try:
-                    constraints = constraints_from_jsonable(
-                        obj["constraints"]
-                    )
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-            line_mode = obj.get("mode", "global")
-            line_method = obj.get("method", "auto")
-            req = AlignmentRequest(
-                seqs=tuple(seqs),  # type: ignore[arg-type]
-                mode=mode if line_mode == "global" else line_mode,
-                method=method if line_method == "auto" else line_method,
-                rid=str(obj["id"]) if "id" in obj else f"req{lineno}",
-                constraints=constraints,
-            )
-            out.append(_normalised(f"{path}:{lineno}", req, scheme_for))
+            out.append(_read(
+                f"{path}:{lineno}", obj, mode=mode, method=method,
+                rid=f"req{lineno}", scheme_for=scheme_for,
+            ))
     return out
 
 
@@ -131,14 +142,13 @@ def requests_from_fasta(
     out: list[AlignmentRequest] = []
     for start in range(0, len(records), 3):
         triple = records[start : start + 3]
-        req = AlignmentRequest(
-            seqs=tuple(s for _h, s in triple),  # type: ignore[arg-type]
-            mode=mode,
-            method=method,
-            rid=triple[0][0].split()[0] if triple[0][0].split() else f"req{start // 3}",
-        )
-        where = f"{path}: records {start + 1}-{start + 3}"
-        out.append(_normalised(where, req, scheme_for))
+        words = triple[0][0].split()
+        out.append(_read(
+            f"{path}: records {start + 1}-{start + 3}",
+            {"seqs": [s for _h, s in triple]}, mode=mode, method=method,
+            rid=words[0] if words else f"req{start // 3}",
+            scheme_for=scheme_for,
+        ))
     return out
 
 

@@ -18,16 +18,20 @@ serves it in stages, cheapest first:
    from a cold compute (marked ``meta["permuted_from"]``).
 3. **Compute** — each true miss runs in this process, in request
    order, on the engine ``auto`` resolved to when the batch derived its
-   keys (``select_method`` runs once per request): :func:`align3` for
-   global mode, the single sweep of a local or semiglobal mode. Only
-   ``blocks`` forks workers (a one-job pool of ``workers``); on two
-   cores a pool pays only from n≈140 (``docs/performance.md``).
+   keys (``select_method`` runs once per request, on the triple and
+   scheme alone, so a miss gets the engine ``align3`` would pick):
+   :func:`align3` for global mode, the single sweep of a local or
+   semiglobal mode. Only ``blocks`` forks workers (a one-job pool of
+   ``workers``); on two cores a pool pays only from n≈140
+   (``docs/performance.md``).
    Results are cached under both keys for the next batch.
 
 Normalising runs ``align3``'s check (:func:`~repro.core.api.check_request`),
 so a bad request is refused at every entry point before it can join a
 batch whose other requests it would fail; engines and keys come from
-``align3``'s resolver (:func:`~repro.core.api.resolve_method`).
+``align3``'s resolver (:func:`~repro.core.api.resolve_method`). Wire and
+file requests reach :meth:`BatchScheduler._normalise` through one
+reader, :func:`repro.batch.io.request_from_json`.
 
 Metrics land in :mod:`repro.obs` — cache hit/miss counters, a
 per-request latency histogram and the batch dedup ratio — and render
@@ -182,26 +186,11 @@ class BatchScheduler:
             report = sched.run(requests)
     """
 
-    def __init__(
-        self,
-        cache: ResultCache | None = None,
-        workers: int = 2,
-        cells_per_s_hint: "float | Callable[[], float | None] | None" = None,
-    ):
+    def __init__(self, cache: ResultCache | None = None, workers: int = 2):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.cache = cache
         self.workers = int(workers)
-        #: Observed plain-sweep throughput for admission-informed method
-        #: selection: a number, or a zero-arg callable read per request
-        #: (the serve tier binds the admission controller's live EWMA).
-        self.cells_per_s_hint = cells_per_s_hint
-
-    def _hint(self) -> float | None:
-        hint = self.cells_per_s_hint
-        if callable(hint):
-            hint = hint()
-        return float(hint) if hint else None
 
     def close(self) -> None:
         """Nothing to release; kept so callers can scope a scheduler."""
@@ -245,8 +234,7 @@ class BatchScheduler:
         if req.mode != "global":
             return Resolved(req.method, req.mode, req.method)
         return resolve_method(
-            req.method, req.seqs, scheme, constraints=req.constraints,
-            hint=self._hint(),
+            req.method, req.seqs, scheme, constraints=req.constraints
         )
 
     def _compute(
@@ -267,7 +255,6 @@ class BatchScheduler:
                 method=resolved.method,
                 workers=self.workers,
                 constraints=req.constraints,
-                cells_per_s_hint=self._hint(),
             )
             if resolved.selection is not None:
                 aln.meta["auto"] = resolved.selection

@@ -17,18 +17,20 @@ service. The breaker half-opens after ``breaker_cooldown_s`` and one
 successful exchange closes it. All methods are best-effort and never
 raise; the serving tier degrades to local-only caching.
 
-Thread-safe: one lock guards the single keep-alive connection and the
-breaker state (the batch layer calls from one compute thread; tests
-and tools may share a client across a few threads).
+Thread-safe: one lock guards the single keep-alive
+:class:`~repro.serve.client.ServeClient` and the breaker state (the
+batch layer calls from one compute thread; tests and tools may share a
+client across a few threads).
 """
 
 from __future__ import annotations
 
 import http.client
-import json
 import threading
 import time
 from typing import Any
+
+from repro.serve.client import ServeClient, ServeResponse, parse_address
 
 
 class RemoteCacheClient:
@@ -49,11 +51,10 @@ class RemoteCacheClient:
             )
         self.host = host
         self.port = int(port)
-        self.timeout_s = float(timeout_s)
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
         self._lock = threading.Lock()
-        self._conn: http.client.HTTPConnection | None = None
+        self._client = ServeClient(host, port, timeout=timeout_s)
         self._consecutive_errors = 0
         self._open_until = 0.0  # monotonic; breaker open while in future
         self.hits = 0
@@ -64,31 +65,13 @@ class RemoteCacheClient:
     @classmethod
     def from_url(cls, url: str, **kwargs: Any) -> "RemoteCacheClient":
         """Build from a ``host:port`` (or ``http://host:port``) string."""
-        raw = url.strip()
-        if raw.startswith("http://"):
-            raw = raw[len("http://"):]
-        raw = raw.rstrip("/")
-        host, sep, port = raw.rpartition(":")
-        if not sep or not port.isdigit():
-            raise ValueError(
-                f"cache url must be host:port, got {url!r}"
-            )
-        return cls(host or "127.0.0.1", int(port), **kwargs)
+        return cls(*parse_address(url), **kwargs)
 
     # ------------------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout_s
-            )
-        return self._conn
-
     def close(self) -> None:
         with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
+            self._client.close()
 
     def _breaker_open(self) -> bool:
         return time.monotonic() < self._open_until
@@ -107,28 +90,17 @@ class RemoteCacheClient:
 
     def _exchange(
         self, method: str, path: str, payload: Any | None = None
-    ) -> tuple[int, bytes] | None:
-        """One request/response, with a single reconnect on a stale
-        keep-alive connection. None on transport failure (noted)."""
-        body = None
-        headers = {}
-        if payload is not None:
-            body = json.dumps(payload, separators=(",", ":")).encode()
-            headers["Content-Type"] = "application/json"
-        for attempt in (0, 1):
-            conn = self._connection()
-            try:
-                conn.request(method, path, body=body, headers=headers)
-                resp = conn.getresponse()
-                raw = resp.read()
-                self._note_success()
-                return resp.status, raw
-            except (http.client.HTTPException, OSError):
-                self._conn = None
-                if attempt == 1:
-                    self._note_error()
-                    return None
-        return None  # pragma: no cover — loop always returns
+    ) -> ServeResponse | None:
+        """One exchange (:meth:`ServeClient._request` reconnects once on
+        a stale keep-alive connection). None on transport failure (noted)."""
+        try:
+            resp = self._client._request(method, path, payload)
+        except (http.client.HTTPException, OSError):
+            self._client.close()
+            self._note_error()
+            return None
+        self._note_success()
+        return resp
 
     # ------------------------------------------------------------------
 
@@ -138,19 +110,13 @@ class RemoteCacheClient:
         with self._lock:
             if self._breaker_open():
                 return None
-            out = self._exchange("GET", f"/v1/cache/{key}")
-            if out is None:
-                self.misses += 1
-                return None
-            status, raw = out
-            if status != 200:
-                self.misses += 1
-                return None
-            try:
-                payload = json.loads(raw)["alignment"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                self.misses += 1
-                return None
+            resp = self._exchange("GET", f"/v1/cache/{key}")
+            payload = None
+            if resp is not None and resp.status == 200:
+                try:
+                    payload = resp.body["alignment"]
+                except (KeyError, TypeError):
+                    pass
             if not isinstance(payload, dict):
                 self.misses += 1
                 return None
@@ -162,10 +128,10 @@ class RemoteCacheClient:
         with self._lock:
             if self._breaker_open():
                 return False
-            out = self._exchange(
+            resp = self._exchange(
                 "PUT", f"/v1/cache/{key}", {"alignment": payload}
             )
-            return out is not None and out[0] in (200, 204)
+            return resp is not None and resp.status in (200, 204)
 
     def snapshot(self) -> dict[str, float]:
         return {

@@ -604,12 +604,21 @@ def _cmd_align(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.mode != "global" and len(records) != 3:
-        print(
-            f"error: --mode {args.mode} requires exactly three sequences",
-            file=sys.stderr,
-        )
-        return 2
+    if len(records) != 3:
+        # The progressive MSA path honours none of these; --no-degrade
+        # passes, as that path has no memory ladder to step down.
+        for flag, given in (
+            (f"--mode {args.mode}", args.mode != "global"),
+            (f"--method {args.method}", args.method != "auto"),
+            ("--constraints", bool(args.constraints)),
+            ("--anchored", args.anchored),
+        ):
+            if given:
+                print(
+                    f"error: {flag} requires exactly three sequences",
+                    file=sys.stderr,
+                )
+                return 2
     if len(records) == 3:
         constraints = None
         spec = args.constraints

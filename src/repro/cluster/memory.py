@@ -10,7 +10,9 @@ estimates each rank's footprint under a block decomposition:
 ``score_only`` mode
     The rank streams blocks with a rolling working set — four plane
     buffers per *active* pencil plus ghosts — so its footprint scales with
-    its cross-section, not its volume.
+    its cross-section, not its volume. A pencil thinner than four planes
+    holds no more than its own cells, so score-only never prices above
+    full.
 
 Experiment T5 turns these into the per-rank memory table the paper family
 uses to argue length scalability.
@@ -73,18 +75,18 @@ def per_rank_memory(
         raise ValueError(f"unknown mode {mode!r}")
     ghost = [0] * procs
     owned_cells = [0] * procs
-    pencil_sections: list[dict[tuple[int, int], int]] = [
+    # Per rank and pencil (j, k): [largest cross-section, owned cells].
+    pencils: list[dict[tuple[int, int], list[int]]] = [
         {} for _ in range(procs)
     ]
     for blk in grid.blocks():
         own = grid.owner(blk, procs, mapping)
         cells = grid.block_cells(blk)
         owned_cells[own] += cells
-        # Cross-section of this block's pencil (j, k extents).
         section = cells // max(grid.extent(0, blk[0]), 1)
-        key = (blk[1], blk[2])
-        prev = pencil_sections[own].get(key, 0)
-        pencil_sections[own][key] = max(prev, section)
+        pencil = pencils[own].setdefault((blk[1], blk[2]), [0, 0])
+        pencil[0] = max(pencil[0], section)
+        pencil[1] += cells
         for src, payload in grid.dependencies(blk):
             if grid.owner(src, procs, mapping) != own:
                 ghost[own] += payload * SCORE_CELL_BYTES
@@ -94,8 +96,11 @@ def per_rank_memory(
         if mode == "full":
             per_rank.append(owned_cells[p] * FULL_CELL_BYTES + ghost[p])
         else:
-            planes = 4 * sum(pencil_sections[p].values()) * SCORE_CELL_BYTES
-            per_rank.append(planes + ghost[p])
+            planes = sum(
+                min(4 * section, cells)
+                for section, cells in pencils[p].values()
+            )
+            per_rank.append(planes * SCORE_CELL_BYTES + ghost[p])
     return MemoryProfile(per_rank=per_rank, mode=mode)
 
 

@@ -56,7 +56,10 @@ degradation: a request served as ``auto``, ``wavefront`` or ``pruned``
 shares one entry, and ``hirschberg`` results key apart.
 
 Every entry point takes one request path, read from the method
-catalogue (:data:`repro.core.methods.METHODS`). :func:`check_request`
+catalogue (:data:`repro.core.methods.METHODS`), and ``auto``'s pick
+depends on the triple and scheme alone: ``align3``, ``repro batch`` and
+a serve replica send one triple to one engine and record one
+``meta["auto"]``. :func:`check_request`
 rejects what no engine can serve, before any cache lookup or compute
 (``align3``, ``BatchScheduler._normalise`` — and so serve, the router
 and ``repro batch`` — and ``repro align``); :func:`resolve_method`
@@ -109,15 +112,6 @@ AUTO_PRUNE_MIN_CELLS = 250_000
 #: pruned engine. Below this the Carrillo–Lipman bound keeps most of the
 #: cube and the bound build is pure overhead.
 AUTO_PRUNE_MIN_IDENTITY = 0.7
-
-#: Throughput the :data:`AUTO_PRUNE_MIN_CELLS` constant was tuned at.
-#: ``select_method``'s optional ``cells_per_s`` hint scales the
-#: threshold relative to this (see :data:`AUTO_HINT_CLAMP`).
-AUTO_REFERENCE_CELLS_PER_S = 2_000_000.0
-
-#: Bounds on the hint scaling factor — a cold or absurd EWMA reading
-#: must not swing engine selection by more than this in either direction.
-AUTO_HINT_CLAMP = (0.25, 4.0)
 
 
 def _kmer_set(seq: str, k: int) -> set[str]:
@@ -174,12 +168,7 @@ def _min_pairwise_identity(sa: str, sb: str, sc: str, k: int = 8) -> float:
 
 
 def select_method(
-    sa: str,
-    sb: str,
-    sc: str,
-    scheme: ScoringScheme,
-    *,
-    cells_per_s: float | None = None,
+    sa: str, sb: str, sc: str, scheme: ScoringScheme
 ) -> tuple[str, dict]:
     """Resolve ``method="auto"`` to a concrete linear-gap engine.
 
@@ -189,13 +178,9 @@ def select_method(
     :data:`AUTO_PRUNE_MIN_IDENTITY`) go to ``pruned`` at any size,
     diverged cubes over :data:`AUTO_HIRSCHBERG_CELLS` to ``hirschberg``,
     and everything else to ``wavefront``. Affine schemes are resolved
-    by the caller before this runs.
-
-    ``cells_per_s`` is an optional *observed* plain-sweep throughput (the
-    serve tier passes its admission controller's EWMA): on hardware
-    faster than the reference the plain wavefront stays cheap for larger
-    cubes, so the prune threshold rises proportionally (clamped to
-    :data:`AUTO_HINT_CLAMP`); on slower hardware pruning pays sooner.
+    by the caller before this runs. The pick depends on the triple
+    alone, so every entry point (``align3``, ``repro batch``, a serve
+    replica) sends one triple to one engine.
 
     Returns ``(method, selection)`` where ``selection`` records the
     inputs of the decision for ``meta["auto"]``.
@@ -203,15 +188,8 @@ def select_method(
     n1, n2, n3 = len(sa), len(sb), len(sc)
     cells = (n1 + 1) * (n2 + 1) * (n3 + 1)
     selection: dict = {"cells": cells}
-    prune_min_cells = AUTO_PRUNE_MIN_CELLS
-    if cells_per_s is not None and cells_per_s > 0:
-        lo, hi = AUTO_HINT_CLAMP
-        factor = min(hi, max(lo, cells_per_s / AUTO_REFERENCE_CELLS_PER_S))
-        prune_min_cells = int(AUTO_PRUNE_MIN_CELLS * factor)
-        selection["cells_per_s_hint"] = round(cells_per_s, 1)
-        selection["prune_min_cells"] = prune_min_cells
-    if cells <= prune_min_cells:
-        selection["reason"] = f"small cube (<= {prune_min_cells} cells)"
+    if cells <= AUTO_PRUNE_MIN_CELLS:
+        selection["reason"] = f"small cube (<= {AUTO_PRUNE_MIN_CELLS} cells)"
         return "wavefront", selection
     identity = _min_pairwise_identity(sa, sb, sc)
     selection["identity"] = round(identity, 4)
@@ -335,17 +313,16 @@ def resolve_method(
     scheme: ScoringScheme,
     *,
     constraints=(),
-    hint: float | None = None,
     budget: int | None = None,
     allow_degrade: bool = True,
 ) -> Resolved:
     """Resolve ``auto``, plan memory and derive the cache-key class.
 
     ``auto`` becomes ``affine`` for an affine scheme, else
-    :func:`select_method`'s pick (``hint`` is its ``cells_per_s``). The
-    key class follows the planned engine, or the named one when
-    ``allow_degrade`` is off (that run raises instead). A chain request
-    resolves to ``"chain"``: the solver plans each sub-cube itself.
+    :func:`select_method`'s pick. The key class follows the planned
+    engine, or the named one when ``allow_degrade`` is off (that run
+    raises instead). A chain request resolves to ``"chain"``: the solver
+    plans each sub-cube itself.
     """
     if constraints or method == "anchored":
         key_class = chain_key_class(method, bool(constraints))
@@ -355,7 +332,7 @@ def resolve_method(
         if scheme.is_affine:
             method = "affine"
         else:
-            method, selection = select_method(*seqs, scheme, cells_per_s=hint)
+            method, selection = select_method(*seqs, scheme)
     plan = None
     engine = method
     if METHODS[method].rung is not None:
@@ -411,7 +388,6 @@ def align3(
     allow_degrade: bool = True,
     cache: ResultCache | None = None,
     constraints=None,
-    cells_per_s_hint: float | None = None,
 ) -> Alignment3:
     """Optimal three-sequence alignment.
 
@@ -451,11 +427,6 @@ def align3(
         names the per-sub-cube engine). ``None`` or ``()`` leaves
         behaviour — and cache keys — exactly as before.
         ``meta["anchor"]`` records the decomposition.
-    cells_per_s_hint:
-        Optional observed plain-sweep throughput forwarded to
-        :func:`select_method` so ``auto`` thresholds adapt to the
-        machine (the serve tier wires its admission EWMA in here);
-        recorded in ``meta["auto"]["cells_per_s_hint"]``.
 
     Returns
     -------
@@ -477,7 +448,7 @@ def align3(
     # engine that will run, so ``auto`` and its pick share one entry.
     res = resolve_method(
         method, seqs, scheme, constraints=constraints,
-        hint=cells_per_s_hint, allow_degrade=allow_degrade,
+        allow_degrade=allow_degrade,
     )
 
     cache_key = None
@@ -496,8 +467,7 @@ def align3(
             # No constraints: ``anchored`` discovers the chain.
             aln = _engine("anchored")(
                 sa, sb, sc, scheme, anchors=constraints or None,
-                method=method, cells_per_s_hint=cells_per_s_hint,
-                allow_degrade=allow_degrade,
+                method=method, allow_degrade=allow_degrade,
             )
             engine = method
         else:

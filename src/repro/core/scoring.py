@@ -31,7 +31,7 @@ can be measured (:func:`ScoringScheme.sp_score_affine_natural`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -314,18 +314,3 @@ def default_scheme_for(alphabet: Alphabet) -> ScoringScheme:
     return ScoringScheme(
         alphabet, m.unit_matrix(alphabet), gap=-1.0, name="unit"
     )
-
-
-def scheme_from_records(records: Iterable[tuple[str, str]]) -> ScoringScheme:
-    """Guess an alphabet from FASTA records and build the default scheme."""
-    from repro.seqio.alphabet import guess_alphabet
-
-    seqs = [seq for _h, seq in records]
-    if not seqs:
-        raise ValueError("no records given")
-    alpha = guess_alphabet(seqs[0])
-    for s in seqs[1:]:
-        if not alpha.is_valid(s):
-            alpha = guess_alphabet("".join(seqs))
-            break
-    return default_scheme_for(alpha)

@@ -46,25 +46,14 @@ from repro.resilience.retry import BackoffPolicy
 from repro.router import backend
 from repro.router.health import ReplicaHealth
 from repro.router.ring import HashRing
-from repro.router.routing import parse_items, plan_scatter, routing_keys
+from repro.router.routing import plan_scatter, routing_keys
 from repro.serve import protocol
-from repro.serve.app import parse_align_items
+from repro.serve.app import parse_align_payload, parse_items
+from repro.serve.client import parse_address as parse_replica
 from repro.serve.httpd import JsonHttpServer, run_blocking
 
 #: Default router port (one above the serve default).
 DEFAULT_ROUTER_PORT = 8674
-
-
-def parse_replica(spec: str) -> tuple[str, int]:
-    """``host:port`` (or ``http://host:port``) → ``(host, port)``."""
-    raw = spec.strip()
-    if raw.startswith("http://"):
-        raw = raw[len("http://"):]
-    raw = raw.rstrip("/")
-    host, sep, port = raw.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"replica must be host:port, got {spec!r}")
-    return host or "127.0.0.1", int(port)
 
 
 @dataclass(frozen=True)
@@ -431,23 +420,15 @@ class RouterServer(JsonHttpServer):
                 "draining", "router is draining"
             ), [("Retry-After", "1")]
         obj = request.json()
-        items = parse_items(obj)
-        requests = parse_align_items(items)  # raises BadRequest → 400
+        # The replicas' own validation: a bad body gets its 400 here.
+        requests, want_async, deadline_s = parse_align_payload(
+            obj, self.config
+        )
         keys = routing_keys(requests)
-
-        want_async = bool(obj.get("async", False)) if isinstance(obj, dict) \
-            else False
-        deadline_s = obj.get("deadline_s", self.config.default_deadline_s)
-        if not isinstance(deadline_s, (int, float)) \
-                or isinstance(deadline_s, bool) or not 0 < deadline_s <= 3600:
-            raise protocol.BadRequest(
-                "'deadline_s' must be a number in (0, 3600]"
-            )
-        deadline_s = float(deadline_s)
-
         if want_async:
             return await self._align_async(obj, keys[0])
 
+        items = parse_items(obj)
         groups = plan_scatter(
             self.ring, items, keys, routable=self._routable()
         )

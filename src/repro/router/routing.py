@@ -11,24 +11,23 @@ of one triple (its permutation reuse). The key is only an affinity
 hint — results are content-addressed either way — so it needs none of
 the scheduler's method resolution.
 
-:func:`plan_scatter` splits a multi-request ``POST /v1/align`` body by
-ring owner: each group keeps the original item dicts (so caller ids
-and per-item options survive verbatim) plus the positions they came
-from, letting the merge step reassemble responses in request order no
-matter which replica answered which slice.
+:func:`plan_scatter` splits a multi-request ``POST /v1/align`` body
+(framed by :func:`repro.serve.app.parse_items`) by ring owner: each
+group keeps the original item dicts (so caller ids and per-item options
+survive verbatim) plus the positions they came from, letting the merge
+step reassemble responses in request order no matter which replica
+answered which slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.batch.scheduler import AlignmentRequest
 from repro.cache import request_key
 from repro.cache.key import canonical_order
 from repro.core.api import resolve_scheme
 from repro.router.ring import HashRing
-from repro.serve import protocol
 
 #: The method component of every routing key: routing ignores methods.
 _ANY_METHOD = "*"
@@ -55,23 +54,6 @@ def routing_keys(requests: list[AlignmentRequest]) -> list[str]:
             )
         )
     return keys
-
-
-def parse_items(obj: Any) -> list[dict]:
-    """The raw item dicts of one ``POST /v1/align`` body, in order
-    (single-object bodies become a one-item list). Framing errors raise
-    :class:`protocol.BadRequest`; per-item validation is left to
-    ``parse_align_payload``, which the router runs first."""
-    if not isinstance(obj, dict):
-        raise protocol.BadRequest(
-            f"body must be a JSON object, got {type(obj).__name__}"
-        )
-    if "requests" in obj:
-        items = obj["requests"]
-        if not isinstance(items, list) or not items:
-            raise protocol.BadRequest("'requests' must be a non-empty list")
-        return items
-    return [obj]
 
 
 @dataclass

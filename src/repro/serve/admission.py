@@ -17,6 +17,9 @@ backlog over an EWMA of observed compute throughput, so well-behaved
 clients back off proportionally to the actual overload instead of
 hammering a fixed interval. The estimate is deliberately conservative:
 dedup and cache hits only make the backlog drain faster than predicted.
+``Retry-After`` is the EWMA's only use: engine selection never reads
+it, so a replica picks the engine ``align3`` picks whatever its traffic
+history.
 
 All state is mutated from the event loop only — no locks.
 """

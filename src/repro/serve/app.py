@@ -32,9 +32,10 @@ import sys
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import __version__
+from repro.batch.io import request_from_json
 from repro.batch.scheduler import (
     AlignmentRequest,
     BatchScheduler,
@@ -50,18 +51,17 @@ from repro.serve.batcher import DeadlineExceeded, MicroBatcher
 from repro.serve.config import ServeConfig
 from repro.serve.httpd import JsonHttpServer, run_blocking
 
+if TYPE_CHECKING:
+    from repro.router.app import RouterConfig
 
-def parse_align_payload(
-    obj: Any, config: ServeConfig
-) -> tuple[list[AlignmentRequest], bool, float]:
-    """Validate one POST /v1/align body.
 
-    Returns ``(requests, want_async, deadline_s)``; raises
-    :class:`protocol.BadRequest` on any schema violation. Accepts either
-    a single request object or ``{"requests": [...]}``; each request is
-    ``{"seqs": [a, b, c]}`` or ``{"a": ..., "b": ..., "c": ...}`` with
-    optional ``id``, ``mode`` and ``method`` — the same shapes as the
-    ``repro batch`` JSONL format.
+def parse_items(obj: Any) -> list:
+    """The raw items of one ``POST /v1/align`` body, in order.
+
+    A body is a single request object (a one-item list) or
+    ``{"requests": [...]}``. The one body framer, shared with the
+    router, which scatters the items. Framing errors raise
+    :class:`protocol.BadRequest`.
     """
     if not isinstance(obj, dict):
         raise protocol.BadRequest(
@@ -71,9 +71,22 @@ def parse_align_payload(
         items = obj["requests"]
         if not isinstance(items, list) or not items:
             raise protocol.BadRequest("'requests' must be a non-empty list")
-    else:
-        items = [obj]
+        return items
+    return [obj]
 
+
+def parse_align_payload(
+    obj: Any, config: "ServeConfig | RouterConfig"
+) -> tuple[list[AlignmentRequest], bool, float]:
+    """Validate one POST /v1/align body.
+
+    Returns ``(requests, want_async, deadline_s)``; raises
+    :class:`protocol.BadRequest` on any schema violation. The body is
+    framed by :func:`parse_items` and its items read by
+    :func:`parse_align_items`; ``config`` supplies the default
+    ``deadline_s`` (the router passes its own config).
+    """
+    items = parse_items(obj)
     want_async = bool(obj.get("async", False))
     deadline_s = obj.get("deadline_s", config.default_deadline_s)
     if not isinstance(deadline_s, (int, float)) or isinstance(deadline_s, bool):
@@ -88,52 +101,20 @@ def parse_align_payload(
 
 
 def parse_align_items(items: list) -> list[AlignmentRequest]:
-    """Validate and normalise the raw item dicts of an align body.
+    """Read the items of an align body as normalised requests.
 
-    Shared with the router (:mod:`repro.router.routing`), which must
-    derive the *same* normalised request — and therefore the same
-    cache key — as the replica that will serve it.
+    Each item goes through the one request reader,
+    :func:`repro.batch.io.request_from_json`, which ``repro batch`` uses
+    too. Shared with the router (:mod:`repro.router`), which must derive
+    the *same* normalised request — and therefore the same cache key —
+    as the replica that will serve it.
     """
     requests: list[AlignmentRequest] = []
     for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise protocol.BadRequest(f"request {i} must be a JSON object")
-        if "seqs" in item:
-            seqs = item["seqs"]
-        elif all(k in item for k in ("a", "b", "c")):
-            seqs = [item["a"], item["b"], item["c"]]
-        else:
-            raise protocol.BadRequest(
-                f"request {i} needs 'seqs' or 'a'/'b'/'c'"
-            )
-        if not (
-            isinstance(seqs, list)
-            and len(seqs) == 3
-            and all(isinstance(s, str) for s in seqs)
-        ):
-            raise protocol.BadRequest(
-                f"request {i}: 'seqs' must be three strings"
-            )
-        constraints = None
-        if item.get("constraints"):
-            from repro.anchor import constraints_from_jsonable
-
-            try:
-                constraints = constraints_from_jsonable(item["constraints"])
-            except ValueError as exc:
-                raise protocol.BadRequest(f"request {i}: {exc}") from None
-        req = AlignmentRequest(
-            seqs=tuple(seqs),  # type: ignore[arg-type]
-            mode=item.get("mode", "global"),
-            method=item.get("method", "auto"),
-            rid=str(item["id"]) if "id" in item else None,
-            constraints=constraints,
-        )
         try:
-            req = BatchScheduler._normalise(req)
-        except (ValueError, TypeError) as exc:
+            requests.append(request_from_json(item))
+        except ValueError as exc:
             raise protocol.BadRequest(f"request {i}: {exc}") from None
-        requests.append(req)
     return requests
 
 
@@ -271,10 +252,6 @@ class AlignServer(JsonHttpServer):
             max_queued_requests=self.config.queue_depth,
             max_inflight_cells=self.config.max_inflight_cells,
         )
-        # Admission-informed method selection: the scheduler reads the
-        # controller's live throughput EWMA per request, so ``auto``
-        # thresholds track what this machine actually sustains.
-        self.scheduler.cells_per_s_hint = lambda: self.admission.cells_per_s
         self.batcher = MicroBatcher(
             self.scheduler,
             self.admission,

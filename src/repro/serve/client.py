@@ -38,8 +38,28 @@ class ServeResponse:
             return None
 
 
+def parse_address(spec: str) -> tuple[str, int]:
+    """``host:port`` (or ``http://host:port``) → ``(host, port)``.
+
+    An empty host is ``127.0.0.1``. The one address parser for the
+    services this package runs: replicas and the cache service.
+    """
+    raw = spec.strip()
+    if raw.startswith("http://"):
+        raw = raw[len("http://"):]
+    raw = raw.rstrip("/")
+    host, sep, port = raw.rpartition(":")
+    if not sep or not port.isdigit():
+        raise ValueError(f"address must be host:port, got {spec!r}")
+    return host or "127.0.0.1", int(port)
+
+
 class ServeClient:
-    """Thin JSON client for one ``repro serve`` instance."""
+    """Thin JSON client for one ``repro serve`` instance.
+
+    The cache service speaks the same JSON over HTTP/1.1, so
+    :class:`~repro.cache.remote.RemoteCacheClient` exchanges through one.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 60.0):
         self.host = host
@@ -70,6 +90,8 @@ class ServeClient:
     def _request(
         self, method: str, path: str, payload: Any | None = None
     ) -> ServeResponse:
+        """One exchange on the keep-alive connection, reconnecting once
+        if it went stale; a second transport error is raised."""
         body = None
         headers = {}
         if payload is not None:

@@ -68,6 +68,37 @@ class TestAlign:
         assert len(records) == 5
         assert [s.replace("-", "") for _h, s in records] == fam
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--method", "blocks"], "--method blocks"),
+            (["--constraints", "[[0, 0, 0, 1]]"], "--constraints"),
+            (["--anchored"], "--anchored"),
+            (
+                ["--method", "blocks", "--constraints", "[[0, 0, 0, 1]]",
+                 "--anchored"],
+                "--method blocks",
+            ),
+        ],
+    )
+    def test_msa_rejects_three_sequence_flags(
+        self, fasta5, tmp_path, capsys, flags, named
+    ):
+        path, fam = fasta5
+        assert main(["align", path, *flags]) == 2
+        assert (
+            f"{named} requires exactly three sequences"
+            in capsys.readouterr().err
+        )
+        pair = tmp_path / "two.fasta"
+        write_fasta(pair, [("a", fam[0]), ("b", fam[1])])
+        assert main(["align", str(pair), *flags]) == 2
+
+    def test_msa_accepts_no_degrade(self, fasta5, capsys):
+        path, _fam = fasta5
+        assert main(["align", path, "--no-degrade"]) == 0
+        assert "engine=progressive" in capsys.readouterr().err
+
     def test_single_record_errors(self, tmp_path, capsys):
         path = tmp_path / "one.fasta"
         write_fasta(path, [("only", "ACGT")])

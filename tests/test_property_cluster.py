@@ -1,6 +1,6 @@
 """Property-based tests for the cluster substrate (grids, simulation)."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster.blockgrid import BlockGrid
 from repro.cluster.machine import MachineModel
@@ -57,6 +57,7 @@ def test_simulation_invariants(d, b, procs):
 
 @settings(**COMMON)
 @given(dims, st.integers(1, 8))
+@example(d=(3, 36, 38), procs=1)  # a pencil thinner than four planes
 def test_memory_modes_and_partition(d, procs):
     grid = BlockGrid(dims=d, block=(4, 4, 4))
     full = per_rank_memory(grid, procs, mode="full")

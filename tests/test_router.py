@@ -28,11 +28,11 @@ from repro.router.health import (
     STATE_HALF_OPEN,
     STATE_HEALTHY,
 )
-from repro.router.routing import parse_items, plan_scatter, routing_keys
+from repro.router.routing import plan_scatter, routing_keys
 from repro.seqio.alphabet import DNA
 from repro.seqio.generate import mutated_family
 from repro.serve import ServeClient
-from repro.serve.app import parse_align_items
+from repro.serve.app import parse_align_items, parse_items
 from repro.serve.protocol import BadRequest
 
 from tests.test_serve import ServerThread

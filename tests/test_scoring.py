@@ -12,7 +12,6 @@ from repro.core.scoring import (
     ScoringScheme,
     default_scheme_for,
     pair_state,
-    scheme_from_records,
 )
 from repro.seqio.alphabet import DNA, PROTEIN
 
@@ -235,15 +234,3 @@ class TestDefaults:
 
     def test_dna_default(self):
         assert default_scheme_for(DNA).name == "dna5-4"
-
-    def test_scheme_from_records(self):
-        s = scheme_from_records([("a", "ACGT"), ("b", "GGTT")])
-        assert s.alphabet.name == "dna"
-
-    def test_scheme_from_records_protein(self):
-        s = scheme_from_records([("a", "MVLSPADK")])
-        assert s.alphabet.name == "protein"
-
-    def test_scheme_from_records_empty(self):
-        with pytest.raises(ValueError):
-            scheme_from_records([])

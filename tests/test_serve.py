@@ -18,6 +18,7 @@ import queue
 import statistics
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.core.api import align3
 from repro.core.scoring import default_scheme_for
 from repro.obs import hooks as obs_hooks
 from repro.seqio.alphabet import DNA
-from repro.seqio.generate import mutated_family
+from repro.seqio.generate import MutationModel, mutated_family
 from repro.serve import (
     AdmissionController,
     AlignServer,
@@ -305,6 +306,80 @@ class TestJobTable:
 
         with pytest.raises(ValueError):
             JobTable(capacity=0)
+
+
+# ----------------------------------------------------------------------
+# one request path: the replica reads and resolves as repro batch and
+# align3 do
+# ----------------------------------------------------------------------
+
+
+class TestOneRequestPath:
+    def test_replica_auto_pick_ignores_admission_throughput(self):
+        # 117,649 cells lies between a quarter and four times
+        # AUTO_PRUNE_MIN_CELLS: a prune threshold scaled by the EWMA
+        # would pick different engines at these two rates.
+        seqs = mutated_family(48, MutationModel(0.06, 0.01, 0.01), seed=48)
+        want = align3(*seqs)
+        for rate in (500_000.0, 8_000_000.0):
+            server = AlignServer(ServeConfig(port=0))
+            server.admission.cells_per_s = rate
+            got = server.scheduler.run([seqs]).results[0].alignment
+            assert got.meta["engine"] == want.meta["engine"], rate
+            assert got.meta["auto"] == want.meta["auto"], rate
+
+    SEQS = ["GATTACA", "GATCA", "GATTA"]
+    VALID = [
+        {"seqs": SEQS},
+        {"a": "GATTACA", "b": "GATCA", "c": "GATTA", "id": 7,
+         "mode": "local"},
+        {"seqs": SEQS, "method": "wavefront", "constraints": [[0, 0, 0, 3]]},
+        {"seqs": SEQS, "method": "anchored", "constraints": []},
+    ]
+    MALFORMED = [
+        ["GATTACA", "GATCA", "GATTA"],
+        {"seqs": ["GATTACA", "GATCA"]},
+        {"seqs": "GATTACA"},
+        {"a": "GATTACA", "b": "GATCA"},
+        {"seqs": SEQS, "mode": "sideways"},
+        {"seqs": SEQS, "method": ["wavefront"]},
+        {"seqs": SEQS, "mode": "local", "method": "pruned"},
+        {"seqs": SEQS, "constraints": [[1, 2]]},
+        {"seqs": SEQS, "constraints": [[0, 0, 0, 9]]},
+        {"seqs": ["ACGTACGT", "MKVLHWPE", "ACGTACGT"]},
+    ]
+
+    @staticmethod
+    def _both(obj, tmp_path):
+        """(request or error text) from the wire reader and the file reader,
+        each without its position prefix."""
+        from repro.batch import requests_from_jsonl
+        from repro.serve.app import parse_align_items
+
+        try:
+            wire = parse_align_items([obj])[0]
+        except BadRequest as exc:
+            wire = str(exc).removeprefix("request 0: ")
+        path = tmp_path / "one.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        try:
+            (filed,) = requests_from_jsonl(path)
+        except ValueError as exc:
+            filed = str(exc).removeprefix(f"{path}:1: ")
+        return wire, filed
+
+    @pytest.mark.parametrize("obj", VALID)
+    def test_wire_and_file_read_a_request_alike(self, obj, tmp_path):
+        wire, filed = self._both(obj, tmp_path)
+        assert isinstance(wire, AlignmentRequest)
+        # Only the default id differs: a file line is named by its number.
+        assert filed.rid == ("req1" if wire.rid is None else wire.rid)
+        assert replace(filed, rid=wire.rid) == wire
+
+    @pytest.mark.parametrize("obj", MALFORMED)
+    def test_wire_and_file_reject_alike(self, obj, tmp_path):
+        wire, filed = self._both(obj, tmp_path)
+        assert isinstance(wire, str) and wire == filed
 
 
 # ----------------------------------------------------------------------
