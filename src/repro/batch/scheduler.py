@@ -9,7 +9,8 @@ serves it in stages, cheapest first:
    equivalence class, so ``auto`` and ``wavefront`` requests for the
    same triple form one group); each distinct request is looked up in
    the :class:`~repro.cache.ResultCache` once, and duplicates share the
-   answer.
+   answer. This is the one place in :mod:`repro` that derives cache
+   keys and reads or writes a cache; ``align3`` always computes.
 2. **Permutation reuse** — remaining groups are probed by the
    order-insensitive secondary key. A hit (from the cache, or from
    another group of this batch) is mapped onto the request's sequence
@@ -28,8 +29,9 @@ serves it in stages, cheapest first:
 
 Normalising runs ``align3``'s check (:func:`~repro.core.api.check_request`),
 so a bad request is refused at every entry point before it can join a
-batch whose other requests it would fail; engines and keys come from
-``align3``'s resolver (:func:`~repro.core.api.resolve_method`). Wire and
+batch whose other requests it would fail; engines come from ``align3``'s
+resolver (:func:`~repro.core.api.resolve_method`), and each key class
+from the engine it planned (:meth:`BatchScheduler._resolve`). Wire and
 file requests reach :meth:`BatchScheduler._normalise` through one
 reader, :func:`repro.batch.io.request_from_json`.
 
@@ -47,6 +49,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.cache import (
     ResultCache,
     chain_engines_fit,
+    chain_key_class,
     derive_for_order,
     method_key_class,
     permutation_key,
@@ -223,19 +226,23 @@ class BatchScheduler:
 
     def _resolve(
         self, req: AlignmentRequest, scheme: ScoringScheme
-    ) -> Resolved:
-        """The request's engine, key class and selection: those of
-        :func:`~repro.core.api.resolve_method` for global mode. This is
-        the request's only engine selection; the compute stage hands
-        ``align3`` the resolved method and reports the selection as
-        ``meta["auto"]``. Non-global modes have a single engine each, so
-        their raw ``auto`` keys are already canonical.
+    ) -> tuple[Resolved, str]:
+        """The request's engine selection and its cache-key class.
+
+        Global mode resolves through :func:`~repro.core.api.resolve_method`
+        (the request's only engine selection) and keys as the planned
+        engine, or a chain request as its sub-cube engine
+        (:func:`~repro.cache.chain_key_class`). Non-global modes have a
+        single engine each, so their raw ``auto`` keys are canonical.
         """
         if req.mode != "global":
-            return Resolved(req.method, req.mode, req.method)
-        return resolve_method(
+            return Resolved(req.method, req.mode), req.method
+        res = resolve_method(
             req.method, req.seqs, scheme, constraints=req.constraints
         )
+        if res.engine == "chain":
+            return res, chain_key_class(req.method, bool(req.constraints))
+        return res, method_key_class(res.engine)
 
     def _compute(
         self, req: AlignmentRequest, scheme: ScoringScheme, resolved: Resolved
@@ -334,7 +341,7 @@ class BatchScheduler:
         self,
         reqs: list[AlignmentRequest],
         schemes: list[ScoringScheme],
-        resolved: list[Resolved],
+        resolved: list[tuple[Resolved, str]],
         results: list[RequestResult | None],
         stats: BatchStats,
         emit: "Callable[[RequestResult], None] | None" = None,
@@ -344,9 +351,11 @@ class BatchScheduler:
         # ``auto`` request and the ``wavefront`` it resolves to are one
         # group here instead of two computes.
         groups: dict[str, list[int]] = {}
-        for i, (req, scheme) in enumerate(zip(reqs, schemes)):
+        for i, (req, scheme, (_, key_class)) in enumerate(
+            zip(reqs, schemes, resolved)
+        ):
             key = request_key(
-                req.seqs, scheme, req.mode, resolved[i].key_class,
+                req.seqs, scheme, req.mode, key_class,
                 constraints=req.constraints,
             )
             groups.setdefault(key, []).append(i)
@@ -376,7 +385,8 @@ class BatchScheduler:
         to_compute: list[tuple[str, list[int]]] = []
         for key, idxs in pending:
             req, scheme = reqs[idxs[0]], schemes[idxs[0]]
-            if resolved[idxs[0]].engine == "chain":
+            res, key_class = resolved[idxs[0]]
+            if res.engine == "chain":
                 # Constrained/anchored requests skip permutation reuse:
                 # anchor coordinates are order-sensitive, and discovery's
                 # chain tie-breaks under a permuted sort order may pick a
@@ -385,7 +395,7 @@ class BatchScheduler:
                 to_compute.append((key, idxs))
                 continue
             pkey = PERM_PREFIX + permutation_key(
-                req.seqs, scheme, req.mode, resolved[idxs[0]].key_class
+                req.seqs, scheme, req.mode, key_class
             )
             t0 = time.perf_counter()
             canon = (
@@ -409,8 +419,9 @@ class BatchScheduler:
         # Stage 3: compute the true misses in request order.
         for key, idxs in to_compute:
             req, scheme = reqs[idxs[0]], schemes[idxs[0]]
+            res, _ = resolved[idxs[0]]
             t0 = time.perf_counter()
-            aln = self._compute(req, scheme, resolved[idxs[0]])
+            aln = self._compute(req, scheme, res)
             dt = time.perf_counter() - t0
             if aln.meta.get("engine") == "blocks":
                 stats.pool_jobs += 1
@@ -428,7 +439,7 @@ class BatchScheduler:
         results: list[RequestResult | None],
         reqs: list[AlignmentRequest],
         schemes: list[ScoringScheme],
-        resolved: list[Resolved],
+        resolved: list[tuple[Resolved, str]],
         perm_groups: dict[str, list[tuple[str, list[int]]]],
         key: str,
         idxs: list[int],
@@ -439,8 +450,8 @@ class BatchScheduler:
     ) -> None:
         req, scheme = reqs[idxs[0]], schemes[idxs[0]]
         stats.computed += 1
-        key_class = resolved[idxs[0]].key_class
-        if resolved[idxs[0]].engine == "chain":
+        res, key_class = resolved[idxs[0]]
+        if res.engine == "chain":
             # No permutation key for chain-mode results (see stage 2).
             if self.cache is not None and chain_engines_fit(
                 key_class, aln.meta["anchor"]["engines"]

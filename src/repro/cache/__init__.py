@@ -3,9 +3,11 @@
 The serving-stack layer: :mod:`repro.cache.key` derives canonical request
 digests (sequences + scheme + mode + method, plus a permutation-invariant
 secondary key), and :mod:`repro.cache.store` holds results in a bounded
-in-memory LRU tier over an optional persistent JSONL tier. ``align3``
-accepts a cache via its ``cache=`` argument; :mod:`repro.batch` uses one
-to deduplicate whole request batches. See ``docs/batching.md``.
+in-memory LRU tier over an optional persistent JSONL tier. Its one user
+in :mod:`repro` is :class:`repro.batch.BatchScheduler`, which keys,
+looks up and stores every request, so a cached single request is
+``run_batch([request], cache=cache)``; ``align3`` always computes. See
+``docs/batching.md``.
 """
 
 from repro.cache.key import (

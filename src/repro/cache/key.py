@@ -16,10 +16,11 @@ an engine would be handed the same inputs. The digest therefore covers
   one tie-break and so return the same rows: they share the class
   ``"exact"``. ``hirschberg`` returns the same optimal score but, on
   ties, another co-optimal alignment, so it keys as itself — a hit must
-  return the rows its engine would have computed. Callers key on
-  ``repro.core.api.resolve_method``'s class, after ``auto`` and the
-  memory plan: a ``wavefront`` run degraded to ``hirschberg`` stores its
-  rows under ``"hirschberg"``. Chain-solver requests (constraints, or
+  return the rows its engine would have computed. The batch scheduler
+  (``repro.batch.BatchScheduler._resolve``) keys on the class of the
+  engine ``repro.core.api.resolve_method`` planned, after ``auto`` and
+  the memory plan: a ``wavefront`` run degraded to ``hirschberg`` stores
+  its rows under ``"hirschberg"``. Chain-solver requests (constraints, or
   ``method="anchored"``) pick their engines per sub-cube, so they key
   on :func:`chain_key_class` instead, and a result is stored only if
   :func:`chain_engines_fit` its key.

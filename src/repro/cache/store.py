@@ -272,6 +272,42 @@ class ResultCache:
         self._disk_index[key] = offset
 
     # ------------------------------------------------------------------
+    # Local tiers (memory, then disk), shared by both APIs
+    # ------------------------------------------------------------------
+
+    def _local_get(self, key: str, record: bool) -> dict | None:
+        """The payload for ``key`` from memory, then disk (promoted to
+        memory), or None. Counts a hit when ``record``; a miss is the
+        caller's to count, after any tier it probes next."""
+        with self._lock:
+            payload = self._memory.get(key)
+            if payload is not None:
+                self._memory.move_to_end(key)
+                if record:
+                    self.stats.memory_hits += 1
+                    _obs.record_cache("memory_hit")
+                return payload
+            payload = self._disk_get(key)
+            if payload is not None:
+                self._insert_memory(key, payload)
+                if record:
+                    self.stats.disk_hits += 1
+                    _obs.record_cache("disk_hit")
+            return payload
+
+    def _count_miss(self, record: bool) -> None:
+        if record:
+            with self._lock:
+                self.stats.misses += 1
+            _obs.record_cache("miss")
+
+    def _local_put(self, key: str, payload: dict) -> None:
+        with self._lock:
+            self._insert_memory(key, payload)
+            self._disk_put(key, payload)
+            self.stats.puts += 1
+
+    # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
@@ -290,21 +326,9 @@ class ResultCache:
         used for secondary-key probes (permutation lookups) that would
         otherwise double-count a single logical request.
         """
-        with self._lock:
-            payload = self._memory.get(key)
-            if payload is not None:
-                self._memory.move_to_end(key)
-                if record:
-                    self.stats.memory_hits += 1
-                    _obs.record_cache("memory_hit")
-                return decode_alignment(payload, key=key)
-            payload = self._disk_get(key)
-            if payload is not None:
-                self._insert_memory(key, payload)
-                if record:
-                    self.stats.disk_hits += 1
-                    _obs.record_cache("disk_hit")
-                return decode_alignment(payload, key=key)
+        payload = self._local_get(key, record)
+        if payload is not None:
+            return decode_alignment(payload, key=key)
         if self.remote is not None:
             payload = self._remote_get(key)
             if payload is not None:
@@ -320,19 +344,13 @@ class ResultCache:
                     if record:
                         _obs.record_cache("remote_hit")
                     return aln
-        if record:
-            with self._lock:
-                self.stats.misses += 1
-            _obs.record_cache("miss")
+        self._count_miss(record)
         return None
 
     def put(self, key: str, aln: Alignment3) -> None:
         """Store ``aln`` under ``key`` in every tier (remote best-effort)."""
         payload = encode_alignment(aln)
-        with self._lock:
-            self._insert_memory(key, payload)
-            self._disk_put(key, payload)
-            self.stats.puts += 1
+        self._local_put(key, payload)
         if self.remote is not None:
             self._remote_put(key, payload)
 
@@ -354,25 +372,10 @@ class ResultCache:
         """The raw encoded payload for ``key`` from the local tiers only
         (the cache service is itself the remote tier, so it must never
         recurse into one)."""
-        with self._lock:
-            payload = self._memory.get(key)
-            if payload is not None:
-                self._memory.move_to_end(key)
-                if record:
-                    self.stats.memory_hits += 1
-                    _obs.record_cache("memory_hit")
-                return payload
-            payload = self._disk_get(key)
-            if payload is not None:
-                self._insert_memory(key, payload)
-                if record:
-                    self.stats.disk_hits += 1
-                    _obs.record_cache("disk_hit")
-                return payload
-            if record:
-                self.stats.misses += 1
-                _obs.record_cache("miss")
-            return None
+        payload = self._local_get(key, record)
+        if payload is None:
+            self._count_miss(record)
+        return payload
 
     def put_payload(self, key: str, payload: dict) -> None:
         """Store an already-encoded payload in the local tiers.
@@ -381,10 +384,7 @@ class ResultCache:
         rejected (``ValueError``) instead of poisoning the store.
         """
         decode_alignment(payload, key=key)
-        with self._lock:
-            self._insert_memory(key, payload)
-            self._disk_put(key, payload)
-            self.stats.puts += 1
+        self._local_put(key, payload)
 
     def _insert_memory(self, key: str, payload: dict) -> None:
         self._memory[key] = payload

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.blockgrid import BlockGrid
-from repro.cluster.simulate import SimResult
+from repro.cluster.simulate import SimResult, _event_loop
 from repro.util.validation import check_positive
 
 
@@ -145,43 +145,10 @@ def simulate_wavefront_hetero(
         def owner(blk: tuple[int, int, int]) -> int:
             return grid.owner(blk, procs, mapping)
 
-    finish: dict[tuple[int, int, int], float] = {}
-    proc_avail = [0.0] * procs
-    busy = [0.0] * procs
-    comm_volume = 0
-    comm_time = 0.0
-    messages = 0
-    n_blocks = 0
-    for blk in grid.blocks():
-        n_blocks += 1
-        own = owner(blk)
-        ready = 0.0
-        for src, payload_cells in grid.dependencies(blk):
-            arrive = finish[src]
-            if owner(src) != own:
-                payload = payload_cells * machine.bytes_per_cell
-                delay = machine.comm_time(payload)
-                arrive += delay
-                comm_volume += payload
-                comm_time += delay
-                messages += 1
-            ready = max(ready, arrive)
-        compute = machine.compute_time(grid.block_cells(blk), own)
-        start = max(proc_avail[own], ready)
-        end = start + compute
-        finish[blk] = end
-        proc_avail[own] = end
-        busy[own] += compute
-
-    makespan = max(finish.values()) if finish else 0.0
-    serial = machine.ideal_serial_time(grid.total_cells())
-    return SimResult(
-        makespan=makespan,
-        serial_time=serial,
-        procs=procs,
-        comm_volume_bytes=comm_volume,
-        messages=messages,
-        comm_time_total=comm_time,
-        busy_time=busy,
-        blocks=n_blocks,
+    return _event_loop(
+        grid,
+        machine,
+        owner=owner,
+        compute_time=machine.compute_time,
+        serial_time=machine.ideal_serial_time(grid.total_cells()),
     )

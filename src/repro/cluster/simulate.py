@@ -20,6 +20,7 @@ This reproduces the three effects the paper family's figures exhibit:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.cluster.blockgrid import BlockGrid
 from repro.cluster.machine import MachineModel
@@ -69,6 +70,42 @@ def simulate_wavefront(
     quantity the paper's scaling figures plot.
     """
     procs = machine.procs
+    res = _event_loop(
+        grid,
+        machine,
+        owner=lambda blk: grid.owner(blk, procs, mapping),
+        compute_time=lambda cells, proc: machine.compute_time(cells),
+        serial_time=machine.compute_time(grid.total_cells()),
+    )
+    if _obs.active():
+        _obs.record_sim(
+            procs=procs,
+            blocks=res.blocks,
+            messages=res.messages,
+            comm_bytes=res.comm_volume_bytes,
+            makespan=res.makespan,
+            speedup=res.speedup,
+            busy=res.busy_time,
+        )
+    return res
+
+
+def _event_loop(
+    grid: BlockGrid,
+    machine: Any,
+    owner: Callable[[tuple[int, int, int]], int],
+    compute_time: Callable[[int, int], float],
+    serial_time: float,
+) -> SimResult:
+    """The one event loop behind every cluster simulation.
+
+    Visits ``grid``'s blocks in wavefront order; each starts once its
+    processor ``owner(blk)`` is free and every predecessor's ghost layer
+    has arrived, and runs for ``compute_time(cells, proc)``. ``machine``
+    supplies ``procs``, ``bytes_per_cell`` and ``comm_time``, charged
+    only between blocks on different processors.
+    """
+    procs = machine.procs
     finish: dict[tuple[int, int, int], float] = {}
     proc_avail = [0.0] * procs
     busy = [0.0] * procs
@@ -79,12 +116,11 @@ def simulate_wavefront(
 
     for blk in grid.blocks():
         n_blocks += 1
-        own = grid.owner(blk, procs, mapping)
+        own = owner(blk)
         ready = 0.0
         for src, payload_cells in grid.dependencies(blk):
-            src_own = grid.owner(src, procs, mapping)
             arrive = finish[src]
-            if src_own != own:
+            if owner(src) != own:
                 payload = payload_cells * machine.bytes_per_cell
                 delay = machine.comm_time(payload)
                 arrive += delay
@@ -92,28 +128,16 @@ def simulate_wavefront(
                 comm_time += delay
                 messages += 1
             ready = max(ready, arrive)
-        compute = machine.compute_time(grid.block_cells(blk))
+        compute = compute_time(grid.block_cells(blk), own)
         start = max(proc_avail[own], ready)
         end = start + compute
         finish[blk] = end
         proc_avail[own] = end
         busy[own] += compute
 
-    makespan = max(finish.values()) if finish else 0.0
-    serial = machine.compute_time(grid.total_cells())
-    if _obs.active():
-        _obs.record_sim(
-            procs=procs,
-            blocks=n_blocks,
-            messages=messages,
-            comm_bytes=comm_volume,
-            makespan=makespan,
-            speedup=serial / makespan if makespan > 0 else 0.0,
-            busy=busy,
-        )
     return SimResult(
-        makespan=makespan,
-        serial_time=serial,
+        makespan=max(finish.values()) if finish else 0.0,
+        serial_time=serial_time,
         procs=procs,
         comm_volume_bytes=comm_volume,
         messages=messages,

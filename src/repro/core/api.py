@@ -49,11 +49,7 @@ returns the same optimal score. ``dp3d`` and the plane-kernel engines
 also share one tie-break (moves in code order 1..7, first of equals; pruning
 keeps every cell of every optimal path), so they return the same rows;
 ``hirschberg`` returns a co-optimal alignment whose rows can differ on
-ties, because its split points choose among optimal paths. The result
-cache keys on the *equivalence class* of the engine that runs
-(:func:`repro.cache.method_key_class`), after ``auto`` and any
-degradation: a request served as ``auto``, ``wavefront`` or ``pruned``
-shares one entry, and ``hirschberg`` results key apart.
+ties, because its split points choose among optimal paths.
 
 Every entry point takes one request path, read from the method
 catalogue (:data:`repro.core.methods.METHODS`), and ``auto``'s pick
@@ -63,10 +59,14 @@ a serve replica send one triple to one engine and record one
 rejects what no engine can serve, before any cache lookup or compute
 (``align3``, ``BatchScheduler._normalise`` — and so serve, the router
 and ``repro batch`` — and ``repro align``); :func:`resolve_method`
-resolves ``auto``, plans memory and derives the cache-key class
-(``align3``, chain sub-cubes, ``BatchScheduler._resolve``);
-:func:`run_method` steps down the memory ladder and calls the engine
-(``align3``, chain sub-cubes).
+resolves ``auto`` and plans memory (``align3``, chain sub-cubes,
+``BatchScheduler._resolve``); :func:`run_method` steps down the memory
+ladder and calls the engine (``align3``, chain sub-cubes).
+
+This module runs no cache. Results are cached by the batch layer alone
+(:class:`repro.batch.BatchScheduler`), which keys each request on the
+class of the engine :func:`resolve_method` planned; a single cached
+request is ``run_batch([request], cache=cache)``.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ import time
 import warnings
 from typing import NamedTuple, Sequence
 
-from repro.cache import (
-    ResultCache,
-    chain_engines_fit,
-    chain_key_class,
-    method_key_class,
-    request_key,
-)
 from repro.core.methods import AVAILABLE_METHODS, METHODS, subcube_engine
 from repro.core.scoring import ScoringScheme, default_scheme_for
 from repro.core.types import MODES, Alignment3
@@ -302,7 +295,6 @@ class Resolved(NamedTuple):
 
     method: str  # after ``auto``; a chain request keeps its own
     engine: str  # what the memory plan picked, or ``"chain"``
-    key_class: str  # the cache key's method component
     selection: dict | None = None  # :func:`select_method`'s record
     plan: _degrade.DegradePlan | None = None
 
@@ -316,17 +308,16 @@ def resolve_method(
     budget: int | None = None,
     allow_degrade: bool = True,
 ) -> Resolved:
-    """Resolve ``auto``, plan memory and derive the cache-key class.
+    """Resolve ``auto`` and plan memory.
 
     ``auto`` becomes ``affine`` for an affine scheme, else
-    :func:`select_method`'s pick. The key class follows the planned
-    engine, or the named one when ``allow_degrade`` is off (that run
-    raises instead). A chain request resolves to ``"chain"``: the solver
-    plans each sub-cube itself.
+    :func:`select_method`'s pick. ``engine`` is the planned engine, or
+    the named one when ``allow_degrade`` is off (that run raises
+    instead). A chain request resolves to ``"chain"``: the solver plans
+    each sub-cube itself.
     """
     if constraints or method == "anchored":
-        key_class = chain_key_class(method, bool(constraints))
-        return Resolved(method, "chain", key_class)
+        return Resolved(method, "chain")
     selection = None
     if method == "auto":
         if scheme.is_affine:
@@ -340,7 +331,7 @@ def resolve_method(
         plan = _degrade.plan_method(method, dims, budget=budget)
         if allow_degrade:
             engine = plan.method
-    return Resolved(method, engine, method_key_class(engine), selection, plan)
+    return Resolved(method, engine, selection, plan)
 
 
 def _engine(method: str):
@@ -386,7 +377,6 @@ def align3(
     method: str = "auto",
     workers: int = 2,
     allow_degrade: bool = True,
-    cache: ResultCache | None = None,
     constraints=None,
 ) -> Alignment3:
     """Optimal three-sequence alignment.
@@ -409,14 +399,6 @@ def align3(
         fits — still exact, recorded in ``meta["degraded_from"]`` and a
         :class:`DegradationWarning`. False raises :class:`DegradedRun`
         instead of switching engines.
-    cache:
-        Optional :class:`repro.cache.ResultCache`. When given, the request
-        is looked up by its content digest before any engine runs; a hit
-        returns the stored alignment (bit-identical rows/score, meta
-        modulo timing, ``meta["cache"]["hit"] = True``) and a miss stores
-        the computed result. Keys carry :func:`resolve_method`'s key
-        class, so ``auto`` and ``wavefront`` requests for the same triple
-        share one entry and a hit returns the rows that engine computes.
     constraints:
         Optional anchor chain the alignment must pass through — an
         iterable of ``(i, j, k, length)`` tuples (or ``{"i": ...}``
@@ -425,14 +407,17 @@ def align3(
         switches to *constrained* mode (cube-chain decomposition,
         optimal subject to the constraints, linear-gap only; ``method``
         names the per-sub-cube engine). ``None`` or ``()`` leaves
-        behaviour — and cache keys — exactly as before.
-        ``meta["anchor"]`` records the decomposition.
+        behaviour exactly as before. ``meta["anchor"]`` records the
+        decomposition.
 
     Returns
     -------
     Alignment3
         The optimal alignment; ``meta`` records the engine, cell counts and
         wall time.
+
+    Every call computes. A cached single request goes through the batch
+    layer: ``repro.batch.run_batch([request], cache=cache)``.
 
     Examples
     --------
@@ -444,22 +429,10 @@ def align3(
     seqs = (sa, sb, sc)
     constraints = check_request(seqs, scheme, "global", method, constraints)
     scheme = resolve_scheme(seqs, scheme)
-    # Resolve before touching the cache: keys carry the class of the
-    # engine that will run, so ``auto`` and its pick share one entry.
     res = resolve_method(
         method, seqs, scheme, constraints=constraints,
         allow_degrade=allow_degrade,
     )
-
-    cache_key = None
-    if cache is not None:
-        cache_key = request_key(
-            seqs, scheme, "global", res.key_class, constraints=constraints
-        )
-        hit = cache.get(cache_key)
-        if hit is not None:
-            hit.meta["cache"] = {"hit": True, "key": cache_key}
-            return hit
 
     t0 = time.perf_counter()
     with _trace.span("align3", method=res.method):
@@ -489,14 +462,6 @@ def align3(
             {"method": m, "estimate_bytes": e} for m, e in plan.steps
         ]
         aln.meta["memory_budget_bytes"] = plan.budget
-    if cache_key is not None:
-        # A chain result whose sub-cube was degraded to another engine
-        # class is served but not stored under the requested class.
-        if res.engine != "chain" or chain_engines_fit(
-            res.key_class, aln.meta["anchor"]["engines"]
-        ):
-            cache.put(cache_key, aln)
-        aln.meta["cache"] = {"hit": False, "key": cache_key}
     return aln
 
 

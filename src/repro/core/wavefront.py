@@ -242,7 +242,7 @@ def compute_plane_rows(
         clamped to ``[0, n3]``, so it subsumes the cube-bounds check),
         and the computed box is tightened to the tube's live cells.
     mode:
-        One of :data:`repro.cache.key.MODES`; it sets only the floor a
+        One of :data:`repro.core.types.MODES`; it sets only the floor a
         cell may restart from. ``"local"`` cells restart at 0 anywhere,
         ``"semiglobal"`` cells on the ``i=0``, ``j=0`` and ``k=0`` faces
         start free. A restart (move 0) wins ties: a cell restarts when

@@ -10,7 +10,7 @@ and dedup amortise across the whole request stream. See
 from repro.serve.admission import AdmissionController, Decision, estimate_cells
 from repro.serve.app import AlignServer, run_server
 from repro.serve.batcher import DeadlineExceeded, MicroBatcher
-from repro.serve.client import ServeClient, ServeResponse, wait_ready
+from repro.serve.client import ServeClient, ServeResponse
 from repro.serve.config import DEFAULT_PORT, ServeConfig
 
 __all__ = [
@@ -25,5 +25,4 @@ __all__ = [
     "ServeResponse",
     "estimate_cells",
     "run_server",
-    "wait_ready",
 ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import socket
-import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -157,17 +155,3 @@ class ServeClient:
 
     def metrics(self) -> ServeResponse:
         return self._request("GET", "/metrics")
-
-
-def wait_ready(
-    host: str, port: int, timeout: float = 10.0, interval: float = 0.05
-) -> bool:
-    """Poll until a TCP connect to the service succeeds."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with socket.create_connection((host, port), timeout=1.0):
-                return True
-        except OSError:
-            time.sleep(interval)
-    return False

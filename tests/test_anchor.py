@@ -31,7 +31,7 @@ from repro.anchor.chain import Segment
 from repro.batch.io import requests_from_jsonl
 from repro.batch.scheduler import AlignmentRequest, BatchScheduler
 from repro.cache import ResultCache, request_key
-from repro.core.api import align3, select_method
+from repro.core.api import align3
 from repro.obs import metrics
 from repro.resilience.degrade import estimate_bytes
 from repro.router.routing import routing_keys
@@ -325,14 +325,6 @@ class TestCacheKeys:
 
 
 class TestSelection:
-    def test_no_hint_keeps_selection_stable(self, dna_scheme):
-        seqs = mutated_family(60, seed=5150)
-        _, sel = select_method(*seqs, dna_scheme)
-        # without a hint the selection dict is byte-for-byte what older
-        # callers saw — the hint keys only appear when a hint is passed
-        assert "cells_per_s_hint" not in sel
-        assert "prune_min_cells" not in sel
-
     def test_kmer_sets_memoized_per_call(self, monkeypatch):
         import repro.core.api as api
 

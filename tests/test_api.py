@@ -1,5 +1,10 @@
 """Unit tests for the align3 front door (repro.core.api)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -147,13 +152,16 @@ class TestDegenerateInputs:
 
     @pytest.mark.parametrize("seqs", CASES, ids=lambda s: "/".join(s) or "empty")
     def test_cache_round_trip(self, seqs, dna_scheme, tmp_path):
+        from repro.batch import AlignmentRequest, run_batch
         from repro.cache import ResultCache, comparable_meta
 
         cache = ResultCache(cache_dir=tmp_path)
-        cold = align3(*seqs, dna_scheme, cache=cache)
-        assert cold.meta["cache"]["hit"] is False
-        hit = align3(*seqs, dna_scheme, cache=cache)
-        assert hit.meta["cache"]["hit"] is True
+        req = AlignmentRequest(seqs=seqs, scheme=dna_scheme)
+        cold = run_batch([req], cache=cache).results[0]
+        assert cold.source == "computed"
+        hit = run_batch([req], cache=cache).results[0]
+        assert hit.source == "memory_hit"
+        cold, hit = cold.alignment, hit.alignment
         assert hit.rows == cold.rows
         assert hit.score == cold.score
         assert comparable_meta(hit.meta) == comparable_meta(cold.meta)
@@ -181,3 +189,27 @@ class TestTopLevelExports:
     def test_quickstart_docstring_example(self):
         aln = repro.align3("GATTACA", "GATCA", "GATTA")
         assert aln.sequences() == ("GATTACA", "GATCA", "GATTA")
+
+
+class TestLayering:
+    def test_core_api_leaves_the_cache_unimported(self):
+        # Caching lives in the batch layer alone, so the engines' front
+        # door (and the chain solver and degradation ladder it loads)
+        # must not pull repro.cache in. A subprocess, because this test
+        # process has imported it already.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys, repro.core.api, repro.anchor, repro.resilience; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.cache')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(src), os.environ.get("PYTHONPATH", "")])},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ identity estimator it relies on, and the end of the aliasing bug where
 
 import pytest
 
+from repro.batch import AlignmentRequest, BatchScheduler
 from repro.cache import (
     EXACT_METHODS,
     ResultCache,
@@ -151,23 +152,29 @@ class TestMethodKeyClass:
 
 
 class TestCacheAliasing:
+    @staticmethod
+    def _serve(sched, seqs, scheme, method="auto"):
+        req = AlignmentRequest(seqs=tuple(seqs), scheme=scheme, method=method)
+        return sched.run([req]).results[0]
+
     def test_auto_and_resolved_share_one_entry(self, dna_scheme, tmp_path):
         seqs = mutated_family(30, seed=21)
-        cache = ResultCache(cache_dir=tmp_path)
-        cold = align3(*seqs, dna_scheme, method="auto", cache=cache)
-        assert cold.meta["cache"]["hit"] is False
+        sched = BatchScheduler(cache=ResultCache(cache_dir=tmp_path))
+        cold = self._serve(sched, seqs, dna_scheme)
+        assert cold.source == "computed"
         # The same triple requested under any exact engine now hits.
         for method in ("wavefront", "dp3d", "pruned", "auto"):
-            again = align3(*seqs, dna_scheme, method=method, cache=cache)
-            assert again.meta["cache"]["hit"] is True, method
-            assert again.score == cold.score
+            again = self._serve(sched, seqs, dna_scheme, method)
+            assert again.cache_hit, method
+            assert again.alignment.score == cold.alignment.score
         # hirschberg breaks ties its own way, so it keys apart.
-        own = align3(*seqs, dna_scheme, method="hirschberg", cache=cache)
-        assert own.meta["cache"]["hit"] is False
+        own = self._serve(sched, seqs, dna_scheme, "hirschberg")
+        assert own.source == "computed"
 
     def test_distinct_triples_do_not_collide(self, dna_scheme, tmp_path):
-        cache = ResultCache(cache_dir=tmp_path)
-        a = align3("GATTACA", "GATCA", "GTTACA", dna_scheme, cache=cache)
-        b = align3("GATTACA", "GATCA", "GTTACC", dna_scheme, cache=cache)
-        assert b.meta["cache"]["hit"] is False
+        sched = BatchScheduler(cache=ResultCache(cache_dir=tmp_path))
+        a = self._serve(sched, ("GATTACA", "GATCA", "GTTACA"), dna_scheme)
+        b = self._serve(sched, ("GATTACA", "GATCA", "GTTACC"), dna_scheme)
+        assert b.source == "computed"
+        a, b = a.alignment, b.alignment
         assert a.score != b.score or a.rows != b.rows

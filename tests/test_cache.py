@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.batch import AlignmentRequest, BatchScheduler, run_batch
 from repro.cache import (
     ResultCache,
     canonical_order,
@@ -16,9 +17,10 @@ from repro.cache import (
     permute_rows,
     request_key,
 )
-from repro.core.api import align3
+from repro.core.api import AVAILABLE_METHODS, align3, check_request
+from repro.core.scoring import default_scheme_for
 from repro.core.types import Alignment3
-from repro.resilience.errors import DegradationWarning
+from repro.seqio.alphabet import DNA
 
 TRIPLE = ("GATTACA", "GATCA", "GTTACA")
 
@@ -383,80 +385,74 @@ class TestHitBitIdentity:
         # dp3d and wavefront share the "exact" key class, so a dp3d result
         # served to a wavefront request must be what wavefront computes.
         triple = ("AGTC", "TGTAC", "ACG")
-        cache = ResultCache()
-        stored = align3(*triple, dna_scheme, method="dp3d", cache=cache)
-        hit = align3(*triple, dna_scheme, method="wavefront", cache=cache)
-        assert hit.meta["cache"]["hit"]
+        with BatchScheduler(cache=ResultCache()) as sched:
+            stored, hit = [
+                sched.run(
+                    [AlignmentRequest(seqs=triple, scheme=dna_scheme, method=m)]
+                ).results[0]
+                for m in ("dp3d", "wavefront")
+            ]
+        assert hit.source == "memory_hit"
         fresh = align3(*triple, dna_scheme, method="wavefront")
-        assert hit.rows == stored.rows == fresh.rows
-        assert hit.score == fresh.score
+        assert hit.alignment.rows == stored.alignment.rows == fresh.rows
+        assert hit.alignment.score == fresh.score
 
-    def test_hirschberg_rows_never_served_to_wavefront(
-        self, dna_scheme, hirschberg_tie_triple
-    ):
-        triple = hirschberg_tie_triple
-        fresh = align3(*triple, dna_scheme, method="wavefront")
-        cache = ResultCache()
-        stored = align3(*triple, dna_scheme, method="hirschberg", cache=cache)
-        assert stored.rows != fresh.rows
-        served = align3(*triple, dna_scheme, method="wavefront", cache=cache)
-        assert served.meta["cache"]["hit"] is False
-        assert served.rows == fresh.rows
 
-    def test_constrained_hirschberg_rows_never_served_to_wavefront(
-        self, dna_scheme, hirschberg_tie_triple
-    ):
-        # A constraint chain keys by its sub-cube engine's class too.
-        triple, chain = hirschberg_tie_triple, ((0, 0, 0, 1),)
-        fresh = align3(*triple, dna_scheme, method="wavefront", constraints=chain)
-        cache = ResultCache()
-        stored = align3(
-            *triple, dna_scheme, method="hirschberg", constraints=chain,
-            cache=cache,
+_DNA = default_scheme_for(DNA)
+_SCHEMES = {"linear": _DNA, "affine": _DNA.with_gaps(gap=-4.0, gap_open=-10.0)}
+_CHAINS = {"free": None, "chain": ((0, 0, 0, 1),)}
+
+
+def _admitted(method, chain, scheme_name):
+    try:
+        check_request(
+            ("ACGT",) * 3, _SCHEMES[scheme_name], "global", method,
+            _CHAINS[chain],
         )
-        assert stored.rows != fresh.rows
-        served = align3(
-            *triple, dna_scheme, method="wavefront", constraints=chain,
-            cache=cache,
-        )
-        assert served.meta["cache"]["hit"] is False
-        assert served.rows == fresh.rows
+    except ValueError:
+        return False
+    return True
 
-    def test_degraded_constrained_run_is_not_stored(
-        self, dna_scheme, hirschberg_tie_triple, monkeypatch
-    ):
-        # Under memory pressure the sub-cube runs hirschberg; those rows
-        # must not land under the constrained wavefront key.
-        triple, chain = hirschberg_tie_triple, ((0, 0, 0, 1),)
-        fresh = align3(*triple, dna_scheme, method="wavefront", constraints=chain)
-        cache = ResultCache()
-        monkeypatch.setenv("REPRO_MEM_BUDGET", "100000")
-        with pytest.warns(DegradationWarning):
-            degraded = align3(
-                *triple, dna_scheme, method="wavefront", constraints=chain,
-                cache=cache,
-            )
-        assert degraded.meta["anchor"]["engines"] == {"hirschberg": 1}
-        monkeypatch.delenv("REPRO_MEM_BUDGET")
-        served = align3(
-            *triple, dna_scheme, method="wavefront", constraints=chain,
-            cache=cache,
-        )
-        assert served.meta["cache"]["hit"] is False
-        assert served.rows == fresh.rows
 
-    def test_degraded_run_keys_as_its_engine(
-        self, dna_scheme, hirschberg_tie_triple, monkeypatch
-    ):
-        triple = hirschberg_tie_triple
-        fresh = align3(*triple, dna_scheme, method="wavefront")
-        cache = ResultCache()
-        monkeypatch.setenv("REPRO_MEM_BUDGET", "100000")
-        with pytest.warns(DegradationWarning):
-            degraded = align3(*triple, dna_scheme, method="wavefront", cache=cache)
-        assert degraded.meta["degraded_from"] == "wavefront"
-        assert degraded.rows != fresh.rows
-        monkeypatch.delenv("REPRO_MEM_BUDGET")
-        served = align3(*triple, dna_scheme, method="wavefront", cache=cache)
-        assert served.meta["cache"]["hit"] is False
-        assert served.rows == fresh.rows
+#: Every method x chain x gap model that ``check_request`` admits.
+ADMITTED = [
+    (method, chain, scheme_name)
+    for method in AVAILABLE_METHODS
+    for chain in _CHAINS
+    for scheme_name in _SCHEMES
+    if _admitted(method, chain, scheme_name)
+]
+
+
+@pytest.mark.parametrize("triple", ["hirschberg_tie_triple", "family_medium"])
+@pytest.mark.parametrize(("method", "chain", "scheme_name"), ADMITTED)
+def test_every_tier_serves_the_engine_rows(
+    method, chain, scheme_name, triple, request, tmp_path
+):
+    """A cold batch computes, a second run on its cache hits memory, and
+    a fresh scheduler on the same ``cache_dir`` hits disk. All three
+    return the rows and score of a cache-less ``align3``, and the rows
+    rescore to that score."""
+    seqs = tuple(request.getfixturevalue(triple))
+    scheme, constraints = _SCHEMES[scheme_name], _CHAINS[chain]
+    want = align3(*seqs, scheme, method=method, constraints=constraints)
+    req = AlignmentRequest(
+        seqs=seqs, scheme=scheme, method=method, constraints=constraints
+    )
+    cache = ResultCache(cache_dir=tmp_path)
+    served = [
+        run_batch([req], cache=cache, workers=1).results[0],
+        run_batch([req], cache=cache, workers=1).results[0],
+        run_batch(
+            [req], cache=ResultCache(cache_dir=tmp_path), workers=1
+        ).results[0],
+    ]
+    assert [r.source for r in served] == ["computed", "memory_hit", "disk_hit"]
+    rescore = (
+        scheme.sp_score_affine_quasinatural if scheme.is_affine
+        else scheme.sp_score
+    )
+    for res in served:
+        aln = res.alignment
+        assert (aln.rows, aln.score) == (want.rows, want.score), res.source
+        assert rescore(aln.rows) == aln.score, res.source

@@ -1,9 +1,9 @@
 """One request check for every entry point (repro.core.api.check_request).
 
-``align3`` (cold or warm cache), ``BatchScheduler._normalise`` (and so
-serve, the router and ``repro batch``) and ``repro align`` run the same
-check before any cache lookup or compute, so each admits and rejects
-the same requests with the same message.
+``align3``, ``BatchScheduler._normalise`` (and so a scheduler with a cold
+or warm cache, serve, the router and ``repro batch``) and ``repro align``
+run the same check before any cache lookup or compute, so each admits
+and rejects the same requests with the same message.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 import repro.batch.scheduler as scheduler_mod
-from repro.batch import AlignmentRequest, BatchScheduler
+from repro.batch import AlignmentRequest, BatchScheduler, run_batch
 from repro.cache import ResultCache
 from repro.cli import main
 from repro.core.api import AVAILABLE_METHODS, align3
@@ -40,29 +40,34 @@ class TestConstrainedMethods:
     def test_cold_cache_rejects_before_the_lookup(
         self, method, hirschberg_tie_triple
     ):
+        # A single cached request goes through the batch layer.
         cache = ResultCache()
+        req = AlignmentRequest(
+            seqs=hirschberg_tie_triple, method=method, constraints=CHAIN
+        )
         with pytest.raises(ValueError, match="unknown chain engine"):
-            align3(
-                *hirschberg_tie_triple, method=method, constraints=CHAIN,
-                cache=cache,
-            )
+            run_batch([req], cache=cache, workers=1)
         assert cache.stats.lookups == 0
 
     @pytest.mark.parametrize("method", NO_SUBCUBE)
     def test_warm_cache_rejects(
         self, method, dna_scheme, hirschberg_tie_triple
     ):
-        cache = ResultCache()
-        align3(
-            *hirschberg_tie_triple, dna_scheme, method="wavefront",
-            constraints=CHAIN, cache=cache,
-        )
-        lookups = cache.stats.lookups
-        with pytest.raises(ValueError, match="unknown chain engine"):
-            align3(
-                *hirschberg_tie_triple, dna_scheme, method=method,
-                constraints=CHAIN, cache=cache,
+        # The scheduler's cache holds the constrained wavefront result,
+        # and the request is still refused before any lookup.
+        def request(m):
+            return AlignmentRequest(
+                seqs=hirschberg_tie_triple, scheme=dna_scheme, method=m,
+                constraints=CHAIN,
             )
+
+        cache = ResultCache()
+        with BatchScheduler(cache=cache, workers=1) as sched:
+            sched.run([request("wavefront")])
+            assert sched.run([request("wavefront")]).results[0].cache_hit
+            lookups = cache.stats.lookups
+            with pytest.raises(ValueError, match="unknown chain engine"):
+                sched.run([request(method)])
         assert cache.stats.lookups == lookups
 
     @pytest.mark.parametrize("method", NO_SUBCUBE)
@@ -112,22 +117,23 @@ def test_align3_and_normalise_admit_alike(
     method, constraints, scheme_name, dna_scheme, affine_dna_scheme
 ):
     scheme = affine_dna_scheme if scheme_name == "affine" else dna_scheme
-    # A warm cache holds what the accepted neighbours of this request
-    # computed, so a rejection cannot hide behind a hit.
-    warm = ResultCache()
-    for chain in (None, CHAIN):
-        align3(*SEQS, dna_scheme, method="wavefront", constraints=chain,
-               cache=warm)
-    align3(*SEQS, affine_dna_scheme, method="affine", cache=warm)
+    # A warm scheduler's cache holds what the accepted neighbours of this
+    # request computed, so a rejection cannot hide behind a hit.
+    warm = BatchScheduler(cache=ResultCache(), workers=1)
+    warm.run([
+        AlignmentRequest(seqs=SEQS, scheme=dna_scheme, method="wavefront",
+                         constraints=CHAIN),
+        AlignmentRequest(seqs=SEQS, scheme=dna_scheme, method="wavefront"),
+        AlignmentRequest(seqs=SEQS, scheme=affine_dna_scheme,
+                         method="affine"),
+    ])
+    req = AlignmentRequest(seqs=SEQS, scheme=scheme, method=method,
+                           constraints=constraints)
     outcomes = {
         "align3": _rejection(lambda: align3(
             *SEQS, scheme, method=method, constraints=constraints)),
-        "align3 warm": _rejection(lambda: align3(
-            *SEQS, scheme, method=method, constraints=constraints,
-            cache=warm)),
-        "_normalise": _rejection(lambda: BatchScheduler._normalise(
-            AlignmentRequest(seqs=SEQS, scheme=scheme, method=method,
-                             constraints=constraints))),
+        "scheduler warm": _rejection(lambda: warm.run([req])),
+        "_normalise": _rejection(lambda: BatchScheduler._normalise(req)),
     }
     assert len(set(outcomes.values())) == 1, outcomes
 

@@ -188,13 +188,17 @@ class TestAlign3PrunedPath:
         assert meta["tube_bytes"] < (n1 + 1) * (n2 + 1) * (n3 + 1)
 
     def test_pruned_cache_round_trip(self, dna_scheme, family_medium, tmp_path):
+        from repro.batch import AlignmentRequest, run_batch
         from repro.cache import ResultCache, comparable_meta
-        from repro.core.api import align3
 
         cache = ResultCache(cache_dir=tmp_path)
-        cold = align3(*family_medium, dna_scheme, method="pruned", cache=cache)
-        hit = align3(*family_medium, dna_scheme, method="pruned", cache=cache)
-        assert hit.meta["cache"]["hit"] is True
+        req = AlignmentRequest(
+            seqs=tuple(family_medium), scheme=dna_scheme, method="pruned"
+        )
+        cold = run_batch([req], cache=cache).results[0].alignment
+        hit = run_batch([req], cache=cache).results[0]
+        assert hit.source == "memory_hit"
+        hit = hit.alignment
         assert hit.rows == cold.rows and hit.score == cold.score
         assert comparable_meta(hit.meta) == comparable_meta(cold.meta)
 

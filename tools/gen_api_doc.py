@@ -5,11 +5,16 @@ Walks every ``repro`` submodule, collects the names its ``__all__`` (or
 public top-level definitions) exposes, and emits a markdown reference with
 each object's signature and first docstring line. Run after API changes:
 
-    python tools/gen_api_doc.py
+    python tools/gen_api_doc.py            # rewrites docs/api.md
+    python tools/gen_api_doc.py OUT.md     # writes OUT.md instead
+
+``tests/test_tools.py`` writes to a temporary path and fails when the
+result differs from the committed ``docs/api.md``.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pathlib
@@ -74,7 +79,13 @@ def _public_names(module) -> list[str]:
     ]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "out", nargs="?", type=pathlib.Path, default=OUT,
+        help="output path (default: docs/api.md)",
+    )
+    out = parser.parse_args(argv).out
     import repro
 
     lines = [HEADER]
@@ -109,8 +120,8 @@ def main() -> int:
                 continue
             else:
                 lines.append(f"- **`{name}`** — constant/data")
-    OUT.write_text("\n".join(lines) + "\n")
-    print(f"wrote {OUT} ({len(lines)} lines)")
+    out.write_text("\n".join(lines) + "\n")
+    print(f"wrote {out} ({len(lines)} lines)")
     return 0
 
 
